@@ -22,6 +22,7 @@ class CellError(EegBenchError):
         self.extractor = extractor
         self.model = model
         self.replication = replication
+        self.completed = {}     # results of the cells finished before this one
 
 
 class ConvergenceError(EegBenchError):

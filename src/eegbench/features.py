@@ -11,9 +11,11 @@ The three feature routes mirror the benchmark's extractor menu:
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import mfcc as mfcc_mod
 from . import wavelet as wv
@@ -122,6 +124,12 @@ def wavelet_band_features(samples, family: str, levels: int = 4,
     return FeatureVector(np.array(values), names, family)
 
 
+@functools.lru_cache(maxsize=4)
+def _sample_names(n_samples: int) -> tuple:
+    # formatted once per signal length, not once per signal
+    return tuple(f"sample_{i:04d}" for i in range(n_samples))
+
+
 def assemble_features(samples, extractor: str, *,
                       mfcc_config: mfcc_mod.MfccConfig | None = None,
                       sample_rate: float = 173.61,
@@ -134,8 +142,7 @@ def assemble_features(samples, extractor: str, *,
         raise ValueError(f"unknown extractor {extractor!r}; expected one of {EXTRACTORS}")
     x = np.asarray(samples, dtype=float)
     if extractor == "wfe":
-        names = [f"sample_{i:04d}" for i in range(x.size)]
-        return FeatureVector(x.copy(), names, "wfe")
+        return FeatureVector(x.copy(), list(_sample_names(x.size)), "wfe")
     if extractor == "mfcc":
         cfg = mfcc_config or mfcc_mod.MfccConfig()
         return FeatureVector(
@@ -221,7 +228,16 @@ class PcaModel:
 
 def pca_fit(matrix, variance_target: float = 0.95, strict: bool = False) -> PcaModel:
     """Principal axes of the sample covariance, retaining the smallest
-    component count whose cumulative explained variance reaches the target."""
+    component count whose cumulative explained variance reaches the target.
+
+    The spectrum comes from ``eigh`` of the smaller Gram matrix of the
+    centred rows. A tall matrix (rows >= columns) uses ``Xcᵀ Xc``, whose
+    eigenvectors are the axes. A wide one uses ``Xc Xcᵀ`` -- the method of
+    snapshots (Sirovich, Q. Appl. Math. 45, 1987) -- and maps each kept
+    row-space eigenvector ``u`` to the axis ``Xcᵀ u / √λ``; one Cholesky-QR
+    pass then re-orthonormalises those axes, so the components are
+    orthonormal for any target, however far apart the kept eigenvalues lie.
+    """
     X = np.asarray(matrix, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least two rows")
@@ -229,8 +245,11 @@ def pca_fit(matrix, variance_target: float = 0.95, strict: bool = False) -> PcaM
         raise ValueError("variance_target must be in (0, 1]")
     mean = X.mean(axis=0)
     centered = X - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    variances = svals ** 2 / (X.shape[0] - 1)
+    wide = X.shape[0] < X.shape[1]
+    evals, evecs = np.linalg.eigh(centered @ centered.T if wide else centered.T @ centered)
+    evals = np.clip(evals[::-1], 0.0, None)
+    evecs = evecs[:, ::-1]
+    variances = evals / (X.shape[0] - 1)
     total = variances.sum()
     if total <= 0.0:
         if strict:
@@ -239,8 +258,15 @@ def pca_fit(matrix, variance_target: float = 0.95, strict: bool = False) -> PcaM
     ratios = variances / total
     cum = np.cumsum(ratios)
     k = int(np.searchsorted(cum, variance_target - 1e-12) + 1)
+    if wide:
+        # Cholesky-QR (axes R⁻¹, RᵀR = axesᵀ axes): mapped axes whose λ is
+        # many orders below λ₁ drift from orthonormal without it
+        axes = centered.T @ (evecs[:, :k] / np.sqrt(evals[:k]))
+        chol = np.linalg.cholesky(axes.T @ axes)
+        comps = solve_triangular(chol, axes.T, lower=True)
+    else:
+        comps = evecs[:, :k].T.copy()
     # sign convention: largest-magnitude loading of each axis is positive
-    comps = vt[:k].copy()
     for row in comps:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:

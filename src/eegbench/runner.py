@@ -118,24 +118,29 @@ def _evaluate_cell(cfg: RunConfig, datasets: dict, features: dict, cell_key):
 
 def execute_cells(cfg: RunConfig, datasets: dict, features: dict,
                   progress=None):
-    """Run every configured cell; returns ({key: CellResult}, [failed keys])."""
+    """Run every configured cell; returns {key: CellResult}.
+
+    A failing cell's ``CellError`` leaves with the results of the cells
+    finished before it in ``completed``.
+    """
     keys = list(enumerate_cells(cfg))
     results = {}
-    completed = []
-    if cfg.jobs <= 1:
-        for key in keys:
-            results[key] = _evaluate_cell(cfg, datasets, features, key)
-            completed.append(key)
-            if progress:
-                progress(key, len(completed), len(keys))
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
-                                 initargs=(cfg, datasets, features)) as pool:
-            for key, result in pool.map(_run_one, keys):
-                results[key] = result
-                completed.append(key)
+    try:
+        if cfg.jobs <= 1:
+            for key in keys:
+                results[key] = _evaluate_cell(cfg, datasets, features, key)
                 if progress:
-                    progress(key, len(completed), len(keys))
+                    progress(key, len(results), len(keys))
+        else:
+            with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
+                                     initargs=(cfg, datasets, features)) as pool:
+                for key, result in pool.map(_run_one, keys):
+                    results[key] = result
+                    if progress:
+                        progress(key, len(results), len(keys))
+    except CellError as exc:
+        exc.completed = results
+        raise
     return results
 
 
@@ -187,7 +192,7 @@ def run_experiment(cfg: RunConfig, progress=None) -> ReportBundle:
     try:
         results = execute_cells(cfg, datasets, features, progress)
     except CellError as exc:
-        _write_partial(cfg, {}, exc, time.time() - start)
+        _write_partial(cfg, exc.completed, exc, time.time() - start)
         raise
 
     ordered = sorted(results.items())

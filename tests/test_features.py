@@ -142,7 +142,50 @@ class TestFeatureMatrix:
         assert lines[1].endswith(",0") and lines[2].endswith(",1")
 
 
+def svd_pca_reference(X, target):
+    """k, ratios and sign-fixed components from a thin SVD of the centred rows."""
+    _, svals, vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    ratios = svals ** 2 / np.sum(svals ** 2)
+    k = int(np.searchsorted(np.cumsum(ratios), target - 1e-12) + 1)
+    comps = vt[:k].copy()
+    for row in comps:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return k, ratios, comps
+
+
+def max_orthonormality_error(components):
+    return np.abs(components @ components.T - np.eye(components.shape[0])).max()
+
+
 class TestPca:
+    @pytest.mark.parametrize("shape", [(40, 300), (300, 40)], ids=["wide", "tall"])
+    def test_matches_svd_reference(self, shape):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=shape) * rng.uniform(0.1, 3.0, size=shape[1])
+        k, ratios, comps = svd_pca_reference(X, 0.95)
+        model = ft.pca_fit(X, variance_target=0.95)
+        assert model.n_components == k
+        assert np.abs(model.explained_variance_ratio - ratios).max() < 1e-12
+        assert np.abs(model.components - comps).max() < 1e-10
+
+    def test_ill_conditioned_wide_axes_orthonormal(self):
+        # column scales 0.7^i: the kept eigenvalues span about 12 decades
+        X = np.random.default_rng(3).normal(size=(60, 300)) * 0.7 ** np.arange(300)
+        model = ft.pca_fit(X, variance_target=1.0)
+        assert model.n_components > 30
+        assert max_orthonormality_error(model.components) < 1e-10
+
+    @pytest.mark.parametrize("target", [0.95, 1.0])
+    def test_rank_deficient_wide(self, target):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(20, 5)) @ rng.normal(size=(5, 100))
+        model = ft.pca_fit(X, variance_target=target)
+        assert np.all(np.isfinite(model.components))
+        assert np.all(np.isfinite(model.explained_variance_ratio))
+        assert model.n_components == 5
+        assert max_orthonormality_error(model.components) < 1e-10
+
     def test_collinear_data_one_component(self):
         t = np.linspace(-1, 1, 50)
         X = np.column_stack([t, 2 * t])

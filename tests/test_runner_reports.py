@@ -91,6 +91,17 @@ class TestDeterminism:
         for fname in ("cells_holdout.csv", "cells_kfold.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_jobs_one_and_two_byte_identical_long_csv(self, corpus_root, tmp_path):
+        outs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs_{jobs}"
+            cfg = small_config(corpus_root, out, extractors=["mfcc"], models=["knn", "gb"],
+                               kfold={"k": 3}, holdout={"n_repeats": 2}, jobs=jobs)
+            run_experiment(cfg)
+            outs.append(out)
+        for fname in ("cells_holdout.csv", "cells_kfold.csv"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
 
 class TestFailurePath:
     def test_cell_failure_writes_partial_manifest(self, corpus_root, tmp_path, capsys):
@@ -100,7 +111,7 @@ class TestFailurePath:
             "output_dir": str(tmp_path / "report"),
             "schemes": ["balanced"],
             "extractors": ["mfcc"],
-            "models": ["knn"],
+            "models": ["lda", "knn"],
             "holdout": {"n_repeats": 2},
             "hyperparams": {"knn": {"k": 100000}},
         }))
@@ -111,6 +122,10 @@ class TestFailurePath:
         assert partial.is_dir()
         manifest = json.loads((partial / "manifest.json").read_text())
         assert manifest["failure"]["model"] == "knn"
+        # the lda cell runs before the failing knn cell and is kept
+        assert "balanced/kfold/mfcc/lda" in manifest["completed_cells"]
+        rows = read_long_csv(partial / "cells_kfold.csv")
+        assert [r[:4] for r in rows] == [("balanced", "mfcc", "lda", 0)]
         assert not (tmp_path / "report").exists()  # nothing half-written
 
 

@@ -92,19 +92,15 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    from .runner import _extractor_kwargs, build_datasets
-    from .features import extract_matrix
+    from .runner import build_datasets, extract_features
 
     cfg = validate_config(args.config)
     if args.extractor not in cfg.extractors:
         raise ConfigError(f"extractor {args.extractor!r} not in configured set")
     if args.scheme not in cfg.schemes:
         raise ConfigError(f"scheme {args.scheme!r} not in configured set")
-    datasets = build_datasets(cfg)
-    ds = datasets[args.scheme]
-    fm = extract_matrix((sig.samples for sig in ds.instances), ds.labels,
-                        args.extractor, source_ids=ds.source_ids,
-                        **_extractor_kwargs(cfg))
+    cfg.schemes, cfg.extractors = [args.scheme], [args.extractor]
+    fm = extract_features(cfg, build_datasets(cfg))[(args.scheme, args.extractor)]
     fm.to_csv(args.out)
     print(f"{fm.n_instances} x {len(fm.feature_names)} matrix written to {args.out}")
     return EXIT_OK

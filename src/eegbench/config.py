@@ -13,6 +13,8 @@ from .classifiers import DEFAULT_HYPERPARAMS, MODEL_KINDS
 from .errors import ConfigError
 from .evaluation import SplitPlan
 from .features import EXTRACTORS
+from .mfcc import MfccConfig
+from .wavelet import EXTENSION_MODES, THRESHOLD_METHODS
 
 ENV_CORPUS_ROOT = "EEGBENCH_CORPUS_ROOT"
 
@@ -163,6 +165,17 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     _check_keys(merged["holdout"], _HOLDOUT_KEYS, "holdout.")
     _check_keys(merged["mfcc"], _MFCC_KEYS, "mfcc.")
     _check_keys(merged["wavelet"], _WAVELET_KEYS, "wavelet.")
+    wavelet = merged["wavelet"]
+    if wavelet.get("extension_mode", EXTENSION_MODES[0]) not in EXTENSION_MODES:
+        raise ConfigError(f"wavelet.extension_mode must be one of {EXTENSION_MODES}")
+    if wavelet.get("threshold_method", THRESHOLD_METHODS[0]) not in THRESHOLD_METHODS:
+        raise ConfigError(f"wavelet.threshold_method must be one of {THRESHOLD_METHODS}")
+    if wavelet.get("levels", 1) < 1:
+        raise ConfigError("wavelet.levels must be at least 1")
+    try:
+        MfccConfig(**merged["mfcc"])
+    except ValueError as exc:
+        raise ConfigError(f"mfcc: {exc}") from None
 
     kfold_cfg = {**DEFAULTS["kfold"], **merged["kfold"]}
     holdout_cfg = {**DEFAULTS["holdout"], **merged["holdout"]}

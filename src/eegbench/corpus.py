@@ -158,24 +158,6 @@ def build_dataset(corpus: dict, scheme: str, seed: int = 0) -> LabeledDataset:
     return LabeledDataset(instances, labels, scheme, seed)
 
 
-def window_signal(signal: EegSignal, window_len: int, stride: int) -> list:
-    """Optional augmentation: fixed-length windows of one recording."""
-    if window_len < 1 or stride < 1:
-        raise ValueError("window length and stride must be positive")
-    n = signal.samples.size
-    if n < window_len:
-        raise ValueError("signal shorter than window")
-    out = []
-    for w, start in enumerate(range(0, n - window_len + 1, stride)):
-        out.append(EegSignal(
-            signal.samples[start:start + window_len],
-            signal.sample_rate,
-            signal.set_tag,
-            f"{signal.source_id}#w{w}",
-        ))
-    return out
-
-
 def write_manifest(dataset: LabeledDataset, path):
     """CSV manifest: source_id, set_tag, label, scheme, seed."""
     with open(path, "w", newline="") as fh:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifiers import STANDARDIZED_KINDS, make_model
 from .errors import CellError
-from .features import FeatureMatrix, extract_matrix, pca_apply, pca_fit
+from .features import FeatureMatrix, pca_apply, pca_fit
 
 PLAN_KINDS = ("kfold", "holdout")
 
@@ -180,21 +180,16 @@ def fit_split(X, y, train_idx, test_idx, model_kind, hyperparams=None,
 
 
 def run_cell(dataset, extractor: str, model_kind: str, hyperparams, plan: SplitPlan,
-             *, master_seed: int = 0, pca_variance_target: float | None = 0.95,
-             features: FeatureMatrix | None = None,
-             extractor_kwargs: dict | None = None) -> CellResult:
+             *, features: FeatureMatrix, master_seed: int = 0,
+             pca_variance_target: float | None = 0.95) -> CellResult:
     """Evaluate one benchmark cell under a replicated resampling plan.
 
-    ``features`` short-circuits extraction (it is per-instance pure, so
-    orchestration layers cache it per scheme and extractor). Failures
-    abort the cell and carry (scheme, extractor, model, replication).
+    ``features`` is the dataset's matrix under ``extractor`` (extraction
+    is per-instance pure, so the runner does it once per scheme and
+    extractor). Failures abort the cell and carry (scheme, extractor,
+    model, replication).
     """
     scheme = dataset.scheme
-    if features is None:
-        features = extract_matrix(
-            (sig.samples for sig in dataset.instances), dataset.labels, extractor,
-            source_ids=dataset.source_ids, **(extractor_kwargs or {}),
-        )
     X, y = features.values, features.labels
     split_seed = derive_seed(master_seed, scheme, plan.kind, extractor, model_kind, "split")
     splits = make_splits(y, replace(plan, seed=split_seed))

@@ -30,13 +30,12 @@ BAND_STAT_NAMES = (
 EXTRA_BAND_NAMES = ("max", "min", "relative_power", "spectral_entropy")
 
 
-def shannon_entropy(coeffs, normalized: bool = True) -> float:
+def shannon_entropy(coeffs) -> float:
     """Energy-distribution entropy of a coefficient vector.
 
-    Default form treats p_i = x_i^2 / sum(x^2) as a probability
-    distribution (scale invariant). ``normalized=False`` gives the raw
-    -sum(x^2 log x^2) variant instead. Zero terms contribute nothing;
-    an all-zero vector has entropy 0.
+    Treats p_i = x_i^2 / sum(x^2) as a probability distribution (scale
+    invariant). Zero terms contribute nothing; an all-zero vector has
+    entropy 0.
     """
     x = np.asarray(coeffs, dtype=float)
     if x.size == 0:
@@ -45,12 +44,9 @@ def shannon_entropy(coeffs, normalized: bool = True) -> float:
     total = sq.sum()
     if total == 0.0:
         return 0.0
-    if normalized:
-        p = sq / total
-        nz = p > 0
-        return float(-np.sum(p[nz] * np.log(p[nz])))
-    nz = sq > 0
-    return float(-np.sum(sq[nz] * np.log(sq[nz])))
+    p = sq / total
+    nz = p > 0
+    return float(-np.sum(p[nz] * np.log(p[nz])))
 
 
 def _psd_positive_bins(x: np.ndarray) -> np.ndarray:
@@ -97,13 +93,13 @@ class FeatureVector:
 
 
 def wavelet_band_features(samples, family: str, levels: int = 4,
-                          mode: str = "periodized", denoise_first: bool = True,
+                          extension_mode: str = "periodized", denoise: bool = True,
                           threshold_method: str = "soft") -> FeatureVector:
     filt = wv.filter_for(family)
     x = np.asarray(samples, dtype=float)
-    if denoise_first:
-        x = wv.denoise(x, filt, levels, mode, threshold_method)
-    sb = wv.wavedec(x, filt, levels, mode)
+    if denoise:
+        x = wv.denoise(x, filt, levels, extension_mode, threshold_method)
+    sb = wv.wavedec(x, filt, levels, extension_mode)
     raw_powers = np.array([float(np.sum(b * b)) for b in sb.bands])
     total = raw_powers.sum()
     rel = raw_powers / total if total > 0 else np.zeros_like(raw_powers)
@@ -131,28 +127,26 @@ def _sample_names(n_samples: int) -> tuple:
 
 
 def assemble_features(samples, extractor: str, *,
-                      mfcc_config: mfcc_mod.MfccConfig | None = None,
+                      mfcc_config: mfcc_mod.MfccConfig = mfcc_mod.MfccConfig(),
                       sample_rate: float = 173.61,
-                      wavelet_levels: int = 4,
+                      levels: int = 4,
                       extension_mode: str = "periodized",
-                      denoise_first: bool = True,
+                      denoise: bool = True,
                       threshold_method: str = "soft") -> FeatureVector:
-    """One instance vector for any of the benchmark extractors."""
+    """One instance vector for any of the benchmark extractors.
+
+    The wavelet keywords are the keys of a run configuration's
+    ``wavelet`` object, so its options pass through unchanged.
+    """
     if extractor not in EXTRACTORS:
         raise ValueError(f"unknown extractor {extractor!r}; expected one of {EXTRACTORS}")
     x = np.asarray(samples, dtype=float)
     if extractor == "wfe":
         return FeatureVector(x.copy(), list(_sample_names(x.size)), "wfe")
     if extractor == "mfcc":
-        cfg = mfcc_config or mfcc_mod.MfccConfig()
-        return FeatureVector(
-            mfcc_mod.mfcc_features(x, cfg, sample_rate),
-            mfcc_mod.mfcc_feature_names(cfg),
-            "mfcc",
-        )
-    return wavelet_band_features(
-        x, extractor, wavelet_levels, extension_mode, denoise_first, threshold_method
-    )
+        return FeatureVector(mfcc_mod.mfcc_features(x, mfcc_config, sample_rate),
+                             mfcc_mod.mfcc_feature_names(mfcc_config), "mfcc")
+    return wavelet_band_features(x, extractor, levels, extension_mode, denoise, threshold_method)
 
 
 @dataclass
@@ -226,7 +220,7 @@ class PcaModel:
         return h.hexdigest()
 
 
-def pca_fit(matrix, variance_target: float = 0.95, strict: bool = False) -> PcaModel:
+def pca_fit(matrix, variance_target: float = 0.95) -> PcaModel:
     """Principal axes of the sample covariance, retaining the smallest
     component count whose cumulative explained variance reaches the target.
 
@@ -237,6 +231,7 @@ def pca_fit(matrix, variance_target: float = 0.95, strict: bool = False) -> PcaM
     row-space eigenvector ``u`` to the axis ``Xcᵀ u / √λ``; one Cholesky-QR
     pass then re-orthonormalises those axes, so the components are
     orthonormal for any target, however far apart the kept eigenvalues lie.
+    A zero-variance input keeps no component.
     """
     X = np.asarray(matrix, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -252,8 +247,6 @@ def pca_fit(matrix, variance_target: float = 0.95, strict: bool = False) -> PcaM
     variances = evals / (X.shape[0] - 1)
     total = variances.sum()
     if total <= 0.0:
-        if strict:
-            raise ValueError("zero-variance input")
         return PcaModel(mean, np.empty((0, X.shape[1])), np.zeros(0), 0)
     ratios = variances / total
     cum = np.cumsum(ratios)

@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import fdtrc
 
-from .special import f_survival, studentized_range_cdf, studentized_range_quantile
+from .special import studentized_range_cdf, studentized_range_quantile
 
 EFFECT_BANDS = ((0.01, "very small"), (0.06, "small"), (0.14, "medium"))
 
@@ -108,7 +109,7 @@ def two_way_anova(observations, factor_a: str = "A", factor_b: str = "B") -> Ano
         ms = ss / df
         if ms_res > 0.0:
             f_stat = ms / ms_res
-            p = f_survival(f_stat, df, df_res)
+            p = float(fdtrc(df, df_res, f_stat))
         else:
             f_stat, p = float("nan"), 1.0
         return AnovaRow(term, df, ss, ms, f_stat, p)

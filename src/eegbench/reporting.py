@@ -21,19 +21,22 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def long_rows(cell_results):
+    """(scheme, extractor, model, replication, acc, sen, spe) per cell replication:
+    the rows ``write_long_csv`` writes and ``read_long_csv`` reads back."""
+    for cell in cell_results:
+        for rep in range(cell.n_replications):
+            yield (cell.scheme, cell.extractor, cell.model_kind, rep,
+                   cell.accuracy[rep], cell.sensitivity[rep], cell.specificity[rep])
+
+
 def write_long_csv(cell_results, path):
-    """One row per (cell, replication); the input schema of the stats stage."""
+    """The ``long_rows`` of the cells; the input schema of the stats stage."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LONG_HEADER)
-        for cell in cell_results:
-            for rep in range(cell.n_replications):
-                writer.writerow([
-                    cell.scheme, cell.extractor, cell.model_kind, rep,
-                    _fmt(cell.accuracy[rep]),
-                    _fmt(cell.sensitivity[rep]),
-                    _fmt(cell.specificity[rep]),
-                ])
+        for row in long_rows(cell_results):
+            writer.writerow(list(row[:4]) + [_fmt(v) for v in row[4:]])
 
 
 def read_long_csv(path):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import RunConfig
@@ -28,7 +29,7 @@ from .errors import CellError
 from .evaluation import derive_seed, run_cell
 from .features import extract_matrix
 from .mfcc import MfccConfig
-from .reporting import (write_boxplot_data, write_inference_reports,
+from .reporting import (long_rows, write_boxplot_data, write_inference_reports,
                         write_long_csv, write_performance_tables)
 
 BALANCED_SAMPLING_TAG = "balanced-dataset"
@@ -42,22 +43,6 @@ class ReportBundle:
     manifest: dict = field(default_factory=dict)
 
 
-def _extractor_kwargs(cfg: RunConfig) -> dict:
-    kwargs = {}
-    if cfg.mfcc_options:
-        kwargs["mfcc_config"] = MfccConfig(**cfg.mfcc_options)
-    wavelet = dict(cfg.wavelet_options)
-    if "levels" in wavelet:
-        kwargs["wavelet_levels"] = wavelet["levels"]
-    if "extension_mode" in wavelet:
-        kwargs["extension_mode"] = wavelet["extension_mode"]
-    if "threshold_method" in wavelet:
-        kwargs["threshold_method"] = wavelet["threshold_method"]
-    if "denoise" in wavelet:
-        kwargs["denoise_first"] = wavelet["denoise"]
-    return kwargs
-
-
 def build_datasets(cfg: RunConfig) -> dict:
     corpus = load_corpus(cfg.corpus_root, strict=cfg.strict_corpus)
     datasets = {}
@@ -69,13 +54,13 @@ def build_datasets(cfg: RunConfig) -> dict:
 
 def extract_features(cfg: RunConfig, datasets: dict) -> dict:
     """(scheme, extractor) -> FeatureMatrix; extraction is per-instance pure."""
-    kwargs = _extractor_kwargs(cfg)
+    mfcc_config = MfccConfig(**cfg.mfcc_options)
     features = {}
     for scheme, ds in datasets.items():
         for extractor in cfg.extractors:
             features[(scheme, extractor)] = extract_matrix(
                 (sig.samples for sig in ds.instances), ds.labels, extractor,
-                source_ids=ds.source_ids, **kwargs,
+                source_ids=ds.source_ids, mfcc_config=mfcc_config, **cfg.wavelet_options,
             )
     return features
 
@@ -154,6 +139,7 @@ def _manifest(cfg: RunConfig, completed, elapsed_s: float) -> dict:
         "versions": {
             "eegbench": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -212,9 +198,7 @@ def run_experiment(cfg: RunConfig, progress=None) -> ReportBundle:
         write_boxplot_data(holdout_cells, tmp_dir)
         if (len(set(cfg.models)) > 1 and len(set(cfg.extractors)) > 1
                 and cfg.holdout_plan.n_repeats > 1):
-            from .reporting import read_long_csv
-
-            rows = read_long_csv(tmp_dir / "cells_holdout.csv")
+            rows = list(long_rows(holdout_cells))
             for scheme in cfg.schemes:
                 write_inference_reports(rows, scheme, tmp_dir)
         manifest = _manifest(cfg, [k for k, _ in ordered], time.time() - start)

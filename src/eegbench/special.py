@@ -1,10 +1,9 @@
-"""Distribution functions backing the inferential statistics.
+"""The studentized-range distribution behind Tukey HSD.
 
-Self-contained implementations: the regularized incomplete beta via
-Lentz's continued fraction (F-distribution tail probabilities) and the
-studentized-range CDF via nested Gauss-Legendre quadrature (outer
-integral over the pooled-variance scale, inner over the range of
-standard normals).
+The CDF is a nested Gauss-Legendre quadrature (outer integral over the
+pooled-variance scale, inner over the range of standard normals). It is
+kept here rather than taken from ``scipy.stats.studentized_range``:
+importing ``scipy.stats`` alone adds tens of megabytes to every run.
 """
 
 from __future__ import annotations
@@ -13,80 +12,11 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 from .errors import ConvergenceError
 
-_SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    max_iter, eps, tiny = 400, 1e-16, 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ConvergenceError("incomplete beta continued fraction stalled",
-                           iterations=max_iter)
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) to about 1e-12 absolute accuracy."""
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def f_survival(f_stat: float, df_num: float, df_den: float) -> float:
-    """Upper-tail probability of the F distribution."""
-    if math.isnan(f_stat):
-        return float("nan")
-    if f_stat <= 0.0:
-        return 1.0
-    return regularized_incomplete_beta(
-        df_den / 2.0, df_num / 2.0, df_den / (df_den + df_num * f_stat)
-    )
-
-
-def _norm_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(z / _SQRT2))
 
 
 @lru_cache(maxsize=8)
@@ -105,7 +35,7 @@ def _range_cdf(u: np.ndarray, m: int, n_nodes: int, n_panels: int) -> np.ndarray
     """P(range of m iid standard normals <= u), elementwise over u >= 0."""
     z, w = _panel_nodes(n_nodes, n_panels, -8.5, 8.5)
     phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    inner = _norm_cdf(z)[:, None] - _norm_cdf(z[:, None] - u[None, :])
+    inner = ndtr(z)[:, None] - ndtr(z[:, None] - u[None, :])
     np.clip(inner, 0.0, None, out=inner)
     out = m * ((w * phi) @ inner ** (m - 1))
     return np.clip(out, 0.0, 1.0)

@@ -11,7 +11,6 @@ invertible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +18,7 @@ import numpy as np
 
 SUPPORTED_FAMILIES = ("haar", "db2", "db4", "coif1")
 EXTENSION_MODES = ("periodized", "symmetric")
+THRESHOLD_METHODS = ("soft", "hard")
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -252,7 +252,7 @@ def denoise(signal, filt: WaveletFilter, levels: int = 4, mode: str = "periodize
     Every detail band is shrunk with one global cutoff derived from the
     finest band; the approximation band passes through untouched.
     """
-    if method not in ("soft", "hard"):
+    if method not in THRESHOLD_METHODS:
         raise ValueError(f"unknown threshold method {method!r}")
     x = np.asarray(signal, dtype=float)
     sb = wavedec(x, filt, levels, mode)
@@ -260,13 +260,3 @@ def denoise(signal, filt: WaveletFilter, levels: int = 4, mode: str = "periodize
     shrink = soft_threshold if method == "soft" else hard_threshold
     sb.bands[1:] = [shrink(d, lam) for d in sb.bands[1:]]
     return waverec(sb, filt)
-
-
-def subbands_to_csv(subbands: SubBands, path):
-    """Debug dump: one row per coefficient (band, index, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["band", "index", "coefficient"])
-        for name, band in zip(subbands.names, subbands.bands):
-            for i, c in enumerate(band):
-                writer.writerow([name, i, repr(float(c))])

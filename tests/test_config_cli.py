@@ -79,6 +79,30 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="variance"):
             build_config({"corpus_root": str(corpus_root), "pca_variance_target": 1.5})
 
+    @pytest.mark.parametrize("section, options, message", [
+        ("wavelet", {"extension_mode": "periodic"}, "extension_mode"),
+        ("wavelet", {"threshold_method": "median"}, "threshold_method"),
+        ("wavelet", {"levels": 0}, "levels"),
+        ("mfcc", {"log_base": "ten"}, "log_base"),
+        ("mfcc", {"frame_len": 64, "frame_step": 128}, "frame_step"),
+        ("mfcc", {"n_filters": 10, "n_coeffs": 12}, "coefficients"),
+    ], ids=["extension_mode", "threshold_method", "levels", "log_base", "frame_step",
+            "n_coeffs"])
+    def test_bad_option_values(self, corpus_root, section, options, message):
+        with pytest.raises(ConfigError, match=message):
+            build_config({"corpus_root": str(corpus_root), section: options})
+
+    def test_off_default_options_accepted(self, corpus_root):
+        cfg = build_config({
+            "corpus_root": str(corpus_root),
+            "wavelet": {"extension_mode": "symmetric", "threshold_method": "hard",
+                        "levels": 1, "denoise": False},
+            "mfcc": {"log_base": "base10"},
+            "hyperparams": {"svm": {"kernel": "poly"}},
+        })
+        assert cfg.wavelet_options["extension_mode"] == "symmetric"
+        assert cfg.mfcc_options == {"log_base": "base10"}
+
 
 class TestCli:
     def test_validate_subcommand(self, minimal_config, capsys):
@@ -91,6 +115,13 @@ class TestCli:
         path.write_text(json.dumps({"corpus_root": "/nonexistent-dir-xyz"}))
         assert cli.main(["validate", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_validate_rejects_bad_option_value(self, tmp_path, corpus_root, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"corpus_root": str(corpus_root),
+                                    "wavelet": {"extension_mode": "periodic"}}))
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_stats_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli.main(["stats", str(tmp_path / "none.csv"),

@@ -139,20 +139,6 @@ class TestBuildDataset:
             corpus.build_dataset(full_corpus, "stratified")
 
 
-class TestWindowing:
-    def test_window_counts_and_ids(self, full_corpus):
-        sig = full_corpus["Z"][0]
-        wins = corpus.window_signal(sig, 1024, 512)
-        assert len(wins) == (corpus.EXPECTED_SAMPLES - 1024) // 512 + 1
-        assert all(w.samples.size == 1024 for w in wins)
-        assert wins[0].source_id == "Z001#w0"
-        assert wins[1].set_tag == "Z"
-
-    def test_window_too_long(self, full_corpus):
-        with pytest.raises(ValueError, match="shorter"):
-            corpus.window_signal(full_corpus["Z"][0], 5000, 100)
-
-
 def test_manifest_round_trip(tmp_path, full_corpus):
     ds = corpus.build_dataset(full_corpus, "balanced", seed=3)
     path = tmp_path / "manifest.csv"

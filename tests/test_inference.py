@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,30 @@ class TestTwoWayAnova:
         ss_total = float(((y - y.mean()) ** 2).sum())
         if ss_total > 0:
             assert abs(t.total_sum_sq - ss_total) / ss_total < 1e-8
+
+    def test_p_values_equal_scipy_f_tail(self):
+        # random designs whose p-values span many orders of magnitude
+        designs = [HAND_TABLE]
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            na, nb, n_per = rng.integers(2, 8), rng.integers(2, 6), rng.integers(2, 30)
+            shift = rng.uniform(0, 1.5)
+            designs.append({(f"a{i}", f"b{j}"): rng.normal(shift * i, 1.0, n_per).tolist()
+                            for i in range(na) for j in range(nb)})
+        for cells in designs:
+            t = inference.two_way_anova(make_observations(cells))
+            for row in t.rows[:-1]:
+                assert row.p_value == scipy.stats.f.sf(row.f_value, row.df, t.residual.df)
+
+    def test_zero_effect_p_value_is_one(self):
+        # zero B and A:B effects give F = 0, whose upper tail is exactly 1
+        cells = {("a1", "b1"): [1.0, 3.0], ("a1", "b2"): [2.0, 2.0],
+                 ("a2", "b1"): [5.0, 7.0], ("a2", "b2"): [6.0, 6.0]}
+        t = inference.two_way_anova(make_observations(cells))
+        for term in ("B", "A:B"):
+            assert t[term].f_value == 0.0
+            assert t[term].p_value == scipy.stats.f.sf(0.0, t[term].df, t.residual.df) == 1.0
+        assert 0.0 < t["A"].p_value < 1.0
 
     def test_response_rescaling_invariance(self):
         obs = make_observations(HAND_TABLE)

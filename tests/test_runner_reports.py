@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import eegbench
 from eegbench import cli
 from eegbench.config import build_config
 from eegbench.evaluation import CellResult
@@ -54,6 +59,20 @@ class TestRunExperiment:
         assert manifest["config_digest"] == cfg.digest()
         assert len(manifest["completed_cells"]) == 8  # 2 plans x 2 x 2
         assert manifest["versions"]["eegbench"]
+        assert manifest["versions"]["scipy"] == scipy.__version__
+
+    def test_inference_files_equal_stats_on_holdout_csv(self, bundle, tmp_path):
+        cfg, result = bundle
+        out = tmp_path / "stats"
+        assert cli.main(["stats", str(result.output_dir / "cells_holdout.csv"),
+                         "--out", str(out)]) == 0
+        names = sorted(p.name for pattern in ("anova_*", "omega_squared_*", "hsd_*",
+                                              "inference_*.txt")
+                       for p in result.output_dir.glob(pattern))
+        assert len(names) == 5  # one scheme: anova, omega^2, two HSD tables, text
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (result.output_dir / name).read_bytes()
 
     def test_performance_tables_exist(self, bundle):
         cfg, result = bundle
@@ -77,6 +96,17 @@ class TestRunExperiment:
         cfg, result = bundle
         lines = (result.output_dir / "dataset_balanced.csv").read_text().strip().splitlines()
         assert len(lines) == 201
+
+
+def test_runner_import_loads_no_heavy_scipy_module():
+    # scipy.stats alone adds tens of megabytes to a run's peak RSS
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+    code = ("import sys, eegbench.runner; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    src = str(Path(eegbench.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == ""
 
 
 class TestDeterminism:

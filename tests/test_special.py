@@ -1,43 +1,8 @@
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 
 from eegbench import special
-
-
-class TestIncompleteBeta:
-    def test_endpoints(self):
-        assert special.regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert special.regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-
-    def test_against_scipy_grid(self):
-        rng = np.random.default_rng(1)
-        worst = 0.0
-        for _ in range(500):
-            a = 10 ** rng.uniform(-1.5, 3)
-            b = 10 ** rng.uniform(-1.5, 3)
-            x = rng.uniform(0, 1)
-            got = special.regularized_incomplete_beta(a, b, x)
-            worst = max(worst, abs(got - scipy.special.betainc(a, b, x)))
-        assert worst < 1e-10
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            special.regularized_incomplete_beta(0.0, 1.0, 0.5)
-
-
-class TestFSurvival:
-    def test_against_scipy(self):
-        cases = [(60.10, 6, 1715), (190.23, 4, 1715), (48.56, 24, 1715),
-                 (2.2, 3, 10), (0.5, 2, 8), (5.0, 1, 1)]
-        for f, d1, d2 in cases:
-            assert special.f_survival(f, d1, d2) == pytest.approx(
-                scipy.stats.f.sf(f, d1, d2), abs=1e-12)
-
-    def test_degenerate_inputs(self):
-        assert special.f_survival(0.0, 3, 10) == 1.0
-        assert np.isnan(special.f_survival(float("nan"), 3, 10))
 
 
 # published upper-5% studentized range quantiles q(0.95; m, df)

@@ -236,12 +236,3 @@ def test_denoise_shrinks_pure_noise():
     out = wv.denoise(x, f)
     assert (out ** 2).sum() < (x ** 2).sum()
 
-
-def test_subbands_csv_dump(tmp_path):
-    f = wv.filter_for("haar")
-    sb = wv.wavedec(np.arange(32.0), f)
-    path = tmp_path / "bands.csv"
-    wv.subbands_to_csv(sb, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "band,index,coefficient"
-    assert len(lines) == 1 + sum(b.size for b in sb.bands)

@@ -9,12 +9,15 @@ import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .classifiers import DEFAULT_HYPERPARAMS, MODEL_KINDS
+import numpy as np
+
+from .classifiers import DEFAULT_HYPERPARAMS, MODEL_KINDS, make_model
+from .corpus import EXPECTED_SAMPLES
 from .errors import ConfigError
 from .evaluation import SplitPlan
-from .features import EXTRACTORS
+from .features import EXTRACTORS, WAVELET_EXTRACTORS
 from .mfcc import MfccConfig
-from .wavelet import EXTENSION_MODES, THRESHOLD_METHODS
+from .wavelet import EXTENSION_MODES, THRESHOLD_METHODS, filter_for, wavedec
 
 ENV_CORPUS_ROOT = "EEGBENCH_CORPUS_ROOT"
 
@@ -160,6 +163,11 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         for key in params:
             if key not in DEFAULT_HYPERPARAMS[kind]:
                 raise ConfigError(f"unknown key hyperparams.{kind}.{key!r}")
+    for kind in merged["models"]:
+        try:
+            make_model(kind, hyper.get(kind))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"hyperparams.{kind}: {exc}") from None
 
     _check_keys(merged["kfold"], _KFOLD_KEYS, "kfold.")
     _check_keys(merged["holdout"], _HOLDOUT_KEYS, "holdout.")
@@ -172,6 +180,14 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError(f"wavelet.threshold_method must be one of {THRESHOLD_METHODS}")
     if wavelet.get("levels", 1) < 1:
         raise ConfigError("wavelet.levels must be at least 1")
+    if "levels" in wavelet:
+        # the decomposition must fit a full-length recording for every family in use
+        for family in (ext for ext in merged["extractors"] if ext in WAVELET_EXTRACTORS):
+            try:
+                wavedec(np.zeros(EXPECTED_SAMPLES), filter_for(family), wavelet["levels"],
+                        wavelet.get("extension_mode", EXTENSION_MODES[0]))
+            except ValueError as exc:
+                raise ConfigError(f"wavelet.levels too deep for {family}: {exc}") from None
     try:
         MfccConfig(**merged["mfcc"])
     except ValueError as exc:

@@ -59,6 +59,33 @@ def _infer_tag(path: Path) -> str | None:
     return None
 
 
+def _one_integer(text: str) -> bool:
+    try:
+        return np.loadtxt([text], dtype=np.int64, comments=None, ndmin=1).shape == (1,)
+    except ValueError:
+        return False
+
+
+def _read_integers(path: Path) -> np.ndarray:
+    """The integer on each non-empty line, parsed by numpy in one call."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported by the caller's sample-count check
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=1)
+        if values.ndim == 1:
+            return values
+    except ValueError:
+        pass
+    # parse failed: name the first line that does not hold exactly one integer
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if text and not _one_integer(text):
+                raise DataError(f"{path}:{lineno}: not an integer: {text!r}")
+    raise DataError(f"{path}: not one integer per line")
+
+
 def load_signal(path, set_tag: str | None = None, strict: bool = True) -> EegSignal:
     """Parse one Bonn file: one decimal integer per non-empty line."""
     path = Path(path)
@@ -67,22 +94,13 @@ def load_signal(path, set_tag: str | None = None, strict: bool = True) -> EegSig
     tag = set_tag or _infer_tag(path)
     if tag is None:
         raise DataError(f"cannot infer set tag from {path}; pass set_tag explicitly")
-    values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(int(text))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: not an integer: {text!r}") from None
-    if len(values) != EXPECTED_SAMPLES:
-        message = f"{path}: expected {EXPECTED_SAMPLES} samples, found {len(values)}"
+    values = _read_integers(path)
+    if values.size != EXPECTED_SAMPLES:
+        message = f"{path}: expected {EXPECTED_SAMPLES} samples, found {values.size}"
         if strict:
             raise DataError(message)
         warnings.warn(message, stacklevel=2)
-    return EegSignal(np.array(values, dtype=float), SAMPLE_RATE_HZ, tag, path.stem)
+    return EegSignal(values.astype(float), SAMPLE_RATE_HZ, tag, path.stem)
 
 
 def load_corpus(root, strict: bool = True) -> dict:

@@ -6,12 +6,19 @@ The three feature routes mirror the benchmark's extractor menu:
   fixed statistic set per band,
 * ``mfcc`` -- the aggregated cepstral vector from :mod:`eegbench.mfcc`,
 * ``wfe`` -- no extraction at all, raw samples straight into the matrix.
+
+Extraction works along the last axis: a ``(..., n)`` array is a stack of
+signals and yields a ``(..., width)`` stack of feature rows, each row
+bit-for-bit the one its signal gives alone; a 1-D signal gives one row.
+``extract_matrix`` feeds the extractors a few equal-length signals at a
+time.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +36,27 @@ BAND_STAT_NAMES = (
 )
 EXTRA_BAND_NAMES = ("max", "min", "relative_power", "spectral_entropy")
 
+# signals stacked per extraction call: larger blocks save little time and
+# raise the parent process's peak memory
+EXTRACT_BLOCK = 8
 
-def shannon_entropy(coeffs) -> float:
-    """Energy-distribution entropy of a coefficient vector.
+
+def _entropy(weights):
+    # -sum(p log p) of p = weights / sum(weights) along the last axis; a zero
+    # row has entropy 0. Each row sums its nonzero terms only: a full row
+    # with zeros in it would change numpy's pairwise summation order.
+    w = np.asarray(weights, dtype=float)
+    total = w.sum(axis=-1, keepdims=True)
+    p = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
+    out = []
+    for row in p.reshape(-1, p.shape[-1]):
+        q = row[row > 0]
+        out.append(-np.sum(q * np.log(q)) if q.size else 0.0)
+    return np.array(out).reshape(p.shape[:-1])[()]
+
+
+def shannon_entropy(coeffs):
+    """Energy-distribution entropy of a coefficient vector (per row).
 
     Treats p_i = x_i^2 / sum(x^2) as a probability distribution (scale
     invariant). Zero terms contribute nothing; an all-zero vector has
@@ -40,53 +65,55 @@ def shannon_entropy(coeffs) -> float:
     x = np.asarray(coeffs, dtype=float)
     if x.size == 0:
         raise ValueError("empty coefficient vector")
-    sq = x * x
-    total = sq.sum()
-    if total == 0.0:
-        return 0.0
-    p = sq / total
-    nz = p > 0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
+    return _entropy(x * x)
 
 
 def _psd_positive_bins(x: np.ndarray) -> np.ndarray:
     # squared FFT modulus over N, positive-frequency bins only
-    spec = np.abs(np.fft.rfft(x)) ** 2 / x.size
-    return spec[1:]
+    spec = np.abs(np.fft.rfft(x, axis=-1)) ** 2 / x.shape[-1]
+    return spec[..., 1:]
 
 
 def band_statistics(coeffs) -> dict:
-    """The per-band statistic set; population (1/N) moment conventions."""
+    """The per-band statistic set; population (1/N) moment conventions.
+
+    Each value is a float for a 1-D band and an array over the leading
+    axes for a stack of bands.
+    """
     x = np.asarray(coeffs, dtype=float)
-    if x.size < 4:
+    if x.shape[-1] < 4:
         raise ValueError("need at least four coefficients")
-    mu = x.mean()
-    dev = x - mu
-    var = float(np.mean(dev ** 2))
-    std = float(np.sqrt(var))
-    if var > 0:
-        kurt = float(np.mean(dev ** 4) / var ** 2)
-    else:
-        kurt = 0.0
+    mu = x.mean(axis=-1)
+    dev = x - mu[..., None]
+    var = np.mean(dev ** 2, axis=-1)
+    # squared as Python floats (C pow): np.square rounds some rows differently
+    var_sq = np.array([v ** 2 for v in np.ravel(var).tolist()]).reshape(np.shape(var))
+    kurt = np.divide(np.mean(dev ** 4, axis=-1), var_sq,
+                     out=np.zeros(np.shape(var)), where=var > 0)
     psd = _psd_positive_bins(x)
-    q1, q3 = np.percentile(x, [25.0, 75.0])
-    return {
-        "mean": float(mu),
-        "median": float(np.median(x)),
-        "std": std,
+    q1, q3 = np.percentile(x, [25.0, 75.0], axis=-1)
+    stats = {
+        "mean": mu,
+        "median": np.median(x, axis=-1),
+        "std": np.sqrt(var),
         "variance": var,
-        "energy": float(np.mean(x ** 2)),
-        "psd_max": float(psd.max()),
-        "psd_min": float(psd.min()),
+        "energy": np.mean(x ** 2, axis=-1),
+        "psd_max": psd.max(axis=-1),
+        "psd_min": psd.min(axis=-1),
         "shannon_entropy": shannon_entropy(x),
-        "iqr": float(q3 - q1),
+        "iqr": q3 - q1,
         "kurtosis": kurt,
-        "total_variation": float(np.sum(np.abs(np.diff(x)))),
+        "total_variation": np.sum(np.abs(np.diff(x, axis=-1)), axis=-1),
     }
+    if x.ndim == 1:
+        return {key: float(val) for key, val in stats.items()}
+    return stats
 
 
 @dataclass
 class FeatureVector:
+    """Feature values (one row, or a stack of rows along the leading axes) and their names."""
+
     values: np.ndarray
     names: list
     extractor_tag: str
@@ -100,24 +127,20 @@ def wavelet_band_features(samples, family: str, levels: int = 4,
     if denoise:
         x = wv.denoise(x, filt, levels, extension_mode, threshold_method)
     sb = wv.wavedec(x, filt, levels, extension_mode)
-    raw_powers = np.array([float(np.sum(b * b)) for b in sb.bands])
-    total = raw_powers.sum()
-    rel = raw_powers / total if total > 0 else np.zeros_like(raw_powers)
-    values, names = [], []
-    for band, name, rp in zip(sb.bands, sb.names, rel):
+    raw_powers = np.stack([np.sum(b * b, axis=-1) for b in sb.bands], axis=-1)
+    total = raw_powers.sum(axis=-1, keepdims=True)
+    rel = np.divide(raw_powers, total, out=np.zeros_like(raw_powers), where=total > 0)
+    columns, names = [], []
+    for j, (band, name) in enumerate(zip(sb.bands, sb.names)):
         stats = band_statistics(band)
-        psd = _psd_positive_bins(band)
-        p = psd / psd.sum() if psd.sum() > 0 else psd
-        nz = p > 0
-        spectral_entropy = float(-np.sum(p[nz] * np.log(p[nz]))) if nz.any() else 0.0
-        stats["max"] = float(band.max())
-        stats["min"] = float(band.min())
-        stats["relative_power"] = float(rp)
-        stats["spectral_entropy"] = spectral_entropy
+        stats["max"] = band.max(axis=-1)
+        stats["min"] = band.min(axis=-1)
+        stats["relative_power"] = rel[..., j]
+        stats["spectral_entropy"] = _entropy(_psd_positive_bins(band))
         for key, val in stats.items():
             names.append(f"{name}_{key}")
-            values.append(val)
-    return FeatureVector(np.array(values), names, family)
+            columns.append(val)
+    return FeatureVector(np.stack(columns, axis=-1), names, family)
 
 
 @functools.lru_cache(maxsize=4)
@@ -133,7 +156,7 @@ def assemble_features(samples, extractor: str, *,
                       extension_mode: str = "periodized",
                       denoise: bool = True,
                       threshold_method: str = "soft") -> FeatureVector:
-    """One instance vector for any of the benchmark extractors.
+    """Feature values for any of the benchmark extractors, along the last axis.
 
     The wavelet keywords are the keys of a run configuration's
     ``wavelet`` object, so its options pass through unchanged.
@@ -142,7 +165,7 @@ def assemble_features(samples, extractor: str, *,
         raise ValueError(f"unknown extractor {extractor!r}; expected one of {EXTRACTORS}")
     x = np.asarray(samples, dtype=float)
     if extractor == "wfe":
-        return FeatureVector(x.copy(), list(_sample_names(x.size)), "wfe")
+        return FeatureVector(x.copy(), list(_sample_names(x.shape[-1])), "wfe")
     if extractor == "mfcc":
         return FeatureVector(mfcc_mod.mfcc_features(x, mfcc_config, sample_rate),
                              mfcc_mod.mfcc_feature_names(mfcc_config), "mfcc")
@@ -182,20 +205,27 @@ class FeatureMatrix:
 
 
 def extract_matrix(instances, labels, extractor: str, source_ids=None, **kwargs) -> FeatureMatrix:
-    """Extract one row per instance; all rows must share a single width."""
-    rows, names = [], None
-    for inst in instances:
-        fv = assemble_features(inst, extractor, **kwargs)
-        if names is None:
-            names = fv.names
-        elif len(fv.values) != len(names):
-            raise ValueError(
-                f"inconsistent feature width under {extractor!r}: "
-                f"{len(fv.values)} != {len(names)}"
-            )
-        rows.append(fv.values)
+    """Extract one row per instance; all rows must share a single width.
+
+    Runs of equal-length instances are stacked ``EXTRACT_BLOCK`` at a
+    time, so the transients stay a few signals in size.
+    """
+    blocks, names = [], None
+    signals = (np.asarray(inst, dtype=float) for inst in instances)
+    for _, run in itertools.groupby(signals, key=lambda x: x.shape[-1]):
+        run = list(run)
+        for start in range(0, len(run), EXTRACT_BLOCK):
+            fv = assemble_features(np.stack(run[start:start + EXTRACT_BLOCK]), extractor, **kwargs)
+            if names is None:
+                names = fv.names
+            elif fv.values.shape[-1] != len(names):
+                raise ValueError(
+                    f"inconsistent feature width under {extractor!r}: "
+                    f"{fv.values.shape[-1]} != {len(names)}"
+                )
+            blocks.append(fv.values)
     return FeatureMatrix(
-        np.vstack(rows), list(names), np.asarray(labels, dtype=int),
+        np.vstack(blocks), list(names), np.asarray(labels, dtype=int),
         extractor, list(source_ids or []),
     )
 

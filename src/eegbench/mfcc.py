@@ -4,6 +4,10 @@ Chain: pre-emphasis -> framing -> Hamming window -> power spectrum ->
 triangular mel filter bank -> log energies -> type-II cosine transform.
 Per-frame cepstra are aggregated into one fixed-length vector (mean and
 standard deviation of each kept coefficient).
+
+The chain works along the last axis: a ``(..., n)`` array is a stack of
+signals and yields one cepstral vector per signal, each bit-for-bit the
+vector its signal gives alone; a 1-D signal is the one-row case.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ def pre_emphasize(signal, alpha: float):
         raise ValueError("pre-emphasis coefficient must be in [0, 1)")
     x = np.asarray(signal, dtype=float)
     y = x.copy()
-    y[1:] -= alpha * x[:-1]
+    y[..., 1:] -= alpha * x[..., :-1]
     return y
 
 
@@ -67,9 +71,9 @@ def frame_count(signal_len: int, frame_len: int, frame_step: int) -> int:
 def frame_signal(signal, frame_len: int, frame_step: int):
     """Slice into overlapping frames; trailing samples that do not fill a frame are dropped."""
     x = np.asarray(signal, dtype=float)
-    n_frames = frame_count(x.size, frame_len, frame_step)
+    n_frames = frame_count(x.shape[-1], frame_len, frame_step)
     idx = np.arange(frame_len)[None, :] + frame_step * np.arange(n_frames)[:, None]
-    return x[idx]
+    return np.take(x, idx, axis=-1)
 
 
 def hamming_window(n_points: int, a: float = 0.54, b: float = 0.46):
@@ -100,7 +104,7 @@ def mel_to_hz(mel, config: MfccConfig = MfccConfig()):
 def power_spectrum(frames, nfft: int):
     """Per frame |FFT|^2 on the one-sided bins 0..nfft/2."""
     f = np.atleast_2d(np.asarray(frames, dtype=float))
-    spec = np.fft.rfft(f, n=nfft, axis=1)
+    spec = np.fft.rfft(f, n=nfft, axis=-1)
     return np.abs(spec) ** 2
 
 
@@ -141,7 +145,7 @@ def _dct_ii_matrix(n_coeffs: int, n_inputs: int):
 
 
 def mfcc_frames(signal, config: MfccConfig = MfccConfig(), sample_rate: float = 173.61):
-    """Cepstra for every frame, shape (n_frames, n_coeffs)."""
+    """Cepstra for every frame, shape (..., n_frames, n_coeffs)."""
     x = pre_emphasize(signal, config.preemph_alpha)
     frames = frame_signal(x, config.frame_len, config.frame_step)
     frames = frames * hamming_window(config.frame_len, config.hamming_a, config.hamming_b)
@@ -160,4 +164,4 @@ def mfcc_feature_names(config: MfccConfig = MfccConfig()):
 def mfcc_features(signal, config: MfccConfig = MfccConfig(), sample_rate: float = 173.61):
     """One instance vector: per-coefficient mean then standard deviation across frames."""
     cepstra = mfcc_frames(signal, config, sample_rate)
-    return np.concatenate([cepstra.mean(axis=0), cepstra.std(axis=0)])
+    return np.concatenate([cepstra.mean(axis=-2), cepstra.std(axis=-2)], axis=-1)

@@ -27,7 +27,7 @@ from .config import RunConfig
 from .corpus import build_dataset, load_corpus, write_manifest
 from .errors import CellError
 from .evaluation import derive_seed, run_cell
-from .features import extract_matrix
+from .features import FeatureMatrix, extract_matrix
 from .mfcc import MfccConfig
 from .reporting import (long_rows, write_boxplot_data, write_inference_reports,
                         write_long_csv, write_performance_tables)
@@ -53,15 +53,29 @@ def build_datasets(cfg: RunConfig) -> dict:
 
 
 def extract_features(cfg: RunConfig, datasets: dict) -> dict:
-    """(scheme, extractor) -> FeatureMatrix; extraction is per-instance pure."""
+    """(scheme, extractor) -> FeatureMatrix; extraction is per-instance pure.
+
+    Every distinct signal is extracted once per extractor, in the order of
+    the largest scheme first; each scheme then takes its rows from that
+    matrix (the largest one as a view of it).
+    """
     mfcc_config = MfccConfig(**cfg.mfcc_options)
+    ordered = sorted(datasets.values(), key=lambda ds: -len(ds.instances))
+    signals = list({id(sig): sig for ds in ordered for sig in ds.instances}.values())
+    row_of = {id(sig): i for i, sig in enumerate(signals)}
     features = {}
-    for scheme, ds in datasets.items():
-        for extractor in cfg.extractors:
-            features[(scheme, extractor)] = extract_matrix(
-                (sig.samples for sig in ds.instances), ds.labels, extractor,
-                source_ids=ds.source_ids, mfcc_config=mfcc_config, **cfg.wavelet_options,
-            )
+    for extractor in cfg.extractors:
+        union = extract_matrix(
+            (sig.samples for sig in signals), [sig.is_seizure for sig in signals], extractor,
+            source_ids=[sig.source_id for sig in signals], mfcc_config=mfcc_config,
+            **cfg.wavelet_options,
+        )
+        for scheme, ds in datasets.items():
+            rows = [row_of[id(sig)] for sig in ds.instances]
+            values = (union.values[:len(rows)] if rows == list(range(len(rows)))
+                      else union.values[rows])
+            features[(scheme, extractor)] = FeatureMatrix(
+                values, list(union.feature_names), ds.labels, extractor, ds.source_ids)
     return features
 
 

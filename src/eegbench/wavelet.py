@@ -7,6 +7,11 @@ odd-length inputs are padded with a single zero so both properties hold
 at every level. ``symmetric`` mode mirrors the signal edges instead,
 trading orthogonality for reduced edge artifacts, and is still exactly
 invertible.
+
+Every transform works along the last axis: a ``(..., n)`` array is a
+stack of signals, each decomposed, thresholded and rebuilt on its own,
+and a 1-D signal is the one-row case. Row for row, a stack gives the same
+bits as its signals passed one at a time.
 """
 
 from __future__ import annotations
@@ -96,7 +101,9 @@ def _windows(x: np.ndarray, length: int, start: int, count: int, wrap: int | Non
     idx = 2 * k + start + i
     if wrap is not None:
         idx %= wrap
-    return x[idx]
+    # np.take, unlike x[..., idx], returns each signal's windows C-contiguous,
+    # so the filter products round as they do for a single signal
+    return np.take(x, idx, axis=-1)
 
 
 def analyze_level(signal, filt: WaveletFilter, mode: str = "periodized"):
@@ -108,50 +115,54 @@ def analyze_level(signal, filt: WaveletFilter, mode: str = "periodized"):
     yields floor((n+L-1)/2) coefficients per band.
     """
     x = np.asarray(signal, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     L = len(filt)
     if n < L:
         raise ValueError(f"signal length {n} shorter than filter length {L}")
     if mode == "periodized":
         if n % 2:
-            x = np.append(x, 0.0)
+            x = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
             n += 1
         win = _windows(x, L, 0, n // 2, wrap=n)
     elif mode == "symmetric":
         p = L - 1
-        ext = np.concatenate([x[:p][::-1], x, x[-p:][::-1]])
+        ext = np.concatenate([x[..., :p][..., ::-1], x, x[..., -p:][..., ::-1]], axis=-1)
         win = _windows(ext, L, 1, (n + L - 1) // 2, wrap=None)
     else:
         raise ValueError(f"unknown extension mode {mode!r}")
     return win @ filt.lo_dec, win @ filt.hi_dec
 
 
+def _overlap_add(vals: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
+    # out[..., idx[k, i]] += vals[..., k, i] in (k, i) order from zero, as
+    # np.add.at does; bincount over one flat index adds in that same order
+    rows = vals.reshape(-1, idx.size)
+    flat = np.arange(rows.shape[0])[:, None] * size + idx.ravel()
+    out = np.bincount(flat.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * size)
+    return out.reshape(vals.shape[:-2] + (size,))
+
+
 def synthesize_level(approx, detail, filt: WaveletFilter, out_len: int, mode: str = "periodized"):
     """Invert one analysis step, recovering a signal of length ``out_len``."""
     a = np.asarray(approx, dtype=float)
     d = np.asarray(detail, dtype=float)
-    if a.size != d.size:
+    if a.shape != d.shape:
         raise ValueError("approximation and detail lengths differ")
     L = len(filt)
-    nc = a.size
-    vals = np.outer(a, filt.lo_dec) + np.outer(d, filt.hi_dec)
+    nc = a.shape[-1]
+    vals = a[..., None] * filt.lo_dec + d[..., None] * filt.hi_dec
+    k = np.arange(nc)[:, None]
     if mode == "periodized":
         n = 2 * nc
         if n not in (out_len, out_len + 1):
             raise ValueError(f"coefficient length {nc} inconsistent with output length {out_len}")
-        k = np.arange(nc)[:, None]
-        idx = (2 * k + np.arange(L)[None, :]) % n
-        buf = np.zeros(n)
-        np.add.at(buf, idx.ravel(), vals.ravel())
-        return buf[:out_len]
+        return _overlap_add(vals, (2 * k + np.arange(L)[None, :]) % n, n)[..., :out_len]
     if mode == "symmetric":
         if nc != (out_len + L - 1) // 2:
             raise ValueError(f"coefficient length {nc} inconsistent with output length {out_len}")
-        k = np.arange(nc)[:, None]
         idx = 2 * k + 1 + np.arange(L)[None, :]
-        buf = np.zeros(max(int(idx.max()) + 1, L - 1 + out_len))
-        np.add.at(buf, idx.ravel(), vals.ravel())
-        return buf[L - 1:L - 1 + out_len]
+        buf = _overlap_add(vals, idx, max(int(idx.max()) + 1, L - 1 + out_len))
+        return buf[..., L - 1:L - 1 + out_len]
     raise ValueError(f"unknown extension mode {mode!r}")
 
 
@@ -176,8 +187,9 @@ class SubBands:
     def levels(self) -> int:
         return len(self.bands) - 1
 
-    def energy(self) -> float:
-        return float(sum(np.sum(b * b) for b in self.bands))
+    def energy(self):
+        """Sum of squared coefficients over all bands, per signal."""
+        return sum(np.sum(b * b, axis=-1) for b in self.bands)
 
 
 def band_frequency_ranges(sample_rate: float, levels: int):
@@ -193,13 +205,14 @@ def wavedec(signal, filt: WaveletFilter, levels: int = 4, mode: str = "periodize
             sample_rate: float | None = None) -> SubBands:
     """Decompose ``signal`` into [A_levels, D_levels, ..., D_1]."""
     x = np.asarray(signal, dtype=float)
-    if 2 ** levels > x.size:
-        raise ValueError(f"{levels} levels need at least {2 ** levels} samples, got {x.size}")
+    n = x.shape[-1]
+    if levels > n.bit_length() - 1:
+        raise ValueError(f"{levels} levels need at least 2**{levels} samples, got {n}")
     details = []
     lengths = []
     cur = x
     for _ in range(levels):
-        lengths.append(cur.size)
+        lengths.append(cur.shape[-1])
         cur, d = analyze_level(cur, filt, mode)
         details.append(d)
     bands = [cur] + details[::-1]
@@ -220,8 +233,8 @@ def waverec(subbands: SubBands, filt: WaveletFilter):
     return cur
 
 
-def universal_threshold(detail_coeffs, n: int) -> float:
-    """Noise cutoff sigma_hat * sqrt(2 ln n).
+def universal_threshold(detail_coeffs, n: int):
+    """Noise cutoff sigma_hat * sqrt(2 ln n), one per signal.
 
     The noise scale is the robust MAD estimate from the finest detail
     band: median(|d|) / 0.6745.
@@ -231,8 +244,8 @@ def universal_threshold(detail_coeffs, n: int) -> float:
         raise ValueError("empty detail band")
     if n < 2:
         raise ValueError("need at least two samples")
-    sigma = np.median(np.abs(d)) / 0.6745
-    return float(sigma * math.sqrt(2.0 * math.log(n)))
+    sigma = np.median(np.abs(d), axis=-1) / 0.6745
+    return sigma * math.sqrt(2.0 * math.log(n))
 
 
 def soft_threshold(coeffs, lam: float):
@@ -249,14 +262,14 @@ def denoise(signal, filt: WaveletFilter, levels: int = 4, mode: str = "periodize
             method: str = "soft"):
     """Threshold-denoise a signal; output has the input's length.
 
-    Every detail band is shrunk with one global cutoff derived from the
-    finest band; the approximation band passes through untouched.
+    Every detail band of a signal is shrunk with one cutoff derived from
+    that signal's finest band; the approximation band passes through untouched.
     """
     if method not in THRESHOLD_METHODS:
         raise ValueError(f"unknown threshold method {method!r}")
     x = np.asarray(signal, dtype=float)
     sb = wavedec(x, filt, levels, mode)
-    lam = universal_threshold(sb.bands[-1], x.size)
+    lam = np.expand_dims(universal_threshold(sb.bands[-1], x.shape[-1]), -1)
     shrink = soft_threshold if method == "soft" else hard_threshold
     sb.bands[1:] = [shrink(d, lam) for d in sb.bands[1:]]
     return waverec(sb, filt)

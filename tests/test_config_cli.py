@@ -86,11 +86,22 @@ class TestValidateConfig:
         ("mfcc", {"log_base": "ten"}, "log_base"),
         ("mfcc", {"frame_len": 64, "frame_step": 128}, "frame_step"),
         ("mfcc", {"n_filters": 10, "n_coeffs": 12}, "coefficients"),
+        ("wavelet", {"levels": 20}, "levels"),
+        ("hyperparams", {"svm": {"kernel": "foo"}}, "kernel"),
+        ("hyperparams", {"knn": {"k": "three"}}, r"hyperparams\.knn"),
     ], ids=["extension_mode", "threshold_method", "levels", "log_base", "frame_step",
-            "n_coeffs"])
+            "n_coeffs", "levels_too_deep", "svm_kernel", "knn_k"])
     def test_bad_option_values(self, corpus_root, section, options, message):
         with pytest.raises(ConfigError, match=message):
             build_config({"corpus_root": str(corpus_root), section: options})
+
+    def test_levels_limited_by_filter_length(self, corpus_root):
+        # 4 097 samples leave 5 coefficients after ten levels: a four-tap db2
+        # takes an eleventh level, an eight-tap db4 does not
+        raw = {"corpus_root": str(corpus_root), "wavelet": {"levels": 11}}
+        assert build_config({**raw, "extractors": ["db2", "mfcc"]}).wavelet_options["levels"] == 11
+        with pytest.raises(ConfigError, match="db4"):
+            build_config({**raw, "extractors": ["db2", "db4"]})
 
     def test_off_default_options_accepted(self, corpus_root):
         cfg = build_config({
@@ -122,6 +133,25 @@ class TestCli:
                                     "wavelet": {"extension_mode": "periodic"}}))
         assert cli.main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("options", [
+        {"wavelet": {"levels": 20}},
+        {"hyperparams": {"svm": {"kernel": "foo"}}},
+        {"hyperparams": {"knn": {"k": "three"}}},
+    ], ids=["levels_too_deep", "svm_kernel", "knn_k"])
+    def test_unrunnable_values_fail_before_corpus_load(self, tmp_path, corpus_root, capsys,
+                                                       monkeypatch, options):
+        from eegbench import runner
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("corpus loaded before the configuration was rejected")
+
+        monkeypatch.setattr(runner, "load_corpus", no_load)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"corpus_root": str(corpus_root), **options}))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(path)]) == 1
+            assert capsys.readouterr().err.startswith("config error:")
 
     def test_stats_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli.main(["stats", str(tmp_path / "none.csv"),

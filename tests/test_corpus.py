@@ -43,6 +43,17 @@ class TestLoadSignal:
         with pytest.raises(DataError, match=r":3: not an integer"):
             corpus.load_signal(p)
 
+    @pytest.mark.parametrize("body, lineno, text", [
+        ("1\n2 3\n4\n", 2, "2 3"),
+        ("1 2\n3 4\n", 1, "1 2"),
+        ("1\n\n5.0\n", 3, "5.0"),
+    ], ids=["two_numbers", "two_columns", "decimal"])
+    def test_line_not_one_integer_reports_number(self, tmp_path, body, lineno, text):
+        p = tmp_path / "N002.txt"
+        p.write_text(body)
+        with pytest.raises(DataError, match=rf":{lineno}: not an integer: '{text}'"):
+            corpus.load_signal(p, strict=False)
+
     def test_wrong_count_strict_vs_lenient(self, tmp_path):
         p = tmp_path / "F001.txt"
         p.write_text("\n".join(["1"] * 100))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from eegbench import features as ft
+from eegbench import wavelet as wv
+from eegbench.corpus import load_signal
 
 
 class TestBandStatistics:
@@ -111,6 +113,76 @@ class TestAssemble:
         fm = ft.extract_matrix(instances, [0] * 12, "coif1")
         assert fm.values.shape == (12, 75)
         assert len(set(fm.feature_names)) == 75
+
+
+@pytest.fixture(scope="module")
+def signals(corpus_root):
+    """Recordings from three sets, a count that is no multiple of the block."""
+    paths = [p for tag in ("Z", "F", "S") for p in sorted((corpus_root / tag).iterdir())[:7]]
+    return [load_signal(p).samples for p in paths[:2 * ft.EXTRACT_BLOCK + 3]]
+
+
+def reference_band_statistics(x):
+    """One band at a time, in Python-float arithmetic where the rounding matters."""
+    mu = x.mean()
+    dev = x - mu
+    var = float(np.mean(dev ** 2))
+    sq = x * x
+    p = sq / sq.sum()
+    psd = (np.abs(np.fft.rfft(x)) ** 2 / x.size)[1:]
+    q1, q3 = np.percentile(x, [25.0, 75.0])
+    return {
+        "mean": float(mu), "median": float(np.median(x)), "std": float(np.sqrt(var)),
+        "variance": var, "energy": float(np.mean(x ** 2)),
+        "psd_max": float(psd.max()), "psd_min": float(psd.min()),
+        "shannon_entropy": float(-np.sum(p[p > 0] * np.log(p[p > 0]))),
+        "iqr": float(q3 - q1), "kurtosis": float(np.mean(dev ** 4) / var ** 2),
+        "total_variation": float(np.sum(np.abs(np.diff(x)))),
+    }
+
+
+def rows_one_at_a_time(signals, extractor, **options):
+    return np.vstack([ft.assemble_features(x, extractor, **options).values for x in signals])
+
+
+class TestBatchedExtraction:
+    @pytest.mark.parametrize("extractor, options", [
+        ("db2", {}), ("db4", {}), ("coif1", {}), ("mfcc", {}),
+        ("db4", {"extension_mode": "symmetric"}),
+        ("coif1", {"threshold_method": "hard"}),
+        ("db2", {"extension_mode": "symmetric", "threshold_method": "hard", "levels": 6}),
+    ], ids=["db2", "db4", "coif1", "mfcc", "db4-symmetric", "coif1-hard",
+            "db2-symmetric-hard-6"])
+    def test_blocks_equal_one_row_calls(self, signals, extractor, options):
+        assert len(signals) % ft.EXTRACT_BLOCK
+        fm = ft.extract_matrix(signals, [0] * len(signals), extractor, **options)
+        assert fm.values.tobytes() == rows_one_at_a_time(signals, extractor, **options).tobytes()
+
+    def test_kurtosis_divides_by_python_float_square(self):
+        # C pow and np.square round var² differently in about 1 of 700 rows here
+        X = np.random.default_rng(1).normal(size=(2000, 16))
+        kurt = ft.band_statistics(X)["kurtosis"]
+        for value, x in zip(kurt, X):
+            dev = x - x.mean()
+            var = float(np.mean(dev ** 2))
+            assert value == float(np.mean(dev ** 4) / var ** 2)
+
+    def test_mixed_lengths_stack_per_length(self, signals):
+        lengths = [4097] * 5 + [3000] * 3 + [4097] * (len(signals) - 8)
+        mixed = [x[:n] for x, n in zip(signals, lengths)]
+        fm = ft.extract_matrix(mixed, [0] * len(mixed), "db4")
+        assert fm.values.tobytes() == rows_one_at_a_time(mixed, "db4").tobytes()
+        with pytest.raises(ValueError, match="inconsistent feature width"):
+            ft.extract_matrix(mixed, [0] * len(mixed), "wfe")
+
+    def test_band_statistics_equal_scalar_reference(self, signals):
+        # denoised bands hold exact zeros, which the entropy must skip
+        filt = wv.filter_for("db4")
+        bands = wv.wavedec(wv.denoise(np.stack(signals), filt), filt).bands
+        for band in bands:
+            stats = ft.band_statistics(band)
+            for i, row in enumerate(band):
+                assert {k: v[i] for k, v in stats.items()} == reference_band_statistics(row)
 
 
 class TestFeatureMatrix:

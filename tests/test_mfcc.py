@@ -262,3 +262,11 @@ def test_feature_names_align():
     vec = mfcc.mfcc_features(np.random.default_rng(1).normal(size=4097))
     assert vec.shape == (28,)
     assert np.all(np.isfinite(vec))
+
+
+def test_stacked_signals_equal_single_signals():
+    X = np.random.default_rng(9).normal(size=(5, 4097)) * 80.0
+    feats = mfcc.mfcc_features(X)
+    assert feats.shape == (5, 28)
+    for row, x in zip(feats, X):
+        assert row.tobytes() == mfcc.mfcc_features(x).tobytes()

@@ -14,7 +14,8 @@ from eegbench.config import build_config
 from eegbench.evaluation import CellResult
 from eegbench.reporting import (five_number_summary, read_long_csv,
                                 write_long_csv)
-from eegbench.runner import run_experiment
+from eegbench.features import extract_matrix
+from eegbench.runner import build_datasets, extract_features, run_experiment
 
 
 def small_config(corpus_root, out_dir, **overrides):
@@ -96,6 +97,21 @@ class TestRunExperiment:
         cfg, result = bundle
         lines = (result.output_dir / "dataset_balanced.csv").read_text().strip().splitlines()
         assert len(lines) == 201
+
+
+def test_extraction_shared_across_schemes(corpus_root, tmp_path):
+    cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
+                       extractors=["db4", "mfcc"])
+    datasets = build_datasets(cfg)
+    features = extract_features(cfg, datasets)
+    for extractor in cfg.extractors:
+        for scheme, ds in datasets.items():
+            fm = features[(scheme, extractor)]
+            assert fm.source_ids == ds.source_ids
+            assert np.array_equal(fm.labels, ds.labels)
+        ds = datasets["balanced"]
+        alone = extract_matrix([s.samples for s in ds.instances], ds.labels, extractor)
+        assert features[("balanced", extractor)].values.tobytes() == alone.values.tobytes()
 
 
 def test_runner_import_loads_no_heavy_scipy_module():

@@ -236,3 +236,44 @@ def test_denoise_shrinks_pure_noise():
     out = wv.denoise(x, f)
     assert (out ** 2).sum() < (x ** 2).sum()
 
+
+
+@pytest.mark.parametrize("family", ["db2", "db4", "coif1"])
+@pytest.mark.parametrize("mode", ["periodized", "symmetric"])
+def test_stacked_signals_equal_single_signals(family, mode):
+    f = wv.filter_for(family)
+    X = np.random.default_rng(17).normal(size=(2, 3, 1001)) * 50.0
+    sb = wv.wavedec(X, f, 4, mode)
+    rec = wv.waverec(sb, f)
+    soft = wv.denoise(X, f, 4, mode)
+    hard = wv.denoise(X, f, 4, mode, method="hard")
+    for i in np.ndindex(X.shape[:-1]):
+        one = wv.wavedec(X[i], f, 4, mode)
+        for stacked, single in zip(sb.bands, one.bands):
+            assert stacked[i].tobytes() == single.tobytes()
+        assert rec[i].tobytes() == wv.waverec(one, f).tobytes()
+        assert soft[i].tobytes() == wv.denoise(X[i], f, 4, mode).tobytes()
+        assert hard[i].tobytes() == wv.denoise(X[i], f, 4, mode, method="hard").tobytes()
+
+
+@pytest.mark.parametrize("family", ["db4", "coif1"])
+@pytest.mark.parametrize("mode", ["periodized", "symmetric"])
+def test_synthesis_adds_in_add_at_order(family, mode):
+    # several taps overlap each output sample, so the order of the sums shows
+    f = wv.filter_for(family)
+    L = len(f)
+    a, d = np.random.default_rng(4).normal(size=(2, 3, 100))
+    out_len = 200 if mode == "periodized" else 2 * 100 - L + 1
+    stacked = wv.synthesize_level(a, d, f, out_len, mode)
+    k = np.arange(100)[:, None]
+    for i in range(3):
+        vals = np.outer(a[i], f.lo_dec) + np.outer(d[i], f.hi_dec)
+        if mode == "periodized":
+            buf = np.zeros(200)
+            np.add.at(buf, ((2 * k + np.arange(L)) % 200).ravel(), vals.ravel())
+            expected = buf[:out_len]
+        else:
+            buf = np.zeros(2 * 100 + L)
+            np.add.at(buf, (2 * k + 1 + np.arange(L)).ravel(), vals.ravel())
+            expected = buf[L - 1:L - 1 + out_len]
+        assert stacked[i].tobytes() == expected.tobytes()

@@ -1,10 +1,19 @@
-"""Soft-margin kernel SVM trained by sequential minimal optimization.
+"""Soft-margin kernel SVM trained by SMO with second-order working-set selection.
 
 The dual max sum(a) - 0.5 sum a_i a_j y_i y_j K_ij subject to
-0 <= a_i <= C and sum a_i y_i = 0 is solved by repeatedly optimizing one
-pair of multipliers in closed form (Platt's SMO). Pair selection is the
-usual max |E_i - E_j| heuristic with deterministic sequential fallbacks,
-so training needs no randomness.
+0 <= a_i <= C and sum a_i y_i = 0 is solved one pair at a time, as in
+LIBSVM. With g = K (a * y) and v = y - g, I_up holds the multipliers free
+to move along +y (a_t < C, y_t = 1 or a_t > 0, y_t = -1) and I_low those
+free to move along -y. Each update takes i = argmax of v over I_up, then j
+in I_low with the largest second-order gain b^2 / a, b = v_i - v_j > 0,
+a = K_ii + K_jj - 2 K_ij (WSS2; Fan, Chen & Lin, JMLR 2005). When a <= 0,
+as an indefinite (sigmoid) kernel allows, a is replaced by TAU (Chen, Fan
+& Lin, IEEE TNN 2006). The closed-form step is clipped to the box, and a
+multiplier that reaches a bound is set to it exactly.
+
+Training stops when m - M <= tol, m = max of v over I_up, M = min over
+I_low. The bias, the mean of v over free multipliers or (m + M) / 2 when
+none is free, lies in [M, m], so kkt_violation() <= tol.
 """
 
 from __future__ import annotations
@@ -14,15 +23,20 @@ import numpy as np
 from ..errors import ConvergenceError
 
 KERNELS = ("rbf", "linear", "poly", "sigmoid")
+COEF0 = 1.0
+DEGREE = 3
+TAU = 1e-12
+# cap on pair updates; a fit that reaches it raises ConvergenceError
+MAX_UPDATES = 1_000_000
 
 
-def _kernel_matrix(kind, A, B, gamma, coef0, degree):
+def _kernel_matrix(kind, A, B, gamma):
     if kind == "linear":
         return A @ B.T
     if kind == "poly":
-        return (gamma * (A @ B.T) + coef0) ** degree
+        return (gamma * (A @ B.T) + COEF0) ** DEGREE
     if kind == "sigmoid":
-        return np.tanh(gamma * (A @ B.T) + coef0)
+        return np.tanh(gamma * (A @ B.T) + COEF0)
     # rbf
     d2 = ((A ** 2).sum(1)[:, None] + (B ** 2).sum(1)[None, :] - 2.0 * A @ B.T)
     np.clip(d2, 0.0, None, out=d2)
@@ -31,8 +45,7 @@ def _kernel_matrix(kind, A, B, gamma, coef0, degree):
 
 class SvmClassifier:
     def __init__(self, kernel: str = "rbf", C: float = 1.0, gamma="scale",
-                 coef0: float = 1.0, degree: int = 3, tol: float = 1e-3,
-                 max_sweeps: int = 20000):
+                 tol: float = 1e-3):
         if kernel not in KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         if C <= 0:
@@ -40,10 +53,7 @@ class SvmClassifier:
         self.kernel = kernel
         self.C = C
         self.gamma = gamma
-        self.coef0 = coef0
-        self.degree = degree
         self.tol = tol
-        self.max_sweeps = max_sweeps
 
     def _resolve_gamma(self, X) -> float:
         if self.gamma == "scale":
@@ -58,128 +68,54 @@ class SvmClassifier:
         if self.classes_.size != 2:
             raise ValueError("binary classifier: need exactly two labels present")
         ym = np.where(y == self.classes_[1], 1.0, -1.0)
-        n = X.shape[0]
+        pos = ym > 0
         self.gamma_ = self._resolve_gamma(X)
-        K = _kernel_matrix(self.kernel, X, X, self.gamma_, self.coef0, self.degree)
+        K = _kernel_matrix(self.kernel, X, X, self.gamma_)
+        diag = K.diagonal()
+        C = self.C
 
-        alpha = np.zeros(n)
-        self._b = 0.0
-        f = np.zeros(n)                      # sum_j alpha_j y_j K_ij + b
-        C, tol = self.C, self.tol
+        alpha = np.zeros(X.shape[0])
+        g = np.zeros(X.shape[0])             # K (alpha * ym)
+        updates = 0
+        while True:
+            v = ym - g
+            up = np.where(pos, alpha < C, alpha > 0)
+            low = np.where(pos, alpha > 0, alpha < C)
+            i = int(np.argmax(np.where(up, v, -np.inf)))
+            m, M = v[i], v[low].min()
+            if m - M <= self.tol:
+                break
+            if updates == MAX_UPDATES:
+                raise ConvergenceError(
+                    f"SMO did not reach KKT tolerance {self.tol} within {MAX_UPDATES} "
+                    f"pair updates", iterations=updates, achieved=float(m - M))
+            b = m - v
+            a = diag[i] + diag - 2.0 * K[i]
+            a[a <= 0] = TAU
+            j = int(np.argmax(np.where(low & (b > 0), b * b / a, -np.inf)))
+            # alpha_i += y_i t runs toward end_i, alpha_j -= y_j t toward end_j
+            end_i, end_j = (C if pos[i] else 0.0), (0.0 if pos[j] else C)
+            room_i, room_j = abs(end_i - alpha[i]), abs(end_j - alpha[j])
+            t = min(b[j] / a[j], room_i, room_j)
+            alpha[i] = end_i if t == room_i else alpha[i] + ym[i] * t
+            alpha[j] = end_j if t == room_j else alpha[j] - ym[j] * t
+            g += t * (K[i] - K[j])
+            updates += 1
 
-        def take_step(i, j):
-            nonlocal f
-            if i == j:
-                return False
-            ai, aj = alpha[i], alpha[j]
-            yi, yj = ym[i], ym[j]
-            Ei, Ej = f[i] - yi, f[j] - yj
-            if yi == yj:
-                lo, hi = max(0.0, ai + aj - C), min(C, ai + aj)
-            else:
-                lo, hi = max(0.0, aj - ai), min(C, C + aj - ai)
-            if hi - lo < 1e-12:
-                return False
-            eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-            if eta > 1e-12:
-                aj_new = aj + yj * (Ei - Ej) / eta
-                aj_new = min(hi, max(lo, aj_new))
-            else:
-                # indefinite kernel (e.g. sigmoid): dual is not concave along
-                # this direction, so compare the objective at the box ends
-                s = yi * yj
-                v1 = (f[i] - self._b) - ai * yi * K[i, i] - aj * yj * K[i, j]
-                v2 = (f[j] - self._b) - ai * yi * K[i, j] - aj * yj * K[j, j]
-
-                def dual_at(a2):
-                    a1 = ai + s * (aj - a2)
-                    return (a1 + a2
-                            - 0.5 * (a1 * a1 * K[i, i] + a2 * a2 * K[j, j]
-                                     + 2.0 * s * a1 * a2 * K[i, j])
-                            - yi * a1 * v1 - yj * a2 * v2)
-
-                lo_obj, hi_obj = dual_at(lo), dual_at(hi)
-                gap = 1e-8 * (abs(lo_obj) + abs(hi_obj) + 1.0)
-                if lo_obj > hi_obj + gap:
-                    aj_new = lo
-                elif hi_obj > lo_obj + gap:
-                    aj_new = hi
-                else:
-                    return False
-            if abs(aj_new - aj) < 1e-8 * (aj_new + aj + 1e-8):
-                return False
-            ai_new = ai + yi * yj * (aj - aj_new)
-            b1 = self._b - Ei - yi * (ai_new - ai) * K[i, i] - yj * (aj_new - aj) * K[i, j]
-            b2 = self._b - Ej - yi * (ai_new - ai) * K[i, j] - yj * (aj_new - aj) * K[j, j]
-            if 0.0 < ai_new < C:
-                b_new = b1
-            elif 0.0 < aj_new < C:
-                b_new = b2
-            else:
-                b_new = 0.5 * (b1 + b2)
-            f += (yi * (ai_new - ai) * K[i] + yj * (aj_new - aj) * K[j]
-                  + (b_new - self._b))
-            alpha[i], alpha[j] = ai_new, aj_new
-            self._b = b_new
-            return True
-
-        def examine(i):
-            Ei = f[i] - ym[i]
-            r = Ei * ym[i]
-            if not ((r < -tol and alpha[i] < C) or (r > tol and alpha[i] > 0)):
-                return False
-            free = np.where((alpha > 0) & (alpha < C))[0]
-            if free.size > 1:
-                E = f - ym
-                j = int(free[np.argmax(np.abs(Ei - E[free]))])
-                if take_step(i, j):
-                    return True
-            for j in free:
-                if take_step(i, int(j)):
-                    return True
-            for j in range(n):
-                if take_step(i, j):
-                    return True
-            return False
-
-        sweeps = 0
-        examine_all = True
-        while sweeps < self.max_sweeps:
-            sweeps += 1
-            changed = 0
-            if examine_all:
-                for i in range(n):
-                    changed += examine(i)
-            else:
-                for i in np.where((alpha > 0) & (alpha < C))[0]:
-                    changed += examine(int(i))
-            if examine_all:
-                if changed == 0:
-                    break
-                examine_all = False
-            elif changed == 0:
-                examine_all = True
-        else:
-            raise ConvergenceError(
-                f"SMO did not reach KKT tolerance {tol} within {self.max_sweeps} sweeps",
-                iterations=sweeps,
-            )
-
-        self.n_sweeps_ = sweeps
+        free = (alpha > 0) & (alpha < C)
+        self._b = float(v[free].mean()) if free.any() else float(m + M) / 2.0
+        self.n_sweeps_ = updates             # pair updates
         support = alpha > 1e-8
         self.support_vectors_ = X[support]
         self.dual_coef_ = alpha[support] * ym[support]
         self.alpha_ = alpha
-        self._train_margins = f.copy()
+        self._train_margins = g + self._b
         self._train_ym = ym
         return self
 
     def decision_function(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.support_vectors_.shape[0] == 0:
-            return np.full(X.shape[0], self._b)
-        K = _kernel_matrix(self.kernel, X, self.support_vectors_,
-                           self.gamma_, self.coef0, self.degree)
+        K = _kernel_matrix(self.kernel, X, self.support_vectors_, self.gamma_)
         return K @ self.dual_coef_ + self._b
 
     def predict(self, X) -> np.ndarray:

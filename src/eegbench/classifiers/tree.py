@@ -17,13 +17,12 @@ class DecisionTree:
     """One fitted tree over flat node arrays; ``apply`` maps rows to leaf ids."""
 
     def __init__(self, criterion: str, max_depth=None, max_features=None,
-                 min_samples_split: int = 2, rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         if criterion not in ("gini", "mse"):
             raise ValueError(f"unknown criterion {criterion!r}")
         self.criterion = criterion
         self.max_depth = max_depth
         self.max_features = max_features
-        self.min_samples_split = min_samples_split
         self.rng = rng
         self.feature: list = []
         self.threshold: list = []
@@ -63,8 +62,8 @@ class DecisionTree:
         node = self._new_node()
         sub_t = t[idx]
         pure = (sub_t == sub_t[0]).all() if self.criterion == "gini" else sub_t.var() <= 1e-14
-        if (idx.size < self.min_samples_split or pure
-                or (self.max_depth is not None and depth >= self.max_depth)):
+        # both children of a split are nonempty, and a one-row node is pure
+        if pure or (self.max_depth is not None and depth >= self.max_depth):
             self.value[node] = self._leaf_value(sub_t)
             return node
         split = self._best_split(X, sub_t, idx)

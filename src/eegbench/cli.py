@@ -66,7 +66,9 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg.master_seed = args.seed
     if args.jobs is not None:
-        cfg.jobs = max(1, args.jobs)
+        if args.jobs < 1:
+            raise ConfigError("jobs must be at least 1")
+        cfg.jobs = args.jobs
     if args.out:
         cfg.output_dir = Path(args.out)
     if args.profile:

@@ -74,11 +74,12 @@ def _psd_positive_bins(x: np.ndarray) -> np.ndarray:
     return spec[..., 1:]
 
 
-def band_statistics(coeffs) -> dict:
+def band_statistics(coeffs, psd=None) -> dict:
     """The per-band statistic set; population (1/N) moment conventions.
 
     Each value is a float for a 1-D band and an array over the leading
-    axes for a stack of bands.
+    axes for a stack of bands. ``psd`` is the band's ``_psd_positive_bins``
+    when the caller has it already.
     """
     x = np.asarray(coeffs, dtype=float)
     if x.shape[-1] < 4:
@@ -90,7 +91,7 @@ def band_statistics(coeffs) -> dict:
     var_sq = np.array([v ** 2 for v in np.ravel(var).tolist()]).reshape(np.shape(var))
     kurt = np.divide(np.mean(dev ** 4, axis=-1), var_sq,
                      out=np.zeros(np.shape(var)), where=var > 0)
-    psd = _psd_positive_bins(x)
+    psd = _psd_positive_bins(x) if psd is None else psd
     q1, q3 = np.percentile(x, [25.0, 75.0], axis=-1)
     stats = {
         "mean": mu,
@@ -132,11 +133,12 @@ def wavelet_band_features(samples, family: str, levels: int = 4,
     rel = np.divide(raw_powers, total, out=np.zeros_like(raw_powers), where=total > 0)
     columns, names = [], []
     for j, (band, name) in enumerate(zip(sb.bands, sb.names)):
-        stats = band_statistics(band)
+        psd = _psd_positive_bins(band)
+        stats = band_statistics(band, psd)
         stats["max"] = band.max(axis=-1)
         stats["min"] = band.min(axis=-1)
         stats["relative_power"] = rel[..., j]
-        stats["spectral_entropy"] = _entropy(_psd_positive_bins(band))
+        stats["spectral_entropy"] = _entropy(psd)
         for key, val in stats.items():
             names.append(f"{name}_{key}")
             columns.append(val)

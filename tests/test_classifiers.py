@@ -248,6 +248,68 @@ class TestSvm:
         m = SvmClassifier(kernel=kernel, C=10.0, gamma="scale").fit(X, y)
         assert (m.predict(X) == y).mean() == 1.0
 
+    @pytest.mark.parametrize("kernel", ["linear", "rbf", "poly"])
+    def test_dual_objective_matches_slsqp(self, kernel):
+        from scipy.optimize import minimize
+
+        X, y01 = two_blobs(np.random.default_rng(5), n=30, d=2, sep=1.0)
+        y = np.where(y01 == 1, 1.0, -1.0)
+        gamma, C = 0.5, 1.0
+        K = {"linear": X @ X.T,
+             "rbf": np.exp(-gamma * ((X[:, None] - X[None]) ** 2).sum(-1)),
+             "poly": (gamma * X @ X.T + 1.0) ** 3}[kernel]
+        Q = K * np.outer(y, y)
+
+        def neg_dual(a):
+            return 0.5 * a @ Q @ a - a.sum()
+
+        ref = minimize(neg_dual, np.zeros(y.size), jac=lambda a: Q @ a - 1.0,
+                       method="SLSQP", bounds=[(0.0, C)] * y.size,
+                       constraints=[{"type": "eq", "fun": lambda a: a @ y, "jac": lambda a: y}],
+                       options={"ftol": 1e-12, "maxiter": 1000})
+        assert ref.success
+        m = SvmClassifier(kernel=kernel, C=C, gamma=gamma).fit(X, y01)
+        assert -neg_dual(m.alpha_) == pytest.approx(-ref.fun, rel=1e-3)
+
+    def test_sigmoid_nonpositive_curvature_meets_tolerance(self):
+        # nearby positive points: K_ii + K_jj - 2 K_ij < 0 for every pair,
+        # so every update takes the TAU branch
+        X = np.linspace(1.0, 2.0, 12)[:, None]
+        y = np.tile([-1, 1], 6)
+        K = np.tanh(X @ X.T + 1.0)
+        a = np.diag(K)[:, None] + np.diag(K)[None, :] - 2.0 * K
+        assert (a[~np.eye(12, dtype=bool)] < 0).all()
+        m = SvmClassifier(kernel="sigmoid", C=1.0, gamma=1.0).fit(X, y)
+        assert m.n_sweeps_ > 0
+        assert m.kkt_violation() <= m.tol
+
+    def test_update_cap_raises_convergence_error(self, monkeypatch):
+        from eegbench.classifiers import svm
+        from eegbench.errors import ConvergenceError
+
+        X, y = two_blobs(np.random.default_rng(17), n=80, d=2, sep=2.0)
+        assert SvmClassifier().fit(X, y).n_sweeps_ > 3
+        monkeypatch.setattr(svm, "MAX_UPDATES", 3)
+        with pytest.raises(ConvergenceError) as err:
+            SvmClassifier().fit(X, y)
+        assert err.value.iterations == 3
+        assert err.value.achieved > SvmClassifier().tol
+
+    def test_every_runner_split_meets_tolerance(self, corpus_root, tmp_path, monkeypatch):
+        from eegbench.config import build_config
+        from eegbench.runner import run_experiment
+
+        fitted = []
+        fit = SvmClassifier.fit
+        monkeypatch.setattr(SvmClassifier, "fit",
+                            lambda self, X, y: fitted.append(fit(self, X, y)) or self)
+        run_experiment(build_config({
+            "corpus_root": str(corpus_root), "output_dir": str(tmp_path / "out"),
+            "extractors": ["db4", "mfcc"], "models": ["svm"],
+            "kfold": {"k": 3}, "holdout": {"n_repeats": 2}}))
+        assert len(fitted) == 2 * 2 * (3 + 2)
+        assert all(m.kkt_violation() <= m.tol for m in fitted)
+
     def test_requires_both_labels(self):
         with pytest.raises(ValueError, match="two labels"):
             SvmClassifier().fit(np.zeros((4, 2)), np.zeros(4))

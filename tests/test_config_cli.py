@@ -153,6 +153,17 @@ class TestCli:
             assert cli.main([command, str(path)]) == 1
             assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_run_rejects_jobs_below_one(self, minimal_config, capsys, monkeypatch, jobs):
+        from eegbench import runner
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("corpus loaded before --jobs was rejected")
+
+        monkeypatch.setattr(runner, "load_corpus", no_load)
+        assert cli.main(["run", str(minimal_config), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == "config error: jobs must be at least 1\n"
+
     def test_stats_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli.main(["stats", str(tmp_path / "none.csv"),
                          "--out", str(tmp_path / "o")]) == 2

@@ -92,6 +92,16 @@ class TestAssemble:
         assert len(fv.values) == 5 * (len(ft.BAND_STAT_NAMES) + len(ft.EXTRA_BAND_NAMES))
         assert fv.extractor_tag == "db2"
 
+    def test_one_spectrum_per_band_stack(self, monkeypatch):
+        # psd_max/psd_min and spectral_entropy share one rfft per band stack
+        calls = []
+        psd = ft._psd_positive_bins
+        monkeypatch.setattr(ft, "_psd_positive_bins", lambda x: calls.append(x.shape) or psd(x))
+        stack = np.random.default_rng(3).normal(size=(3, 512))
+        fv = ft.wavelet_band_features(stack, "db4", levels=4)
+        assert fv.values.shape == (3, 5 * (len(ft.BAND_STAT_NAMES) + len(ft.EXTRA_BAND_NAMES)))
+        assert len(calls) == 5
+
     def test_wfe_is_identity(self):
         x = np.arange(16.0)
         fv = ft.assemble_features(x, "wfe")

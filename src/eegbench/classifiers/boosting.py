@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import DecisionTree
+from .tree import DecisionTree, check_max_depth
 
 _PROB_CLIP = 1e-12
 
@@ -38,6 +38,7 @@ class GradientBoostingClassifier:
             raise ValueError("learning rate must be in [0, 1]")
         if not 0.0 < subsample <= 1.0:
             raise ValueError("subsample fraction must be in (0, 1]")
+        check_max_depth(max_depth)
         self.n_stages = n_stages
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -75,14 +76,18 @@ class GradientBoostingClassifier:
             tree = DecisionTree("mse", max_depth=self.max_depth)
             tree.fit(X[rows], residual[rows])
             # Newton step per leaf on the fitted rows
-            leaf_of = tree.apply(X[rows])
+            fit_residual = residual[rows]
             hess = prob[rows] * (1.0 - prob[rows])
+            leaf_of = np.empty(rows.size, dtype=np.int64)
             values = {}
-            for leaf in np.unique(leaf_of):
-                mask = leaf_of == leaf
-                values[int(leaf)] = residual[rows][mask].sum() / (hess[mask].sum() + 1e-16)
+            for leaf, idx in tree.leaf_rows_:
+                values[leaf] = fit_residual[idx].sum() / (hess[idx].sum() + 1e-16)
+                leaf_of[idx] = leaf
             tree.set_leaf_values(values)
-            scores += self.learning_rate * tree.predict(X)
+            if rows.size == n:                            # every row was fitted
+                scores += self.learning_rate * np.asarray(tree.value)[leaf_of]
+            else:
+                scores += self.learning_rate * tree.predict(X)
             self.trees_.append(tree)
             self.train_loss_path_.append(_log_loss(y01, _sigmoid(scores)))
         return self

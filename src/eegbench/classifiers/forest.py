@@ -1,12 +1,22 @@
-"""Random forest: bagged Gini trees with per-node feature subsampling."""
+"""Random forest: bagged Gini trees with per-node feature subsampling.
+
+Each tree has its own generator, spawned from the forest's seed, which
+draws the tree's bootstrap rows and then its nodes' candidate features.
+When every node takes every column (``max_features`` reaches the column
+count) no tree draws features, and ``grow_gini_forest`` grows all trees
+together, one pass per tree level. Otherwise each tree grows depth first,
+so its feature draws come in the same node order as always; the two
+growers give equal trees, so the choice moves no prediction.
+"""
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .tree import DecisionTree
+from .tree import DecisionTree, check_max_depth, grow_gini_forest
 
 
 class RandomForestClassifier:
@@ -14,6 +24,12 @@ class RandomForestClassifier:
                  bootstrap: bool = True, seed: int = 0):
         if n_trees < 1:
             raise ValueError("need at least one tree")
+        if not (max_features in ("sqrt", None)
+                or (isinstance(max_features, numbers.Integral)
+                    and not isinstance(max_features, bool) and max_features >= 1)):
+            raise ValueError(f"max_features must be 'sqrt', None or an integer >= 1, "
+                             f"got {max_features!r}")
+        check_max_depth(max_depth)
         self.n_trees = n_trees
         self.max_features = max_features
         self.max_depth = max_depth
@@ -33,14 +49,16 @@ class RandomForestClassifier:
         self.classes_, encoded = np.unique(y, return_inverse=True)
         n, d = X.shape
         mf = self._n_features(d)
-        self.trees_ = []
-        for child in np.random.SeedSequence(self.seed).spawn(self.n_trees):
-            rng = np.random.default_rng(child)
-            rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = DecisionTree("gini", max_depth=self.max_depth,
-                                max_features=mf, rng=rng)
-            tree.fit(X[rows], encoded[rows])
-            self.trees_.append(tree)
+        rngs = [np.random.default_rng(child)
+                for child in np.random.SeedSequence(self.seed).spawn(self.n_trees)]
+        samples = [rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+                   for rng in rngs]
+        if mf == d:
+            self.trees_ = grow_gini_forest(X, encoded, samples, self.max_depth)
+            return self
+        self.trees_ = [DecisionTree("gini", max_depth=self.max_depth, max_features=mf,
+                                    rng=rng).fit(X[rows], encoded[rows])
+                       for rng, rows in zip(rngs, samples)]
         return self
 
     def predict(self, X) -> np.ndarray:

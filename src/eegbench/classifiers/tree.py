@@ -1,16 +1,38 @@
 """CART decision trees shared by the forest and boosting ensembles.
 
-Split search is vectorized across all candidate features at once:
-sort each candidate column, build cumulative class counts (or target
-sums), and score every cut position in one pass. Classification nodes
-minimize Gini impurity; regression nodes minimize within-node variance.
+Classification nodes minimize Gini impurity; regression nodes minimize
+within-node variance. Two growers build the same trees:
+
+- ``DecisionTree.fit`` grows one tree node by node, depth first. At each
+  node ``_best_split`` sorts every candidate column, builds cumulative
+  class counts (or target sums) and scores every cut in one pass. It
+  serves boosting's ``mse`` trees and every tree that draws candidate
+  features (``max_features`` below the column count): those draws come
+  from the tree's generator in depth-first node order, and any other
+  order would draw other features.
+- ``grow_gini_forest`` grows many Gini trees on all columns together, one
+  pass per tree level (SLIQ's presorted attribute lists; Mehta, Agrawal &
+  Rissanen 1996). Each column is sorted once per tree and partitioned
+  stably at each split, and the cuts of every open node of every tree are
+  scored at once. Class counts are integer cumsums, so every score,
+  threshold and tie-break is computed exactly as ``_best_split`` computes
+  it, and the trees are equal node for node; only node ids differ, being
+  numbered level by level instead of depth first.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _LEAF = -1
+
+# Layout entries (rows x columns) that ``grow_gini_forest`` grows at once.
+# All 100 trees of a 400 x 2 fit in one pass peak at 15 MB of traced
+# allocations, against 0.7 MB tree by tree; 16 384 entries (20 such trees
+# a pass) keep the peak near 4 MB.
+GROW_BLOCK = 16_384
 
 
 class DecisionTree:
@@ -34,6 +56,7 @@ class DecisionTree:
     # -- construction -------------------------------------------------
 
     def fit(self, X, targets):
+        """Grow depth first; ``leaf_rows_`` lists each leaf with its rows of ``X``, ascending."""
         X = np.asarray(X, dtype=float)
         t = np.asarray(targets)
         if self.criterion == "gini":
@@ -41,6 +64,7 @@ class DecisionTree:
             self.n_classes = int(t.max()) + 1 if t.size else 0
         else:
             t = t.astype(float)
+        self.leaf_rows_ = []
         self._grow(X, t, np.arange(X.shape[0]), depth=0)
         return self
 
@@ -58,18 +82,21 @@ class DecisionTree:
             return int(np.argmax(counts))  # smallest class index wins ties
         return float(t.mean())
 
+    def _leaf(self, node, sub_t, idx) -> int:
+        self.value[node] = self._leaf_value(sub_t)
+        self.leaf_rows_.append((node, idx))
+        return node
+
     def _grow(self, X, t, idx, depth) -> int:
         node = self._new_node()
         sub_t = t[idx]
-        pure = (sub_t == sub_t[0]).all() if self.criterion == "gini" else sub_t.var() <= 1e-14
+        if self.max_depth is not None and depth >= self.max_depth:
+            return self._leaf(node, sub_t, idx)
         # both children of a split are nonempty, and a one-row node is pure
-        if pure or (self.max_depth is not None and depth >= self.max_depth):
-            self.value[node] = self._leaf_value(sub_t)
-            return node
-        split = self._best_split(X, sub_t, idx)
+        pure = (sub_t == sub_t[0]).all() if self.criterion == "gini" else sub_t.var() <= 1e-14
+        split = None if pure else self._best_split(X, sub_t, idx)
         if split is None:
-            self.value[node] = self._leaf_value(sub_t)
-            return node
+            return self._leaf(node, sub_t, idx)
         feat, thr = split
         go_left = X[idx, feat] <= thr
         self.feature[node] = feat
@@ -153,3 +180,148 @@ class DecisionTree:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
+
+
+def check_max_depth(max_depth):
+    """Reject a depth limit other than None or an integer of at least 1."""
+    if max_depth is not None and (isinstance(max_depth, bool)
+                                  or not isinstance(max_depth, numbers.Integral)
+                                  or max_depth < 1):
+        raise ValueError(f"max_depth must be None or an integer >= 1, got {max_depth!r}")
+
+
+def grow_gini_forest(X, y, samples, max_depth=None) -> list[DecisionTree]:
+    """One Gini tree on all columns of ``X`` per row of ``samples``, grown level-wise.
+
+    ``samples`` is an (n_trees, n) array of row indices into ``X`` and the
+    integer labels ``y``. Tree ``b`` equals, node for node,
+    ``DecisionTree("gini", max_depth).fit(X[samples[b]], y[samples[b]])``
+    with its nodes numbered in level order.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    samples = np.asarray(samples)
+    n_classes = int(y.max()) + 1
+    per_batch = max(1, GROW_BLOCK // (samples.shape[1] * X.shape[1]))
+    trees = []
+    for first in range(0, samples.shape[0], per_batch):
+        trees += _grow_batch(X, y, samples[first:first + per_batch], n_classes, max_depth)
+    return trees
+
+
+def _grow_batch(X, y, samples, n_classes, max_depth) -> list[DecisionTree]:
+    n_trees, n = samples.shape
+    d = X.shape[1]
+    V, Y = X[samples.ravel()], y[samples.ravel()]     # tree b owns rows [b*n, (b+1)*n)
+    cols, classes = np.arange(d), np.arange(n_classes)
+    # Layout: column j of P holds the rows of every open node as one contiguous
+    # segment sorted by V[:, j]; ties keep row order, as a stable sort per node does.
+    # (np.take and np.compress gather much faster here than fancy indexing.)
+    P = (np.argsort(V.reshape(n_trees, n, d), axis=1, kind="stable")
+         + (np.arange(n_trees) * n)[:, None, None]).reshape(-1, d)
+    # the open nodes of the current level, in layout order
+    owner = np.arange(n_trees)
+    size = np.full(n_trees, n)
+    counts = np.bincount(np.repeat(owner * n_classes, n) + Y,
+                         minlength=n_trees * n_classes).reshape(n_trees, n_classes)
+    n_nodes = n_trees
+    go_left = np.zeros(V.shape[0], dtype=bool)
+    levels = []
+    depth = 0
+    while size.size:
+        # split search, as in _best_split, on the impure nodes above the depth limit
+        grow = (counts < size[:, None]).all(axis=1)
+        if max_depth is not None and depth >= max_depth:
+            grow[:] = False
+        P = np.compress(np.repeat(grow, size), P, axis=0)
+        g_node, g_size, g_counts = np.flatnonzero(grow), size[grow], counts[grow]
+        g_start = np.cumsum(g_size) - g_size
+        seg = np.repeat(np.arange(g_node.size), g_size)
+        Vs = np.take(V, P * d + cols)
+        cum = np.zeros((P.shape[0] + 1, d, n_classes), dtype=np.int64)
+        np.equal(np.take(Y, P)[:, :, None], classes, out=cum[1:], casting="unsafe")
+        np.cumsum(cum, axis=0, out=cum)
+        cum = cum.reshape(-1, n_classes)              # row p*d + j: column j's counts before p
+        # every cut between distinct values inside a segment, in (position, column) order
+        at = np.flatnonzero((Vs[:-1] < Vs[1:]) & (seg[1:] == seg[:-1])[:, None])
+        pos, col = np.divmod(at, d)
+        k = seg[pos]
+        cut_left = np.take(cum, at + d, axis=0) - np.take(cum, g_start[k] * d + col, axis=0)
+        cut_right = g_counts[k] - cut_left
+        left_n = pos - g_start[k] + 1
+        # integer sums of squared counts are exact, so these equal _best_split's floats
+        score = np.einsum("ij,ij->i", cut_left, cut_left) / left_n
+        score += np.einsum("ij,ij->i", cut_right, cut_right) / (g_size[k] - left_n)
+        # the first best cut of each node that has a cut
+        first = np.ones(k.size, dtype=bool)
+        first[1:] = k[1:] != k[:-1]
+        group = np.flatnonzero(first)
+        best = np.maximum.reduceat(score, group)
+        hit = np.where(score == best[np.cumsum(first) - 1], np.arange(k.size), k.size)
+        pick = np.minimum.reduceat(hit, group)
+        s = k[pick]
+        parent = (g_counts[s].astype(float) ** 2).sum(axis=1) / g_size[s]
+        gain = best > parent + 1e-10 * np.maximum(1.0, parent)
+        pick, s = pick[gain], s[gain]
+        lo, hi = Vs.ravel()[at[pick]], Vs.ravel()[at[pick] + d]
+        thr = lo + (hi - lo) / 2.0
+        thr = np.where(thr >= hi, lo, thr)                 # adjacent floats
+
+        split = g_node[s]
+        feature = np.full(size.size, _LEAF)
+        threshold = np.zeros(size.size)
+        left = np.full(size.size, _LEAF)
+        value = np.argmax(counts, axis=1).astype(float)   # smallest class index wins ties
+        feature[split], threshold[split], value[split] = col[pick], thr, 0.0
+        left[split] = n_nodes + 2 * np.arange(split.size)
+        levels.append((owner, feature, threshold, left, value))
+
+        # children, left then right: each split segment partitioned stably
+        s_size, n_left = g_size[s], left_n[pick]
+        node_pos, node_col = np.full(g_node.size, -1), np.zeros_like(g_start)
+        node_pos[s], node_col[s] = pos[pick], col[pick]
+        mine = np.repeat(node_pos >= 0, g_size)
+        p = np.flatnonzero(mine)
+        go_left[np.take(P, p * d + node_col[seg[p]])] = p <= node_pos[seg[p]]
+        P = np.compress(mine, P, axis=0)
+        F = np.take(go_left, P)
+        seg_start = np.repeat(np.cumsum(s_size) - s_size, s_size)
+        lefts = np.zeros((P.shape[0] + 1, d), dtype=np.int64)
+        lefts[1:] = F
+        np.cumsum(lefts, axis=0, out=lefts)
+        lefts_before = lefts[:-1] - np.take(lefts, seg_start, axis=0)
+        rights_before = (np.arange(P.shape[0]) - seg_start)[:, None] - lefts_before
+        dest = seg_start[:, None] + np.where(F, lefts_before,
+                                             np.repeat(n_left, s_size)[:, None] + rights_before)
+        P_next = np.empty_like(P)
+        np.put(P_next, dest * d + cols, P)
+        P = P_next
+        owner = np.repeat(owner[split], 2)
+        size = np.column_stack([n_left, s_size - n_left]).ravel()
+        counts = np.stack([cut_left[pick], cut_right[pick]], axis=1).reshape(-1, n_classes)
+        n_nodes += size.size
+        depth += 1
+    return _batch_trees(levels, n_trees, n_classes, max_depth)
+
+
+def _batch_trees(levels, n_trees, n_classes, max_depth) -> list[DecisionTree]:
+    """Split a batch's node records, numbered level by level, into one tree each."""
+    owner, feature, threshold, left, value = (np.concatenate(a) for a in zip(*levels))
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(n_trees + 1))
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size) - np.repeat(bounds[:-1], np.diff(bounds))
+    left = np.where(left == _LEAF, _LEAF, local[left])
+    right = np.where(left == _LEAF, _LEAF, left + 1)     # siblings are numbered together
+    trees = []
+    for b in range(n_trees):
+        nodes = order[bounds[b]:bounds[b + 1]]
+        tree = DecisionTree("gini", max_depth=max_depth)
+        tree.n_classes = n_classes
+        tree.feature = feature[nodes].tolist()
+        tree.threshold = threshold[nodes].tolist()
+        tree.left = left[nodes].tolist()
+        tree.right = right[nodes].tolist()
+        tree.value = value[nodes].tolist()
+        trees.append(tree)
+    return trees

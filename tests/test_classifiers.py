@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from eegbench.classifiers import (
     SvmClassifier,
     make_model,
 )
-from eegbench.classifiers.tree import DecisionTree
+from eegbench.classifiers.tree import DecisionTree, grow_gini_forest
 
 
 def two_blobs(rng, n=60, d=3, sep=10.0):
@@ -364,6 +365,20 @@ def _naive_cart(X, y, feats_order=None):
     return lambda Q: np.array([predict_one(root, q) for q in np.asarray(Q, float)])
 
 
+def _preorder(tree, node=0):
+    """A tree's splits and leaves depth first, free of how its nodes are numbered."""
+    if tree.feature[node] == -1:
+        return [("leaf", tree.value[node])]
+    return ([(tree.feature[node], tree.threshold[node])]
+            + _preorder(tree, tree.left[node]) + _preorder(tree, tree.right[node]))
+
+
+def _forest_samples(seed, n_trees, n):
+    """The bootstrap rows RandomForestClassifier(seed=seed) draws for each tree."""
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_trees)]
+    return rngs, [rng.integers(0, n, size=n) for rng in rngs]
+
+
 class TestForest:
     def test_pure_labels_all_leaves(self):
         X = np.random.default_rng(0).normal(size=(20, 3))
@@ -398,6 +413,71 @@ class TestForest:
         X, y = two_blobs(np.random.default_rng(4), n=60, d=3, sep=6.0)
         m = RandomForestClassifier(n_trees=25, seed=3).fit(X, y)
         assert (m.predict(X) == y).mean() == 1.0
+
+    @pytest.mark.parametrize("n, d, n_classes, max_depth, ties", [
+        (80, 1, 2, None, False),
+        (80, 2, 2, None, False),
+        (60, 2, 2, None, True),
+        (70, 2, 2, 2, False),
+        (90, 2, 3, None, True),
+        (3, 1, 2, None, False),
+        (2, 2, 2, None, True),
+    ], ids=["d1", "d2", "tied_values", "max_depth", "three_classes", "tiny_n", "two_rows"])
+    def test_level_wise_trees_equal_depth_first(self, n, d, n_classes, max_depth, ties):
+        rng = np.random.default_rng(n + d)
+        X = rng.normal(size=(n, d))
+        if ties:
+            X = np.round(X * 2.0) / 2.0
+        y = rng.integers(0, n_classes, size=n)
+        m = RandomForestClassifier(n_trees=30, max_depth=max_depth, seed=5).fit(X, y)
+        _, samples = _forest_samples(5, 30, n)
+        for tree, rows in zip(m.trees_, samples):
+            ref = DecisionTree("gini", max_depth=max_depth).fit(X[rows], y[rows])
+            assert _preorder(tree) == _preorder(ref)
+            assert tree.n_nodes == ref.n_nodes
+
+    def test_level_wise_batches_and_degenerate_samples(self, monkeypatch):
+        import eegbench.classifiers.tree as tree_module
+
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(40, 2))
+        y = (X[:, 0] > 0).astype(int)
+        samples = rng.integers(0, 40, size=(7, 40))
+        samples[3] = np.flatnonzero(y == 0)[rng.integers(0, (y == 0).sum(), size=40)]
+        # three trees to a batch, so the last batch is short
+        monkeypatch.setattr(tree_module, "GROW_BLOCK", 3 * 40 * 2)
+        trees = grow_gini_forest(X, y, samples)
+        assert trees[3].n_nodes == 1 and trees[3].value == [0.0]
+        for tree, rows in zip(trees, samples):
+            assert _preorder(tree) == _preorder(DecisionTree("gini").fit(X[rows], y[rows]))
+        # the only cut leaves both sides as mixed as the parent: no split
+        X, y = np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 1, 0, 1])
+        assert grow_gini_forest(X, y, [[0, 1, 2, 3]])[0].n_nodes == 1
+        assert DecisionTree("gini").fit(X, y).n_nodes == 1
+
+    def test_feature_draws_stay_depth_first(self):
+        # sqrt(3) rounds up to 2 of 3 columns: every node draws from the tree's generator
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(60, 3))
+        y = (X[:, 0] + X[:, 2] + 0.5 * rng.normal(size=60) > 0).astype(int)
+        m = RandomForestClassifier(n_trees=10, seed=4).fit(X, y)
+        rngs, samples = _forest_samples(4, 10, 60)
+        for tree, tree_rng, rows in zip(m.trees_, rngs, samples):
+            ref = DecisionTree("gini", max_features=2, rng=tree_rng).fit(X[rows], y[rows])
+            assert (tree.feature, tree.threshold, tree.left) == (ref.feature, ref.threshold, ref.left)
+
+    def test_level_wise_fit_memory_is_bounded(self):
+        # all 100 trees of a 400 x 2 fit grown in one batch peak near 15 MB
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(400, 2))
+        y = (X[:, 0] + 0.5 * rng.normal(size=400) > 0).astype(int)
+        tracemalloc.start()
+        try:
+            RandomForestClassifier(seed=1).fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestBoosting:
@@ -437,6 +517,17 @@ class TestBoosting:
         m = GradientBoostingClassifier(n_stages=80).fit(X, y)
         assert (m.predict(X) == y).mean() > 0.95
 
+    @pytest.mark.parametrize("subsample", [1.0, 0.6])
+    def test_training_scores_equal_predicted_scores(self, subsample):
+        # the scores each stage updates from its fit's leaves are the model's own
+        from eegbench.classifiers.boosting import _log_loss, _sigmoid
+
+        rng = np.random.default_rng(6)
+        X = np.round(rng.normal(size=(90, 3)), 1)
+        y = (X[:, 0] - X[:, 2] + 0.4 * rng.normal(size=90) > 0).astype(int)
+        m = GradientBoostingClassifier(n_stages=15, subsample=subsample, seed=2).fit(X, y)
+        assert m.train_loss_path_[-1] == _log_loss(y.astype(float), _sigmoid(m.decision_scores(X)))
+
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
             GradientBoostingClassifier(learning_rate=1.5)
@@ -452,6 +543,17 @@ class TestDecisionTreeDirect:
         y = np.where(X[:, 0] < 0.43, 2.0, 5.0)
         t = DecisionTree("mse", max_depth=2).fit(X, y)
         assert np.abs(t.predict(X) - y).max() < 1e-12
+
+    @pytest.mark.parametrize("criterion", ["gini", "mse"])
+    def test_leaf_rows_are_the_rows_each_leaf_receives(self, criterion):
+        rng = np.random.default_rng(7)
+        X = np.round(rng.normal(size=(70, 2)), 1)
+        t = (X[:, 0] > 0.2).astype(int) if criterion == "gini" else X[:, 1] ** 2
+        tree = DecisionTree(criterion, max_depth=4).fit(X, t)
+        leaf_of = tree.apply(X)
+        assert sorted(leaf for leaf, _ in tree.leaf_rows_) == sorted(set(leaf_of.tolist()))
+        for leaf, rows in tree.leaf_rows_:
+            assert np.array_equal(rows, np.flatnonzero(leaf_of == leaf))
 
     def test_unknown_criterion(self):
         with pytest.raises(ValueError):

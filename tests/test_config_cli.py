@@ -89,8 +89,20 @@ class TestValidateConfig:
         ("wavelet", {"levels": 20}, "levels"),
         ("hyperparams", {"svm": {"kernel": "foo"}}, "kernel"),
         ("hyperparams", {"knn": {"k": "three"}}, r"hyperparams\.knn"),
+        ("hyperparams", {"rf": {"max_features": 0}}, r"hyperparams\.rf: max_features"),
+        ("hyperparams", {"rf": {"max_features": 0.5}}, r"hyperparams\.rf: max_features"),
+        ("hyperparams", {"rf": {"max_features": -3}}, r"hyperparams\.rf: max_features"),
+        ("hyperparams", {"rf": {"max_features": "log2"}}, r"hyperparams\.rf: max_features"),
+        ("hyperparams", {"rf": {"max_features": True}}, r"hyperparams\.rf: max_features"),
+        ("hyperparams", {"rf": {"max_depth": 0}}, r"hyperparams\.rf: max_depth"),
+        ("hyperparams", {"rf": {"max_depth": -1}}, r"hyperparams\.rf: max_depth"),
+        ("hyperparams", {"rf": {"max_depth": "x"}}, r"hyperparams\.rf: max_depth"),
+        ("hyperparams", {"gb": {"max_depth": 0}}, r"hyperparams\.gb: max_depth"),
     ], ids=["extension_mode", "threshold_method", "levels", "log_base", "frame_step",
-            "n_coeffs", "levels_too_deep", "svm_kernel", "knn_k"])
+            "n_coeffs", "levels_too_deep", "svm_kernel", "knn_k", "rf_max_features_0",
+            "rf_max_features_half", "rf_max_features_negative", "rf_max_features_log2",
+            "rf_max_features_bool", "rf_max_depth_0", "rf_max_depth_negative",
+            "rf_max_depth_text", "gb_max_depth_0"])
     def test_bad_option_values(self, corpus_root, section, options, message):
         with pytest.raises(ConfigError, match=message):
             build_config({"corpus_root": str(corpus_root), section: options})

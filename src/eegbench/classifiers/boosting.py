@@ -79,11 +79,9 @@ class GradientBoostingClassifier:
             fit_residual = residual[rows]
             hess = prob[rows] * (1.0 - prob[rows])
             leaf_of = np.empty(rows.size, dtype=np.int64)
-            values = {}
             for leaf, idx in tree.leaf_rows_:
-                values[leaf] = fit_residual[idx].sum() / (hess[idx].sum() + 1e-16)
+                tree.value[leaf] = float(fit_residual[idx].sum() / (hess[idx].sum() + 1e-16))
                 leaf_of[idx] = leaf
-            tree.set_leaf_values(values)
             if rows.size == n:                            # every row was fitted
                 scores += self.learning_rate * np.asarray(tree.value)[leaf_of]
             else:

@@ -32,9 +32,8 @@ def _ridged(cov: np.ndarray, ridge: float) -> np.ndarray:
 class LdaClassifier:
     """Pooled-covariance Gaussian discriminant."""
 
-    def __init__(self, ridge: float = 1e-6, priors=None):
+    def __init__(self, ridge: float = 1e-6):
         self.ridge = ridge
-        self.priors = priors
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -42,11 +41,7 @@ class LdaClassifier:
         self.classes_, counts = np.unique(y, return_counts=True)
         _check_two_per_class(y, self.classes_, counts)
         n, d = X.shape
-        priors = np.asarray(self.priors, dtype=float) if self.priors is not None \
-            else counts / n
-        if priors.shape != self.classes_.shape or np.any(priors <= 0):
-            raise ValueError("priors must be positive, one per class")
-        priors = priors / priors.sum()
+        priors = counts / n
         self.means_ = np.vstack([X[y == c].mean(axis=0) for c in self.classes_])
         pooled = np.zeros((d, d))
         for c, mu in zip(self.classes_, self.means_):

@@ -11,9 +11,9 @@ as an indefinite (sigmoid) kernel allows, a is replaced by TAU (Chen, Fan
 & Lin, IEEE TNN 2006). The closed-form step is clipped to the box, and a
 multiplier that reaches a bound is set to it exactly.
 
-Training stops when m - M <= tol, m = max of v over I_up, M = min over
+Training stops when m - M <= TOL, m = max of v over I_up, M = min over
 I_low. The bias, the mean of v over free multipliers or (m + M) / 2 when
-none is free, lies in [M, m], so kkt_violation() <= tol.
+none is free, lies in [M, m], so kkt_violation() <= TOL.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ KERNELS = ("rbf", "linear", "poly", "sigmoid")
 COEF0 = 1.0
 DEGREE = 3
 TAU = 1e-12
+TOL = 1e-3
 # cap on pair updates; a fit that reaches it raises ConvergenceError
 MAX_UPDATES = 1_000_000
 
@@ -44,8 +45,7 @@ def _kernel_matrix(kind, A, B, gamma):
 
 
 class SvmClassifier:
-    def __init__(self, kernel: str = "rbf", C: float = 1.0, gamma="scale",
-                 tol: float = 1e-3):
+    def __init__(self, kernel: str = "rbf", C: float = 1.0, gamma="scale"):
         if kernel not in KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         if C <= 0:
@@ -53,7 +53,7 @@ class SvmClassifier:
         self.kernel = kernel
         self.C = C
         self.gamma = gamma
-        self.tol = tol
+        self.tol = TOL
 
     def _resolve_gamma(self, X) -> float:
         if self.gamma == "scale":

@@ -170,13 +170,6 @@ class DecisionTree:
         values = np.asarray(self.value)
         return values[leaf_ids]
 
-    def set_leaf_values(self, mapping: dict):
-        """Overwrite leaf payloads (used by boosting's per-leaf line search)."""
-        for node, val in mapping.items():
-            if self.feature[node] != _LEAF:
-                raise ValueError(f"node {node} is not a leaf")
-            self.value[node] = float(val)
-
     @property
     def n_nodes(self) -> int:
         return len(self.feature)

@@ -6,7 +6,8 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,7 @@ _SCHEMA = {
 
 _KFOLD_KEYS = {"k": int, "n_repeats": int}
 _HOLDOUT_KEYS = {"test_fraction": float, "n_repeats": int}
-_MFCC_KEYS = {"frame_len": int, "frame_step": int, "preemph_alpha": float,
-              "n_filters": int, "n_coeffs": int, "log_base": str}
+_MFCC_KEYS = typing.get_type_hints(MfccConfig)
 _WAVELET_KEYS = {"levels": int, "extension_mode": str, "threshold_method": str,
                  "denoise": bool}
 
@@ -110,11 +110,13 @@ def _check_keys(mapping: dict, allowed: dict, context: str):
     for key, value in mapping.items():
         if key not in allowed:
             raise ConfigError(f"unknown key {context}{key!r}")
-        expected = allowed[key]
-        if not isinstance(value, expected if isinstance(expected, tuple) else (expected,)):
-            if expected is float and isinstance(value, int) and not isinstance(value, bool):
-                continue
-            raise ConfigError(f"key {context}{key!r}: expected {expected}, got {type(value).__name__}")
+        expected = allowed[key] if isinstance(allowed[key], tuple) else (allowed[key],)
+        if allowed[key] is float:
+            expected += (int,)
+        # bool subclasses int, so a bool passes only where a bool is expected
+        if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
+            raise ConfigError(
+                f"key {context}{key!r}: expected {allowed[key]}, got {type(value).__name__}")
 
 
 def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
@@ -160,9 +162,11 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
             raise ConfigError(f"hyperparams for unknown model {kind!r}")
         if not isinstance(params, dict):
             raise ConfigError(f"hyperparams.{kind} must be an object")
-        for key in params:
+        for key, value in params.items():
             if key not in DEFAULT_HYPERPARAMS[kind]:
                 raise ConfigError(f"unknown key hyperparams.{kind}.{key!r}")
+            if isinstance(value, bool):         # no hyperparameter is a switch
+                raise ConfigError(f"hyperparams.{kind}: {key} must not be a boolean")
     for kind in merged["models"]:
         try:
             make_model(kind, hyper.get(kind))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,19 +30,12 @@ class EegSignal:
     """One single-channel recording with its provenance."""
 
     samples: np.ndarray
-    sample_rate: float
     set_tag: str
     source_id: str
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
         if self.set_tag not in SET_TAGS:
             raise ValueError(f"set tag {self.set_tag!r} not one of {SET_TAGS}")
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
 
     @property
     def is_seizure(self) -> bool:
@@ -100,7 +93,7 @@ def load_signal(path, set_tag: str | None = None, strict: bool = True) -> EegSig
         if strict:
             raise DataError(message)
         warnings.warn(message, stacklevel=2)
-    return EegSignal(values.astype(float), SAMPLE_RATE_HZ, tag, path.stem)
+    return EegSignal(values.astype(float), tag, path.stem)
 
 
 def load_corpus(root, strict: bool = True) -> dict:
@@ -134,24 +127,17 @@ class LabeledDataset:
             raise ValueError(f"scheme {self.scheme!r} not one of {SCHEMES}")
         if len(self.instances) != self.labels.shape[0]:
             raise ValueError("label count does not match instance count")
-        expected = 0.2 if self.scheme == "imbalanced" else 0.5
-        if abs(self.positive_fraction - expected) > 1e-12:
-            raise ValueError(
-                f"{self.scheme} scheme requires positive fraction {expected}, "
-                f"got {self.positive_fraction:.4f}"
-            )
-
-    @property
-    def positive_fraction(self) -> float:
-        return float(self.labels.mean())
-
-    @property
-    def source_ids(self) -> list:
-        return [s.source_id for s in self.instances]
+        # a partial corpus serves only if its set sizes keep the class ratio
+        positives = int(self.labels.sum())
+        negatives = self.labels.size - positives
+        per_positive = 4 if self.scheme == "imbalanced" else 1
+        if negatives != per_positive * positives:
+            raise DataError(f"set S: {positives} signals against {negatives} non-seizure ones; "
+                            f"the {self.scheme} scheme needs {per_positive} per seizure signal")
 
 
 def build_dataset(corpus: dict, scheme: str, seed: int = 0) -> LabeledDataset:
-    """Assemble one evaluation dataset from a complete corpus.
+    """Assemble one evaluation dataset from a corpus.
 
     imbalanced: every signal (100 positives / 400 negatives).
     balanced: all of S plus 25 signals drawn without replacement from
@@ -169,6 +155,9 @@ def build_dataset(corpus: dict, scheme: str, seed: int = 0) -> LabeledDataset:
         instances = []
         for tag in NEGATIVE_TAGS:
             pool = corpus[tag]
+            if len(pool) < BALANCED_PER_NEGATIVE_SET:
+                raise DataError(f"set {tag}: the balanced scheme draws "
+                                f"{BALANCED_PER_NEGATIVE_SET} signals, found {len(pool)}")
             picks = sorted(rng.choice(len(pool), size=BALANCED_PER_NEGATIVE_SET, replace=False))
             instances.extend(pool[i] for i in picks)
         instances.extend(corpus["S"])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -117,7 +117,6 @@ class FeatureVector:
 
     values: np.ndarray
     names: list
-    extractor_tag: str
 
 
 def wavelet_band_features(samples, family: str, levels: int = 4,
@@ -142,7 +141,7 @@ def wavelet_band_features(samples, family: str, levels: int = 4,
         for key, val in stats.items():
             names.append(f"{name}_{key}")
             columns.append(val)
-    return FeatureVector(np.stack(columns, axis=-1), names, family)
+    return FeatureVector(np.stack(columns, axis=-1), names)
 
 
 @functools.lru_cache(maxsize=4)
@@ -153,7 +152,6 @@ def _sample_names(n_samples: int) -> tuple:
 
 def assemble_features(samples, extractor: str, *,
                       mfcc_config: mfcc_mod.MfccConfig = mfcc_mod.MfccConfig(),
-                      sample_rate: float = 173.61,
                       levels: int = 4,
                       extension_mode: str = "periodized",
                       denoise: bool = True,
@@ -167,10 +165,10 @@ def assemble_features(samples, extractor: str, *,
         raise ValueError(f"unknown extractor {extractor!r}; expected one of {EXTRACTORS}")
     x = np.asarray(samples, dtype=float)
     if extractor == "wfe":
-        return FeatureVector(x.copy(), list(_sample_names(x.shape[-1])), "wfe")
+        return FeatureVector(x.copy(), list(_sample_names(x.shape[-1])))
     if extractor == "mfcc":
-        return FeatureVector(mfcc_mod.mfcc_features(x, mfcc_config, sample_rate),
-                             mfcc_mod.mfcc_feature_names(mfcc_config), "mfcc")
+        return FeatureVector(mfcc_mod.mfcc_features(x, mfcc_config),
+                             mfcc_mod.mfcc_feature_names(mfcc_config))
     return wavelet_band_features(x, extractor, levels, extension_mode, denoise, threshold_method)
 
 
@@ -181,8 +179,6 @@ class FeatureMatrix:
     values: np.ndarray
     feature_names: list
     labels: np.ndarray
-    extractor_tag: str
-    source_ids: list = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.feature_names) != len(set(self.feature_names)):
@@ -206,7 +202,7 @@ class FeatureMatrix:
                 writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def extract_matrix(instances, labels, extractor: str, source_ids=None, **kwargs) -> FeatureMatrix:
+def extract_matrix(instances, labels, extractor: str, **kwargs) -> FeatureMatrix:
     """Extract one row per instance; all rows must share a single width.
 
     Runs of equal-length instances are stacked ``EXTRACT_BLOCK`` at a
@@ -226,10 +222,7 @@ def extract_matrix(instances, labels, extractor: str, source_ids=None, **kwargs)
                     f"{fv.values.shape[-1]} != {len(names)}"
                 )
             blocks.append(fv.values)
-    return FeatureMatrix(
-        np.vstack(blocks), list(names), np.asarray(labels, dtype=int),
-        extractor, list(source_ids or []),
-    )
+    return FeatureMatrix(np.vstack(blocks), list(names), np.asarray(labels, dtype=int))
 
 
 @dataclass

@@ -8,17 +8,27 @@ standard deviation of each kept coefficient).
 The chain works along the last axis: a ``(..., n)`` array is a stack of
 signals and yields one cepstral vector per signal, each bit-for-bit the
 vector its signal gives alone; a 1-D signal is the one-row case.
+
+The mel scale has no base or scale setting. Any warping
+m(f) = delta * log_b(1 + f / nu) spaces the filter centres at
+nu * ((1 + f_N / nu) ** (i / (K + 1)) - 1), i = 0..K+1, for K filters up to
+the Nyquist frequency f_N (O'Shaughnessy, Speech Communication, 1987):
+delta and the log base b cancel, and only nu shapes the bank.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-LOG_BASES = ("natural", "base10")
+from .corpus import SAMPLE_RATE_HZ
+
 ENERGY_FLOOR = 1e-12
+HAMMING_A = 0.54
+HAMMING_B = 0.46
+MEL_DELTA = 2595.0
+MEL_NU = 700.0
 
 
 @dataclass(frozen=True)
@@ -28,11 +38,6 @@ class MfccConfig:
     preemph_alpha: float = 0.97
     n_filters: int = 26
     n_coeffs: int = 14
-    hamming_a: float = 0.54
-    hamming_b: float = 0.46
-    mel_delta: float = 2595.0
-    mel_nu: float = 700.0
-    log_base: str = "natural"
 
     def __post_init__(self):
         if not 0 < self.frame_step <= self.frame_len:
@@ -41,8 +46,6 @@ class MfccConfig:
             raise ValueError("cannot keep more coefficients than filters")
         if not 0.0 <= self.preemph_alpha < 1.0:
             raise ValueError("pre-emphasis coefficient must be in [0, 1)")
-        if self.log_base not in LOG_BASES:
-            raise ValueError(f"log_base must be one of {LOG_BASES}")
 
     @property
     def nfft(self) -> int:
@@ -76,28 +79,25 @@ def frame_signal(signal, frame_len: int, frame_step: int):
     return np.take(x, idx, axis=-1)
 
 
-def hamming_window(n_points: int, a: float = 0.54, b: float = 0.46):
-    """H[k] = a - b cos(2 pi k / (N-1))."""
+def hamming_window(n_points: int):
+    """H[k] = a - b cos(2 pi k / (N-1)), a = 0.54, b = 0.46."""
     if n_points < 2:
         raise ValueError("window needs at least two points")
     k = np.arange(n_points)
-    return a - b * np.cos(2.0 * np.pi * k / (n_points - 1))
+    return HAMMING_A - HAMMING_B * np.cos(2.0 * np.pi * k / (n_points - 1))
 
 
-def hz_to_mel(freq_hz, config: MfccConfig = MfccConfig()):
-    """Warp linear frequency onto the mel axis: delta * log(1 + f/nu)."""
+def hz_to_mel(freq_hz):
+    """Warp linear frequency onto the mel axis: delta * ln(1 + f/nu)."""
     f = np.asarray(freq_hz, dtype=float)
     if np.any(f < 0):
         raise ValueError("negative frequency")
-    log = np.log if config.log_base == "natural" else np.log10
-    out = config.mel_delta * log(1.0 + f / config.mel_nu)
+    out = MEL_DELTA * np.log(1.0 + f / MEL_NU)
     return float(out) if np.isscalar(freq_hz) else out
 
 
-def mel_to_hz(mel, config: MfccConfig = MfccConfig()):
-    m = np.asarray(mel, dtype=float) / config.mel_delta
-    grow = np.expm1(m) if config.log_base == "natural" else 10.0 ** m - 1.0
-    out = config.mel_nu * grow
+def mel_to_hz(mel):
+    out = MEL_NU * np.expm1(np.asarray(mel, dtype=float) / MEL_DELTA)
     return float(out) if np.isscalar(mel) else out
 
 
@@ -108,19 +108,18 @@ def power_spectrum(frames, nfft: int):
     return np.abs(spec) ** 2
 
 
-def mel_filter_centers(n_filters: int, sample_rate: float, config: MfccConfig = MfccConfig()):
+def mel_filter_centers(n_filters: int, sample_rate: float):
     """Peak frequencies (Hz) of filters spaced evenly on the mel axis up to Nyquist."""
-    top = hz_to_mel(sample_rate / 2.0, config)
+    top = hz_to_mel(sample_rate / 2.0)
     mels = np.linspace(0.0, top, n_filters + 2)
-    return mel_to_hz(mels, config)
+    return mel_to_hz(mels)
 
 
-def mel_filterbank(n_filters: int, nfft: int, sample_rate: float,
-                   config: MfccConfig = MfccConfig()):
+def mel_filterbank(n_filters: int, nfft: int, sample_rate: float):
     """Triangular filters as a (n_filters, nfft//2 + 1) matrix, each row peaking at 1."""
     if n_filters < 1:
         raise ValueError("need at least one filter")
-    edges = mel_filter_centers(n_filters, sample_rate, config)
+    edges = mel_filter_centers(n_filters, sample_rate)
     bin_freqs = np.arange(nfft // 2 + 1) * sample_rate / nfft
     fb = np.zeros((n_filters, bin_freqs.size))
     for m in range(n_filters):
@@ -144,13 +143,13 @@ def _dct_ii_matrix(n_coeffs: int, n_inputs: int):
     return np.cos(np.pi * n * (m + 0.5) / n_inputs)
 
 
-def mfcc_frames(signal, config: MfccConfig = MfccConfig(), sample_rate: float = 173.61):
+def mfcc_frames(signal, config: MfccConfig = MfccConfig()):
     """Cepstra for every frame, shape (..., n_frames, n_coeffs)."""
     x = pre_emphasize(signal, config.preemph_alpha)
     frames = frame_signal(x, config.frame_len, config.frame_step)
-    frames = frames * hamming_window(config.frame_len, config.hamming_a, config.hamming_b)
+    frames = frames * hamming_window(config.frame_len)
     pspec = power_spectrum(frames, config.nfft)
-    fb = mel_filterbank(config.n_filters, config.nfft, sample_rate, config)
+    fb = mel_filterbank(config.n_filters, config.nfft, SAMPLE_RATE_HZ)
     energies = pspec @ fb.T
     log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
     return log_energies @ _dct_ii_matrix(config.n_coeffs, config.n_filters).T
@@ -161,7 +160,7 @@ def mfcc_feature_names(config: MfccConfig = MfccConfig()):
     return [f"mfcc_mean_{i:02d}" for i in range(p)] + [f"mfcc_std_{i:02d}" for i in range(p)]
 
 
-def mfcc_features(signal, config: MfccConfig = MfccConfig(), sample_rate: float = 173.61):
+def mfcc_features(signal, config: MfccConfig = MfccConfig()):
     """One instance vector: per-coefficient mean then standard deviation across frames."""
-    cepstra = mfcc_frames(signal, config, sample_rate)
+    cepstra = mfcc_frames(signal, config)
     return np.concatenate([cepstra.mean(axis=-2), cepstra.std(axis=-2)], axis=-1)

@@ -67,15 +67,14 @@ def extract_features(cfg: RunConfig, datasets: dict) -> dict:
     for extractor in cfg.extractors:
         union = extract_matrix(
             (sig.samples for sig in signals), [sig.is_seizure for sig in signals], extractor,
-            source_ids=[sig.source_id for sig in signals], mfcc_config=mfcc_config,
-            **cfg.wavelet_options,
+            mfcc_config=mfcc_config, **cfg.wavelet_options,
         )
         for scheme, ds in datasets.items():
             rows = [row_of[id(sig)] for sig in ds.instances]
             values = (union.values[:len(rows)] if rows == list(range(len(rows)))
                       else union.values[rows])
             features[(scheme, extractor)] = FeatureMatrix(
-                values, list(union.feature_names), ds.labels, extractor, ds.source_ids)
+                values, list(union.feature_names), ds.labels)
     return features
 
 

@@ -17,7 +17,7 @@ bits as its signals passed one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,9 +171,7 @@ class SubBands:
     """Coefficient bands of a multilevel decomposition, coarse to fine.
 
     ``bands`` holds [A_L, D_L, ..., D_1]; ``level_lengths`` records the
-    input length at each analysis step (needed for exact inversion) and
-    ``band_hz`` the frequency range each band covers at the recording's
-    sample rate.
+    input length at each analysis step (needed for exact inversion).
     """
 
     bands: list
@@ -181,28 +179,13 @@ class SubBands:
     family: str
     mode: str
     level_lengths: list
-    band_hz: list = field(default_factory=list)
 
     @property
     def levels(self) -> int:
         return len(self.bands) - 1
 
-    def energy(self):
-        """Sum of squared coefficients over all bands, per signal."""
-        return sum(np.sum(b * b, axis=-1) for b in self.bands)
 
-
-def band_frequency_ranges(sample_rate: float, levels: int):
-    """Frequency span (low, high) in Hz for [A_L, D_L, ..., D_1]."""
-    nyquist = sample_rate / 2.0
-    ranges = [(0.0, nyquist / 2 ** levels)]
-    for j in range(levels, 0, -1):
-        ranges.append((nyquist / 2 ** j, nyquist / 2 ** (j - 1)))
-    return ranges
-
-
-def wavedec(signal, filt: WaveletFilter, levels: int = 4, mode: str = "periodized",
-            sample_rate: float | None = None) -> SubBands:
+def wavedec(signal, filt: WaveletFilter, levels: int = 4, mode: str = "periodized") -> SubBands:
     """Decompose ``signal`` into [A_levels, D_levels, ..., D_1]."""
     x = np.asarray(signal, dtype=float)
     n = x.shape[-1]
@@ -217,8 +200,7 @@ def wavedec(signal, filt: WaveletFilter, levels: int = 4, mode: str = "periodize
         details.append(d)
     bands = [cur] + details[::-1]
     names = [f"a{levels}"] + [f"d{j}" for j in range(levels, 0, -1)]
-    hz = band_frequency_ranges(sample_rate, levels) if sample_rate else []
-    return SubBands(bands, names, filt.family, mode, lengths, hz)
+    return SubBands(bands, names, filt.family, mode, lengths)
 
 
 def waverec(subbands: SubBands, filt: WaveletFilter):

@@ -72,12 +72,6 @@ class TestLda:
         s = m.decision_scores(X)
         assert (np.argmax(s, 1) == np.argmax(2.5 * s + 7.0, 1)).all()
 
-    def test_custom_priors_shift_decisions(self):
-        X = np.array([[-2.0], [0.0], [0.0], [2.0]])
-        y = np.array([0, 0, 1, 1])
-        skew = LdaClassifier(ridge=0.0, priors=[0.99, 0.01]).fit(X, y)
-        assert skew.predict([[0.3]])[0] == 0  # strong prior wins near the boundary
-
     def test_requires_two_samples_per_class(self):
         with pytest.raises(ValueError, match="fewer than two"):
             LdaClassifier().fit(np.zeros((3, 2)), np.array([0, 1, 1]))

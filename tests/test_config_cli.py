@@ -1,10 +1,14 @@
+import dataclasses
 import json
+import shutil
 
 import pytest
 
 from eegbench import cli
 from eegbench.config import DEFAULTS, ENV_CORPUS_ROOT, build_config, validate_config
 from eegbench.errors import ConfigError
+from eegbench.mfcc import MfccConfig
+from eegbench.synthetic import write_corpus
 
 
 @pytest.fixture()
@@ -98,14 +102,37 @@ class TestValidateConfig:
         ("hyperparams", {"rf": {"max_depth": -1}}, r"hyperparams\.rf: max_depth"),
         ("hyperparams", {"rf": {"max_depth": "x"}}, r"hyperparams\.rf: max_depth"),
         ("hyperparams", {"gb": {"max_depth": 0}}, r"hyperparams\.gb: max_depth"),
+        # bool subclasses int: true must not pass as 1, nor false as 0
+        ("jobs", True, "jobs"),
+        ("master_seed", False, "master_seed"),
+        ("wavelet", {"levels": True}, "levels"),
+        ("kfold", {"n_repeats": True}, "n_repeats"),
+        ("holdout", {"n_repeats": True}, "n_repeats"),
+        ("mfcc", {"frame_step": True}, "frame_step"),
+        ("hyperparams", {"knn": {"k": True}}, r"hyperparams\.knn: k"),
+        ("hyperparams", {"rf": {"n_trees": True}}, r"hyperparams\.rf: n_trees"),
+        ("hyperparams", {"gb": {"n_stages": True}}, r"hyperparams\.gb: n_stages"),
+        ("hyperparams", {"svm": {"C": True}}, r"hyperparams\.svm: C"),
+        ("hyperparams", {"lda": {"ridge": True}}, r"hyperparams\.lda: ridge"),
     ], ids=["extension_mode", "threshold_method", "levels", "log_base", "frame_step",
             "n_coeffs", "levels_too_deep", "svm_kernel", "knn_k", "rf_max_features_0",
             "rf_max_features_half", "rf_max_features_negative", "rf_max_features_log2",
             "rf_max_features_bool", "rf_max_depth_0", "rf_max_depth_negative",
-            "rf_max_depth_text", "gb_max_depth_0"])
+            "rf_max_depth_text", "gb_max_depth_0", "jobs_bool", "master_seed_bool",
+            "levels_bool", "kfold_n_repeats_bool", "holdout_n_repeats_bool",
+            "frame_step_bool", "knn_k_bool", "rf_n_trees_bool", "gb_n_stages_bool",
+            "svm_C_bool", "lda_ridge_bool"])
     def test_bad_option_values(self, corpus_root, section, options, message):
         with pytest.raises(ConfigError, match=message):
             build_config({"corpus_root": str(corpus_root), section: options})
+
+    def test_mfcc_keys_are_the_config_fields(self, corpus_root):
+        for f in dataclasses.fields(MfccConfig):
+            value = getattr(MfccConfig(), f.name)
+            cfg = build_config({"corpus_root": str(corpus_root), "mfcc": {f.name: value}})
+            assert cfg.mfcc_options == {f.name: value}
+        with pytest.raises(ConfigError, match=r"unknown key mfcc\.'log_base'"):
+            build_config({"corpus_root": str(corpus_root), "mfcc": {"log_base": "natural"}})
 
     def test_levels_limited_by_filter_length(self, corpus_root):
         # 4 097 samples leave 5 coefficients after ten levels: a four-tap db2
@@ -120,11 +147,11 @@ class TestValidateConfig:
             "corpus_root": str(corpus_root),
             "wavelet": {"extension_mode": "symmetric", "threshold_method": "hard",
                         "levels": 1, "denoise": False},
-            "mfcc": {"log_base": "base10"},
+            "mfcc": {"n_filters": 20},
             "hyperparams": {"svm": {"kernel": "poly"}},
         })
         assert cfg.wavelet_options["extension_mode"] == "symmetric"
-        assert cfg.mfcc_options == {"log_base": "base10"}
+        assert cfg.mfcc_options == {"n_filters": 20}
 
 
 class TestCli:
@@ -175,6 +202,30 @@ class TestCli:
         monkeypatch.setattr(runner, "load_corpus", no_load)
         assert cli.main(["run", str(minimal_config), "--jobs", jobs]) == 1
         assert capsys.readouterr().err == "config error: jobs must be at least 1\n"
+
+    @pytest.mark.parametrize("scheme, message", [
+        ("balanced", "set Z: the balanced scheme draws 25 signals, found 20"),
+        ("imbalanced", "set S: 95 signals against 400 non-seizure ones; the imbalanced scheme"),
+    ], ids=["balanced", "imbalanced"])
+    def test_partial_corpus_is_data_error(self, tmp_path, corpus_root, capsys, scheme, message):
+        # strict_corpus false admits other file counts, but not ones that
+        # break the scheme's class ratio
+        root = tmp_path / "corpus"
+        if scheme == "balanced":
+            write_corpus(root, per_set=20)
+        else:
+            shutil.copytree(corpus_root, root)
+            for path in sorted((root / "S").iterdir())[:5]:
+                path.unlink()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "corpus_root": str(root), "output_dir": str(tmp_path / "out"),
+            "strict_corpus": False, "schemes": [scheme], "extractors": ["mfcc"],
+            "models": ["lda"]}))
+        assert cli.main(["run", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert message in err
 
     def test_stats_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli.main(["stats", str(tmp_path / "none.csv"),

@@ -117,7 +117,7 @@ def separable_features(n=80, d=4, seed=0):
     pos = rng.normal(size=(n // 2, d)) + 8.0
     X = np.vstack([neg, pos])
     y = np.array([0] * (n // 2) + [1] * (n // 2))
-    return FeatureMatrix(X, [f"f{i}" for i in range(d)], y, "wfe")
+    return FeatureMatrix(X, [f"f{i}" for i in range(d)], y)
 
 
 class FakeDataset:
@@ -128,7 +128,6 @@ class FakeDataset:
         self._fm = fm
         self.labels = fm.labels
         self.instances = []
-        self.source_ids = []
 
 
 class TestRunCell:
@@ -147,7 +146,7 @@ class TestRunCell:
         fm = separable_features(n=120)
         shuffled = fm.labels.copy()
         rng.shuffle(shuffled)
-        fm2 = FeatureMatrix(fm.values, fm.feature_names, shuffled, "wfe")
+        fm2 = FeatureMatrix(fm.values, fm.feature_names, shuffled)
         ds = FakeDataset(fm2)
         plan = ev.SplitPlan("holdout", test_fraction=0.25, n_repeats=20)
         res = ev.run_cell(ds, "wfe", "lda", None, plan, features=fm2,

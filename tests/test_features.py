@@ -90,7 +90,6 @@ class TestAssemble:
     def test_wavelet_feature_count(self):
         fv = ft.assemble_features(np.random.default_rng(1).normal(size=512), "db2")
         assert len(fv.values) == 5 * (len(ft.BAND_STAT_NAMES) + len(ft.EXTRA_BAND_NAMES))
-        assert fv.extractor_tag == "db2"
 
     def test_one_spectrum_per_band_stack(self, monkeypatch):
         # psd_max/psd_min and spectral_entropy share one rfft per band stack
@@ -111,7 +110,6 @@ class TestAssemble:
     def test_mfcc_route(self):
         fv = ft.assemble_features(np.random.default_rng(3).normal(size=4097), "mfcc")
         assert len(fv.values) == 28
-        assert fv.extractor_tag == "mfcc"
 
     def test_unknown_extractor(self):
         with pytest.raises(ValueError, match="unknown extractor"):
@@ -198,16 +196,16 @@ class TestBatchedExtraction:
 class TestFeatureMatrix:
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="duplicate"):
-            ft.FeatureMatrix(np.zeros((2, 2)), ["a", "a"], np.zeros(2), "wfe")
+            ft.FeatureMatrix(np.zeros((2, 2)), ["a", "a"], np.zeros(2))
 
     def test_rejects_nan(self):
         bad = np.array([[1.0, np.nan]])
         with pytest.raises(ValueError, match="finite"):
-            ft.FeatureMatrix(bad, ["a", "b"], np.zeros(1), "wfe")
+            ft.FeatureMatrix(bad, ["a", "b"], np.zeros(1))
 
     def test_csv_round_shape(self, tmp_path):
         fm = ft.FeatureMatrix(np.array([[1.5, 2.5], [3.5, 4.5]]), ["f1", "f2"],
-                              np.array([0, 1]), "wfe")
+                              np.array([0, 1]))
         p = tmp_path / "m.csv"
         fm.to_csv(p)
         lines = p.read_text().strip().splitlines()

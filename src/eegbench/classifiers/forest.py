@@ -20,8 +20,7 @@ from .tree import DecisionTree, check_max_depth, grow_gini_forest
 
 
 class RandomForestClassifier:
-    def __init__(self, n_trees: int = 100, max_features="sqrt", max_depth=None,
-                 bootstrap: bool = True, seed: int = 0):
+    def __init__(self, n_trees: int = 100, max_features="sqrt", max_depth=None, seed: int = 0):
         if n_trees < 1:
             raise ValueError("need at least one tree")
         if not (max_features in ("sqrt", None)
@@ -33,7 +32,6 @@ class RandomForestClassifier:
         self.n_trees = n_trees
         self.max_features = max_features
         self.max_depth = max_depth
-        self.bootstrap = bootstrap
         self.seed = seed
 
     def _n_features(self, d: int) -> int:
@@ -51,8 +49,7 @@ class RandomForestClassifier:
         mf = self._n_features(d)
         rngs = [np.random.default_rng(child)
                 for child in np.random.SeedSequence(self.seed).spawn(self.n_trees)]
-        samples = [rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-                   for rng in rngs]
+        samples = [rng.integers(0, n, size=n) for rng in rngs]
         if mf == d:
             self.trees_ = grow_gini_forest(X, encoded, samples, self.max_depth)
             return self

@@ -79,11 +79,11 @@ def _cmd_run(args) -> int:
             print(f"[{done:3d}/{total}] {'/'.join(key)}", flush=True)
 
     try:
-        bundle = runner.run_experiment(cfg, progress=progress)
+        output_dir = runner.run_experiment(cfg, progress=progress)
     except FileExistsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"report written to {bundle.output_dir}")
+    print(f"report written to {output_dir}")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from .corpus import EXPECTED_SAMPLES
 from .errors import ConfigError
 from .evaluation import SplitPlan
 from .features import EXTRACTORS, WAVELET_EXTRACTORS
-from .mfcc import MfccConfig
+from .mfcc import MfccConfig, mfcc_features
 from .wavelet import EXTENSION_MODES, THRESHOLD_METHODS, filter_for, wavedec
 
 ENV_CORPUS_ROOT = "EEGBENCH_CORPUS_ROOT"
@@ -36,7 +36,6 @@ _SCHEMA = {
     "pca_variance_target": (float, type(None)),
     "mfcc": dict,
     "wavelet": dict,
-    "strict_corpus": bool,
     "profile": str,
 }
 
@@ -57,7 +56,6 @@ DEFAULTS = {
     "pca_variance_target": 0.95,
     "mfcc": {},
     "wavelet": {},
-    "strict_corpus": True,
     "profile": "reproduction",
 }
 
@@ -77,7 +75,6 @@ class RunConfig:
     pca_variance_target: float | None
     mfcc_options: dict
     wavelet_options: dict
-    strict_corpus: bool
     profile: str
 
     def normalized(self) -> dict:
@@ -97,7 +94,6 @@ class RunConfig:
             "pca_variance_target": self.pca_variance_target,
             "mfcc": copy.deepcopy(self.mfcc_options),
             "wavelet": copy.deepcopy(self.wavelet_options),
-            "strict_corpus": self.strict_corpus,
             "profile": self.profile,
         }
 
@@ -193,7 +189,10 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"wavelet.levels too deep for {family}: {exc}") from None
     try:
-        MfccConfig(**merged["mfcc"])
+        mfcc = MfccConfig(**merged["mfcc"])
+        if "mfcc" in merged["extractors"]:
+            # the frames and filters must fit a full-length recording
+            mfcc_features(np.zeros(EXPECTED_SAMPLES), mfcc)
     except ValueError as exc:
         raise ConfigError(f"mfcc: {exc}") from None
 
@@ -229,7 +228,6 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         pca_variance_target=None if target is None else float(target),
         mfcc_options=copy.deepcopy(merged["mfcc"]),
         wavelet_options=copy.deepcopy(merged["wavelet"]),
-        strict_corpus=bool(merged["strict_corpus"]),
         profile=merged["profile"],
     )
 

@@ -1,8 +1,11 @@
 """Load Bonn-layout EEG recordings and assemble the two labeled datasets.
 
-Expected on disk: five directories named Z, O, N, F, S, each holding 100
-ASCII files with one integer sample per line. Set S is the seizure
-class; everything else is non-seizure.
+The one accepted corpus is the Bonn one: five directories named Z, O, N,
+F, S, each holding exactly 100 ASCII files of exactly 4 097 integer
+samples, one per line, recorded at 173.61 Hz. ``load_corpus`` enforces
+that shape and raises ``DataError`` on any other, so everything after it
+may assume it. Set S is the seizure class; everything else is
+non-seizure.
 """
 
 from __future__ import annotations
@@ -42,16 +45,6 @@ class EegSignal:
         return self.set_tag == "S"
 
 
-def _infer_tag(path: Path) -> str | None:
-    head = path.stem[:1].upper()
-    if head in SET_TAGS:
-        return head
-    parent = path.parent.name.upper()
-    if parent in SET_TAGS:
-        return parent
-    return None
-
-
 def _one_integer(text: str) -> bool:
     try:
         return np.loadtxt([text], dtype=np.int64, comments=None, ndmin=1).shape == (1,)
@@ -79,24 +72,18 @@ def _read_integers(path: Path) -> np.ndarray:
     raise DataError(f"{path}: not one integer per line")
 
 
-def load_signal(path, set_tag: str | None = None, strict: bool = True) -> EegSignal:
-    """Parse one Bonn file: one decimal integer per non-empty line."""
+def load_signal(path, set_tag: str) -> EegSignal:
+    """Parse one Bonn file of the given set: one decimal integer per non-empty line."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    tag = set_tag or _infer_tag(path)
-    if tag is None:
-        raise DataError(f"cannot infer set tag from {path}; pass set_tag explicitly")
     values = _read_integers(path)
     if values.size != EXPECTED_SAMPLES:
-        message = f"{path}: expected {EXPECTED_SAMPLES} samples, found {values.size}"
-        if strict:
-            raise DataError(message)
-        warnings.warn(message, stacklevel=2)
-    return EegSignal(values.astype(float), tag, path.stem)
+        raise DataError(f"{path}: expected {EXPECTED_SAMPLES} samples, found {values.size}")
+    return EegSignal(values.astype(float), set_tag, path.stem)
 
 
-def load_corpus(root, strict: bool = True) -> dict:
+def load_corpus(root) -> dict:
     """Read all five sets; returns {tag: [EegSignal, ...]} sorted by file name."""
     root = Path(root)
     if not root.is_dir():
@@ -107,9 +94,9 @@ def load_corpus(root, strict: bool = True) -> dict:
     corpus = {}
     for tag in SET_TAGS:
         files = sorted(p for p in (root / tag).iterdir() if p.is_file())
-        if strict and len(files) != SIGNALS_PER_SET:
+        if len(files) != SIGNALS_PER_SET:
             raise DataError(f"set {tag}: expected {SIGNALS_PER_SET} files, found {len(files)}")
-        corpus[tag] = [load_signal(p, tag, strict) for p in files]
+        corpus[tag] = [load_signal(p, tag) for p in files]
     return corpus
 
 
@@ -127,13 +114,6 @@ class LabeledDataset:
             raise ValueError(f"scheme {self.scheme!r} not one of {SCHEMES}")
         if len(self.instances) != self.labels.shape[0]:
             raise ValueError("label count does not match instance count")
-        # a partial corpus serves only if its set sizes keep the class ratio
-        positives = int(self.labels.sum())
-        negatives = self.labels.size - positives
-        per_positive = 4 if self.scheme == "imbalanced" else 1
-        if negatives != per_positive * positives:
-            raise DataError(f"set S: {positives} signals against {negatives} non-seizure ones; "
-                            f"the {self.scheme} scheme needs {per_positive} per seizure signal")
 
 
 def build_dataset(corpus: dict, scheme: str, seed: int = 0) -> LabeledDataset:
@@ -145,9 +125,6 @@ def build_dataset(corpus: dict, scheme: str, seed: int = 0) -> LabeledDataset:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme {scheme!r} not one of {SCHEMES}")
-    for tag in SET_TAGS:
-        if tag not in corpus or not corpus[tag]:
-            raise DataError(f"corpus is missing set {tag}")
     if scheme == "imbalanced":
         instances = [s for tag in NEGATIVE_TAGS for s in corpus[tag]] + list(corpus["S"])
     else:
@@ -155,9 +132,6 @@ def build_dataset(corpus: dict, scheme: str, seed: int = 0) -> LabeledDataset:
         instances = []
         for tag in NEGATIVE_TAGS:
             pool = corpus[tag]
-            if len(pool) < BALANCED_PER_NEGATIVE_SET:
-                raise DataError(f"set {tag}: the balanced scheme draws "
-                                f"{BALANCED_PER_NEGATIVE_SET} signals, found {len(pool)}")
             picks = sorted(rng.choice(len(pool), size=BALANCED_PER_NEGATIVE_SET, replace=False))
             instances.extend(pool[i] for i in picks)
         instances.extend(corpus["S"])

@@ -10,15 +10,13 @@ The three feature routes mirror the benchmark's extractor menu:
 Extraction works along the last axis: a ``(..., n)`` array is a stack of
 signals and yields a ``(..., width)`` stack of feature rows, each row
 bit-for-bit the one its signal gives alone; a 1-D signal gives one row.
-``extract_matrix`` feeds the extractors a few equal-length signals at a
-time.
+``extract_matrix`` feeds the extractors a few signals at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,25 +201,18 @@ class FeatureMatrix:
 
 
 def extract_matrix(instances, labels, extractor: str, **kwargs) -> FeatureMatrix:
-    """Extract one row per instance; all rows must share a single width.
+    """Extract one row per instance.
 
-    Runs of equal-length instances are stacked ``EXTRACT_BLOCK`` at a
-    time, so the transients stay a few signals in size.
+    The instances are equal-length recordings (``corpus.load_corpus``
+    admits no other); they are stacked ``EXTRACT_BLOCK`` at a time, so the
+    transients stay a few signals in size.
     """
+    signals = [np.asarray(inst, dtype=float) for inst in instances]
     blocks, names = [], None
-    signals = (np.asarray(inst, dtype=float) for inst in instances)
-    for _, run in itertools.groupby(signals, key=lambda x: x.shape[-1]):
-        run = list(run)
-        for start in range(0, len(run), EXTRACT_BLOCK):
-            fv = assemble_features(np.stack(run[start:start + EXTRACT_BLOCK]), extractor, **kwargs)
-            if names is None:
-                names = fv.names
-            elif fv.values.shape[-1] != len(names):
-                raise ValueError(
-                    f"inconsistent feature width under {extractor!r}: "
-                    f"{fv.values.shape[-1]} != {len(names)}"
-                )
-            blocks.append(fv.values)
+    for start in range(0, len(signals), EXTRACT_BLOCK):
+        fv = assemble_features(np.stack(signals[start:start + EXTRACT_BLOCK]), extractor, **kwargs)
+        names = names or fv.names
+        blocks.append(fv.values)
     return FeatureMatrix(np.vstack(blocks), list(names), np.asarray(labels, dtype=int))
 
 

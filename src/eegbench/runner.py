@@ -16,7 +16,6 @@ import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,16 +34,8 @@ from .reporting import (long_rows, write_boxplot_data, write_inference_reports,
 BALANCED_SAMPLING_TAG = "balanced-dataset"
 
 
-@dataclass
-class ReportBundle:
-    output_dir: Path
-    kfold_results: list = field(default_factory=list)
-    holdout_results: list = field(default_factory=list)
-    manifest: dict = field(default_factory=dict)
-
-
 def build_datasets(cfg: RunConfig) -> dict:
-    corpus = load_corpus(cfg.corpus_root, strict=cfg.strict_corpus)
+    corpus = load_corpus(cfg.corpus_root)
     datasets = {}
     for scheme in cfg.schemes:
         seed = derive_seed(cfg.master_seed, BALANCED_SAMPLING_TAG)
@@ -181,8 +172,8 @@ def _write_partial(cfg: RunConfig, results: dict, failure: CellError,
     return partial_dir
 
 
-def run_experiment(cfg: RunConfig, progress=None) -> ReportBundle:
-    """Execute the full benchmark and write the report bundle atomically."""
+def run_experiment(cfg: RunConfig, progress=None) -> Path:
+    """Execute the full benchmark, write the report bundle atomically and return its directory."""
     if cfg.output_dir.exists():
         raise FileExistsError(f"output directory already exists: {cfg.output_dir}")
     start = time.time()
@@ -220,5 +211,4 @@ def run_experiment(cfg: RunConfig, progress=None) -> ReportBundle:
     except Exception:
         shutil.rmtree(tmp_dir, ignore_errors=True)
         raise
-    return ReportBundle(cfg.output_dir, kfold_cells, holdout_cells,
-                        json.loads((cfg.output_dir / "manifest.json").read_text()))
+    return cfg.output_dir

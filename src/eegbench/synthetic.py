@@ -124,16 +124,14 @@ def _locked_spikes(rng, t, freq, prob, width_lo, width_hi, fs):
     return sig
 
 
-def synthesize_signal(tag: str, index: int, seed: int = 0,
-                      n_samples: int = EXPECTED_SAMPLES,
-                      sample_rate: float = SAMPLE_RATE_HZ) -> np.ndarray:
+def synthesize_signal(tag: str, index: int, seed: int = 0) -> np.ndarray:
     """Integer sample vector for one surrogate recording."""
     if tag not in SET_TAGS:
         raise ValueError(f"unknown set tag {tag!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, _TAG_CODE[tag], index)))
-    t = np.arange(n_samples) / sample_rate
-    n = n_samples
-    fs = sample_rate
+    n = EXPECTED_SAMPLES
+    fs = SAMPLE_RATE_HZ
+    t = np.arange(n) / fs
 
     background = _pink_noise(rng, n, fs)
     white = rng.normal(size=n)
@@ -219,15 +217,14 @@ def synthesize_signal(tag: str, index: int, seed: int = 0,
     return np.clip(np.round(sig), -6000, 6000).astype(int)
 
 
-def write_corpus(root, seed: int = 0, per_set: int = SIGNALS_PER_SET,
-                 n_samples: int = EXPECTED_SAMPLES) -> Path:
+def write_corpus(root, seed: int = 0) -> Path:
     """Write the surrogate tree under ``root``; returns the root path."""
     root = Path(root)
     for tag in SET_TAGS:
         set_dir = root / tag
         set_dir.mkdir(parents=True, exist_ok=True)
-        for i in range(per_set):
-            samples = synthesize_signal(tag, i, seed, n_samples)
+        for i in range(SIGNALS_PER_SET):
+            samples = synthesize_signal(tag, i, seed)
             path = set_dir / f"{tag}{i + 1:03d}.txt"
             path.write_text("\n".join(str(v) for v in samples) + "\n")
     return root

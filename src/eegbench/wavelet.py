@@ -66,13 +66,11 @@ VANISHING_MOMENTS = {"haar": 1, "db2": 2, "db4": 4, "coif1": 2}
 
 @dataclass(frozen=True)
 class WaveletFilter:
-    """Analysis/synthesis filter quadruple for one wavelet family."""
+    """Analysis filter pair for one wavelet family; synthesis reuses it."""
 
     family: str
     lo_dec: np.ndarray
     hi_dec: np.ndarray
-    lo_rec: np.ndarray
-    hi_rec: np.ndarray
 
     def __len__(self):
         return self.lo_dec.size
@@ -82,8 +80,9 @@ def filter_for(family: str) -> WaveletFilter:
     """Return the filter bank for one of the supported families.
 
     The high-pass filter is the quadrature mirror of the low-pass:
-    hi[i] = (-1)^i * lo[L-1-i]; reconstruction filters are the time
-    reverses of the analysis pair.
+    hi[i] = (-1)^i * lo[L-1-i]. Synthesis needs no filters of its own:
+    ``synthesize_level`` overlap-adds the coefficients weighted by this
+    same analysis pair.
     """
     if family not in _LOWPASS:
         raise ValueError(
@@ -92,7 +91,7 @@ def filter_for(family: str) -> WaveletFilter:
     lo = np.array(_LOWPASS[family], dtype=float)
     sign = np.where(np.arange(lo.size) % 2 == 0, 1.0, -1.0)
     hi = sign * lo[::-1]
-    return WaveletFilter(family, lo, hi, lo[::-1].copy(), hi[::-1].copy())
+    return WaveletFilter(family, lo, hi)
 
 
 def _windows(x: np.ndarray, length: int, start: int, count: int, wrap: int | None):

@@ -396,12 +396,11 @@ class TestForest:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(20, 3))
         y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
-        m = RandomForestClassifier(n_trees=1, max_features=None,
-                                   bootstrap=False, seed=0).fit(X, y)
+        tree = grow_gini_forest(X, y, np.arange(X.shape[0])[None])[0]
         oracle = _naive_cart(X, y)
         q = rng.normal(size=(200, 3))
-        assert (m.predict(X) == oracle(X)).all()
-        assert (m.predict(q) == oracle(q)).all()
+        assert (tree.predict(X) == oracle(X)).all()
+        assert (tree.predict(q) == oracle(q)).all()
 
     def test_separates_blobs(self):
         X, y = two_blobs(np.random.default_rng(4), n=60, d=3, sep=6.0)

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import shutil
 
 import pytest
 
@@ -8,7 +7,6 @@ from eegbench import cli
 from eegbench.config import DEFAULTS, ENV_CORPUS_ROOT, build_config, validate_config
 from eegbench.errors import ConfigError
 from eegbench.mfcc import MfccConfig
-from eegbench.synthetic import write_corpus
 
 
 @pytest.fixture()
@@ -90,6 +88,9 @@ class TestValidateConfig:
         ("mfcc", {"log_base": "ten"}, "log_base"),
         ("mfcc", {"frame_len": 64, "frame_step": 128}, "frame_step"),
         ("mfcc", {"n_filters": 10, "n_coeffs": 12}, "coefficients"),
+        ("mfcc", {"frame_len": 5000}, "shorter than one 5000-sample frame"),
+        ("mfcc", {"n_filters": 300}, "covers no FFT bin"),
+        ("strict_corpus", False, "unknown key 'strict_corpus'"),
         ("wavelet", {"levels": 20}, "levels"),
         ("hyperparams", {"svm": {"kernel": "foo"}}, "kernel"),
         ("hyperparams", {"knn": {"k": "three"}}, r"hyperparams\.knn"),
@@ -115,7 +116,8 @@ class TestValidateConfig:
         ("hyperparams", {"svm": {"C": True}}, r"hyperparams\.svm: C"),
         ("hyperparams", {"lda": {"ridge": True}}, r"hyperparams\.lda: ridge"),
     ], ids=["extension_mode", "threshold_method", "levels", "log_base", "frame_step",
-            "n_coeffs", "levels_too_deep", "svm_kernel", "knn_k", "rf_max_features_0",
+            "n_coeffs", "mfcc_frame_too_long", "mfcc_too_many_filters", "strict_corpus",
+            "levels_too_deep", "svm_kernel", "knn_k", "rf_max_features_0",
             "rf_max_features_half", "rf_max_features_negative", "rf_max_features_log2",
             "rf_max_features_bool", "rf_max_depth_0", "rf_max_depth_negative",
             "rf_max_depth_text", "gb_max_depth_0", "jobs_bool", "master_seed_bool",
@@ -177,7 +179,10 @@ class TestCli:
         {"wavelet": {"levels": 20}},
         {"hyperparams": {"svm": {"kernel": "foo"}}},
         {"hyperparams": {"knn": {"k": "three"}}},
-    ], ids=["levels_too_deep", "svm_kernel", "knn_k"])
+        {"mfcc": {"frame_len": 5000}},
+        {"mfcc": {"n_filters": 300}},
+    ], ids=["levels_too_deep", "svm_kernel", "knn_k", "mfcc_frame_too_long",
+            "mfcc_too_many_filters"])
     def test_unrunnable_values_fail_before_corpus_load(self, tmp_path, corpus_root, capsys,
                                                        monkeypatch, options):
         from eegbench import runner
@@ -203,30 +208,6 @@ class TestCli:
         assert cli.main(["run", str(minimal_config), "--jobs", jobs]) == 1
         assert capsys.readouterr().err == "config error: jobs must be at least 1\n"
 
-    @pytest.mark.parametrize("scheme, message", [
-        ("balanced", "set Z: the balanced scheme draws 25 signals, found 20"),
-        ("imbalanced", "set S: 95 signals against 400 non-seizure ones; the imbalanced scheme"),
-    ], ids=["balanced", "imbalanced"])
-    def test_partial_corpus_is_data_error(self, tmp_path, corpus_root, capsys, scheme, message):
-        # strict_corpus false admits other file counts, but not ones that
-        # break the scheme's class ratio
-        root = tmp_path / "corpus"
-        if scheme == "balanced":
-            write_corpus(root, per_set=20)
-        else:
-            shutil.copytree(corpus_root, root)
-            for path in sorted((root / "S").iterdir())[:5]:
-                path.unlink()
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "corpus_root": str(root), "output_dir": str(tmp_path / "out"),
-            "strict_corpus": False, "schemes": [scheme], "extractors": ["mfcc"],
-            "models": ["lda"]}))
-        assert cli.main(["run", str(path), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:")
-        assert message in err
-
     def test_stats_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli.main(["stats", str(tmp_path / "none.csv"),
                          "--out", str(tmp_path / "o")]) == 2
@@ -235,17 +216,13 @@ class TestCli:
     def test_synth_writes_layout(self, tmp_path, capsys, monkeypatch):
         import eegbench.synthetic as synthetic
 
-        def tiny(root, seed=0, per_set=100, n_samples=4097):
-            return synthetic.write_corpus.__wrapped__(root, seed, 2, 128) \
-                if hasattr(synthetic.write_corpus, "__wrapped__") else None
-
-        # keep runtime small: 2 files of 128 samples per set
-        real = synthetic.write_corpus
-        monkeypatch.setattr(
-            synthetic, "write_corpus",
-            lambda root, seed=0: real(root, seed=seed, per_set=2, n_samples=256))
+        # keep runtime small: 2 files per set
+        monkeypatch.setattr(synthetic, "SIGNALS_PER_SET", 2)
         assert cli.main(["synth", str(tmp_path / "corpus")]) == 0
-        assert (tmp_path / "corpus" / "S" / "S001.txt").exists()
+        for tag in ("Z", "O", "N", "F", "S"):
+            assert sorted(p.name for p in (tmp_path / "corpus" / tag).iterdir()) == \
+                [f"{tag}001.txt", f"{tag}002.txt"]
+        assert len((tmp_path / "corpus" / "S" / "S002.txt").read_text().split()) == 4097
 
     def test_features_dump(self, tmp_path, corpus_root, capsys):
         cfg = tmp_path / "cfg.json"

@@ -15,7 +15,7 @@ class TestLoadSignal:
         p = tmp_path / "S001.txt"
         values = list(range(-2048, -2048 + corpus.EXPECTED_SAMPLES))
         p.write_text("\n".join(str(v) for v in values))
-        sig = corpus.load_signal(p)
+        sig = corpus.load_signal(p, "S")
         assert sig.samples.size == corpus.EXPECTED_SAMPLES
         assert sig.set_tag == "S"
         assert sig.source_id == "S001"
@@ -27,17 +27,18 @@ class TestLoadSignal:
         b = tmp_path / "Z002.txt"
         a.write_text(body)
         b.write_text(body + "\n\n")
-        assert np.array_equal(corpus.load_signal(a).samples, corpus.load_signal(b).samples)
+        assert np.array_equal(corpus.load_signal(a, "Z").samples,
+                              corpus.load_signal(b, "Z").samples)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
-            corpus.load_signal(tmp_path / "Z000.txt")
+            corpus.load_signal(tmp_path / "Z000.txt", "Z")
 
     def test_non_numeric_line_reports_number(self, tmp_path):
         p = tmp_path / "N001.txt"
         p.write_text("1\n2\nxyz\n4\n")
         with pytest.raises(DataError, match=r":3: not an integer"):
-            corpus.load_signal(p)
+            corpus.load_signal(p, "N")
 
     @pytest.mark.parametrize("body, lineno, text", [
         ("1\n2 3\n4\n", 2, "2 3"),
@@ -48,29 +49,13 @@ class TestLoadSignal:
         p = tmp_path / "N002.txt"
         p.write_text(body)
         with pytest.raises(DataError, match=rf":{lineno}: not an integer: '{text}'"):
-            corpus.load_signal(p, strict=False)
+            corpus.load_signal(p, "N")
 
     def test_wrong_count_strict_vs_lenient(self, tmp_path):
         p = tmp_path / "F001.txt"
         p.write_text("\n".join(["1"] * 100))
-        with pytest.raises(DataError, match="expected 4097"):
-            corpus.load_signal(p)
-        with pytest.warns(UserWarning, match="expected 4097"):
-            sig = corpus.load_signal(p, strict=False)
-        assert sig.samples.size == 100
-
-    def test_tag_inference_from_directory(self, tmp_path):
-        d = tmp_path / "O"
-        d.mkdir()
-        p = d / "100.txt"
-        p.write_text("\n".join(["0"] * corpus.EXPECTED_SAMPLES))
-        assert corpus.load_signal(p).set_tag == "O"
-
-    def test_uninferrable_tag(self, tmp_path):
-        p = tmp_path / "x.txt"
-        p.write_text("1\n")
-        with pytest.raises(DataError, match="set tag"):
-            corpus.load_signal(p, strict=False)
+        with pytest.raises(DataError, match="expected 4097 samples, found 100"):
+            corpus.load_signal(p, "F")
 
 
 class TestLoadCorpus:
@@ -135,11 +120,6 @@ class TestBuildDataset:
         ds = corpus.build_dataset(full_corpus, "imbalanced")
         for sig, label in zip(ds.instances, ds.labels):
             assert label == (1 if sig.set_tag == "S" else 0)
-
-    def test_incomplete_corpus_rejected(self, full_corpus):
-        partial = {k: v for k, v in full_corpus.items() if k != "N"}
-        with pytest.raises(DataError, match="missing set N"):
-            corpus.build_dataset(partial, "imbalanced")
 
     def test_unknown_scheme(self, full_corpus):
         with pytest.raises(ValueError, match="scheme"):

@@ -127,7 +127,7 @@ class TestAssemble:
 def signals(corpus_root):
     """Recordings from three sets, a count that is no multiple of the block."""
     paths = [p for tag in ("Z", "F", "S") for p in sorted((corpus_root / tag).iterdir())[:7]]
-    return [load_signal(p).samples for p in paths[:2 * ft.EXTRACT_BLOCK + 3]]
+    return [load_signal(p, p.parent.name).samples for p in paths[:2 * ft.EXTRACT_BLOCK + 3]]
 
 
 def reference_band_statistics(x):
@@ -174,14 +174,6 @@ class TestBatchedExtraction:
             dev = x - x.mean()
             var = float(np.mean(dev ** 2))
             assert value == float(np.mean(dev ** 4) / var ** 2)
-
-    def test_mixed_lengths_stack_per_length(self, signals):
-        lengths = [4097] * 5 + [3000] * 3 + [4097] * (len(signals) - 8)
-        mixed = [x[:n] for x, n in zip(signals, lengths)]
-        fm = ft.extract_matrix(mixed, [0] * len(mixed), "db4")
-        assert fm.values.tobytes() == rows_one_at_a_time(mixed, "db4").tobytes()
-        with pytest.raises(ValueError, match="inconsistent feature width"):
-            ft.extract_matrix(mixed, [0] * len(mixed), "wfe")
 
     def test_band_statistics_equal_scalar_reference(self, signals):
         # denoised bands hold exact zeros, which the entropy must skip

@@ -41,8 +41,8 @@ def bundle(corpus_root, tmp_path_factory):
 
 class TestRunExperiment:
     def test_reports_cover_exactly_configured_cells(self, bundle):
-        cfg, result = bundle
-        rows = read_long_csv(result.output_dir / "cells_holdout.csv")
+        cfg, report = bundle
+        rows = read_long_csv(report / "cells_holdout.csv")
         cells = {(r[0], r[1], r[2]) for r in rows}
         assert cells == {("balanced", e, m)
                          for e in ("mfcc", "db2") for m in ("lda", "knn")}
@@ -50,52 +50,53 @@ class TestRunExperiment:
         assert max(reps) == 2  # three replications
 
     def test_kfold_csv_has_one_row_per_repeat(self, bundle):
-        cfg, result = bundle
-        rows = read_long_csv(result.output_dir / "cells_kfold.csv")
+        cfg, report = bundle
+        rows = read_long_csv(report / "cells_kfold.csv")
         assert len(rows) == 4  # 2 extractors x 2 models x 1 repeat
 
     def test_manifest_contents(self, bundle):
-        cfg, result = bundle
-        manifest = json.loads((result.output_dir / "manifest.json").read_text())
+        cfg, report = bundle
+        assert report == cfg.output_dir
+        manifest = json.loads((report / "manifest.json").read_text())
         assert manifest["config_digest"] == cfg.digest()
         assert len(manifest["completed_cells"]) == 8  # 2 plans x 2 x 2
         assert manifest["versions"]["eegbench"]
         assert manifest["versions"]["scipy"] == scipy.__version__
 
     def test_inference_files_equal_stats_on_holdout_csv(self, bundle, tmp_path):
-        cfg, result = bundle
+        cfg, report = bundle
         out = tmp_path / "stats"
-        assert cli.main(["stats", str(result.output_dir / "cells_holdout.csv"),
+        assert cli.main(["stats", str(report / "cells_holdout.csv"),
                          "--out", str(out)]) == 0
         names = sorted(p.name for pattern in ("anova_*", "omega_squared_*", "hsd_*",
                                               "inference_*.txt")
-                       for p in result.output_dir.glob(pattern))
+                       for p in report.glob(pattern))
         assert len(names) == 5  # one scheme: anova, omega^2, two HSD tables, text
         assert sorted(p.name for p in out.iterdir()) == names
         for name in names:
-            assert (out / name).read_bytes() == (result.output_dir / name).read_bytes()
+            assert (out / name).read_bytes() == (report / name).read_bytes()
 
     def test_performance_tables_exist(self, bundle):
-        cfg, result = bundle
+        cfg, report = bundle
         for ext in ("mfcc", "db2"):
-            assert (result.output_dir / f"performance_kfold_balanced_{ext}.csv").exists()
-        text = (result.output_dir / "performance_kfold.txt").read_text()
+            assert (report / f"performance_kfold_balanced_{ext}.csv").exists()
+        text = (report / "performance_kfold.txt").read_text()
         assert "extractor=db2" in text
 
     def test_boxplot_summary_row_count(self, bundle):
-        cfg, result = bundle
-        lines = (result.output_dir / "boxplot_summary_balanced.csv").read_text().strip().splitlines()
+        cfg, report = bundle
+        lines = (report / "boxplot_summary_balanced.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # header + extractors x models
 
     def test_refuses_existing_output_dir(self, bundle, corpus_root):
-        cfg, result = bundle
-        cfg2 = small_config(corpus_root, result.output_dir)
+        cfg, report = bundle
+        cfg2 = small_config(corpus_root, report)
         with pytest.raises(FileExistsError):
             run_experiment(cfg2)
 
     def test_dataset_manifest_written(self, bundle):
-        cfg, result = bundle
-        lines = (result.output_dir / "dataset_balanced.csv").read_text().strip().splitlines()
+        cfg, report = bundle
+        lines = (report / "dataset_balanced.csv").read_text().strip().splitlines()
         assert len(lines) == 201
 
 

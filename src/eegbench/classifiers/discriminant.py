@@ -48,7 +48,6 @@ class LdaClassifier:
             diff = X[y == c] - mu
             pooled += diff.T @ diff
         pooled = _ridged(pooled / n, self.ridge)
-        self.covariance_ = pooled
         # Gamma_k(x) = mu_k' S^-1 x - 0.5 mu_k' S^-1 mu_k + ln prior_k
         self._weights = np.linalg.solve(pooled, self.means_.T).T
         self._bias = -0.5 * np.sum(self._weights * self.means_, axis=1) + np.log(priors)

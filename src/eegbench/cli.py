@@ -35,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="override the master seed")
     run.add_argument("--jobs", type=int, help="worker processes for cells")
     run.add_argument("--out", help="override the output directory")
-    run.add_argument("--profile", choices=["reproduction", "custom"],
-                     help="override the configured profile")
     run.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     val = sub.add_parser("validate", help="validate a configuration file")
@@ -71,8 +69,6 @@ def _cmd_run(args) -> int:
         cfg.jobs = args.jobs
     if args.out:
         cfg.output_dir = Path(args.out)
-    if args.profile:
-        cfg.profile = args.profile
 
     def progress(key, done, total):
         if not args.quiet:
@@ -123,7 +119,10 @@ def _cmd_stats(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     schemes = sorted({r[0] for r in rows})
     for scheme in schemes:
-        write_inference_reports(rows, scheme, out_dir)
+        try:
+            write_inference_reports(rows, scheme, out_dir)
+        except ValueError as exc:       # a design the ANOVA or HSD cannot analyse
+            raise DataError(f"{args.cells_csv}: {exc}") from None
     print(f"inference tables for {', '.join(schemes)} written to {out_dir}")
     return EXIT_OK
 

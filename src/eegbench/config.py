@@ -1,24 +1,40 @@
-"""Run configuration: JSON file in, fully defaulted and validated object out."""
+"""Run configuration: JSON file in, fully defaulted and validated object out.
+
+Accepted top-level keys (any other is a ``ConfigError``):
+
+* ``corpus_root`` -- the Bonn-layout corpus; ``$EEGBENCH_CORPUS_ROOT`` if unset
+* ``output_dir`` -- where the report bundle goes (``eegbench-report``)
+* ``schemes``, ``extractors``, ``models`` -- the factors crossed into cells
+* ``hyperparams`` -- ``{model: {key: value}}`` over each model's defaults
+* ``master_seed``, ``jobs``
+* ``kfold`` (``k``, ``n_repeats``) and ``holdout`` (``test_fraction``,
+  ``n_repeats``) -- the two resampling plans
+* ``pca_variance_target`` -- a fraction in (0, 1], or null for no PCA
+* ``profile`` -- ``reproduction`` or ``custom``, recorded in the manifest
+
+The extraction settings are not configurable: they are the constants of
+:mod:`eegbench.wavelet` (``LEVELS``, periodized extension, soft shrinkage)
+and :mod:`eegbench.mfcc` (``FRAME_LEN``, ``FRAME_STEP``, ``PREEMPH_ALPHA``,
+``N_FILTERS``, ``N_COEFFS``, ``NFFT``).
+"""
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .classifiers import DEFAULT_HYPERPARAMS, MODEL_KINDS, make_model
-from .corpus import EXPECTED_SAMPLES
+from .corpus import BALANCED_PER_NEGATIVE_SET, NEGATIVE_TAGS, SCHEMES, SIGNALS_PER_SET
 from .errors import ConfigError
-from .evaluation import SplitPlan
-from .features import EXTRACTORS, WAVELET_EXTRACTORS
-from .mfcc import MfccConfig, mfcc_features
-from .wavelet import EXTENSION_MODES, THRESHOLD_METHODS, filter_for, wavedec
+from .evaluation import SplitPlan, make_splits
+from .features import EXTRACTORS
 
 ENV_CORPUS_ROOT = "EEGBENCH_CORPUS_ROOT"
 
@@ -34,16 +50,11 @@ _SCHEMA = {
     "kfold": dict,
     "holdout": dict,
     "pca_variance_target": (float, type(None)),
-    "mfcc": dict,
-    "wavelet": dict,
     "profile": str,
 }
 
 _KFOLD_KEYS = {"k": int, "n_repeats": int}
 _HOLDOUT_KEYS = {"test_fraction": float, "n_repeats": int}
-_MFCC_KEYS = typing.get_type_hints(MfccConfig)
-_WAVELET_KEYS = {"levels": int, "extension_mode": str, "threshold_method": str,
-                 "denoise": bool}
 
 DEFAULTS = {
     "schemes": ["imbalanced", "balanced"],
@@ -54,8 +65,6 @@ DEFAULTS = {
     "kfold": {"k": 10, "n_repeats": 1},
     "holdout": {"test_fraction": 0.2, "n_repeats": 50},
     "pca_variance_target": 0.95,
-    "mfcc": {},
-    "wavelet": {},
     "profile": "reproduction",
 }
 
@@ -73,8 +82,6 @@ class RunConfig:
     kfold_plan: SplitPlan
     holdout_plan: SplitPlan
     pca_variance_target: float | None
-    mfcc_options: dict
-    wavelet_options: dict
     profile: str
 
     def normalized(self) -> dict:
@@ -92,8 +99,6 @@ class RunConfig:
             "holdout": {"test_fraction": self.holdout_plan.test_fraction,
                         "n_repeats": self.holdout_plan.n_repeats},
             "pca_variance_target": self.pca_variance_target,
-            "mfcc": copy.deepcopy(self.mfcc_options),
-            "wavelet": copy.deepcopy(self.wavelet_options),
             "profile": self.profile,
         }
 
@@ -137,7 +142,7 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         output_dir = base_dir / output_dir
 
     for scheme in merged["schemes"]:
-        if scheme not in ("imbalanced", "balanced"):
+        if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}")
     if not merged["schemes"]:
         raise ConfigError("schemes must not be empty")
@@ -171,31 +176,6 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
 
     _check_keys(merged["kfold"], _KFOLD_KEYS, "kfold.")
     _check_keys(merged["holdout"], _HOLDOUT_KEYS, "holdout.")
-    _check_keys(merged["mfcc"], _MFCC_KEYS, "mfcc.")
-    _check_keys(merged["wavelet"], _WAVELET_KEYS, "wavelet.")
-    wavelet = merged["wavelet"]
-    if wavelet.get("extension_mode", EXTENSION_MODES[0]) not in EXTENSION_MODES:
-        raise ConfigError(f"wavelet.extension_mode must be one of {EXTENSION_MODES}")
-    if wavelet.get("threshold_method", THRESHOLD_METHODS[0]) not in THRESHOLD_METHODS:
-        raise ConfigError(f"wavelet.threshold_method must be one of {THRESHOLD_METHODS}")
-    if wavelet.get("levels", 1) < 1:
-        raise ConfigError("wavelet.levels must be at least 1")
-    if "levels" in wavelet:
-        # the decomposition must fit a full-length recording for every family in use
-        for family in (ext for ext in merged["extractors"] if ext in WAVELET_EXTRACTORS):
-            try:
-                wavedec(np.zeros(EXPECTED_SAMPLES), filter_for(family), wavelet["levels"],
-                        wavelet.get("extension_mode", EXTENSION_MODES[0]))
-            except ValueError as exc:
-                raise ConfigError(f"wavelet.levels too deep for {family}: {exc}") from None
-    try:
-        mfcc = MfccConfig(**merged["mfcc"])
-        if "mfcc" in merged["extractors"]:
-            # the frames and filters must fit a full-length recording
-            mfcc_features(np.zeros(EXPECTED_SAMPLES), mfcc)
-    except ValueError as exc:
-        raise ConfigError(f"mfcc: {exc}") from None
-
     kfold_cfg = {**DEFAULTS["kfold"], **merged["kfold"]}
     holdout_cfg = {**DEFAULTS["holdout"], **merged["holdout"]}
     try:
@@ -204,6 +184,15 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
                                  n_repeats=holdout_cfg["n_repeats"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # every plan must stratify each scheme's labels; the corpus shape fixes them
+    for scheme in merged["schemes"]:
+        per_negative = SIGNALS_PER_SET if scheme == "imbalanced" else BALANCED_PER_NEGATIVE_SET
+        labels = np.repeat([0, 1], [len(NEGATIVE_TAGS) * per_negative, SIGNALS_PER_SET])
+        for plan in (kfold_plan, holdout_plan):
+            try:
+                make_splits(labels, dataclasses.replace(plan, n_repeats=1))
+            except ValueError as exc:
+                raise ConfigError(f"{plan.kind} on the {scheme} scheme: {exc}") from None
 
     target = merged["pca_variance_target"]
     if target is not None and not 0.0 < float(target) <= 1.0:
@@ -226,8 +215,6 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         kfold_plan=kfold_plan,
         holdout_plan=holdout_plan,
         pca_variance_target=None if target is None else float(target),
-        mfcc_options=copy.deepcopy(merged["mfcc"]),
-        wavelet_options=copy.deepcopy(merged["wavelet"]),
         profile=merged["profile"],
     )
 

@@ -148,11 +148,6 @@ class CellResult:
     def n_replications(self) -> int:
         return len(self.accuracy)
 
-    def mean_metrics(self):
-        return (float(np.nanmean(self.accuracy)),
-                float(np.nanmean(self.sensitivity)),
-                float(np.nanmean(self.specificity)))
-
 
 def fit_split(X, y, train_idx, test_idx, model_kind, hyperparams=None,
               pca_variance_target: float | None = 0.95, seed: int = 0):

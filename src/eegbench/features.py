@@ -2,8 +2,8 @@
 
 The three feature routes mirror the benchmark's extractor menu:
 
-* ``db2`` / ``db4`` / ``coif1`` -- denoise, 4-level decomposition, then a
-  fixed statistic set per band,
+* ``db2`` / ``db4`` / ``coif1`` -- denoise, ``wavelet.LEVELS``-level
+  decomposition, then 15 statistics per band (75 features),
 * ``mfcc`` -- the aggregated cepstral vector from :mod:`eegbench.mfcc`,
 * ``wfe`` -- no extraction at all, raw samples straight into the matrix.
 
@@ -26,13 +26,6 @@ from . import mfcc as mfcc_mod
 from . import wavelet as wv
 
 EXTRACTORS = ("wfe", "db2", "db4", "coif1", "mfcc")
-WAVELET_EXTRACTORS = ("db2", "db4", "coif1")
-
-BAND_STAT_NAMES = (
-    "mean", "median", "std", "variance", "energy", "psd_max", "psd_min",
-    "shannon_entropy", "iqr", "kurtosis", "total_variation",
-)
-EXTRA_BAND_NAMES = ("max", "min", "relative_power", "spectral_entropy")
 
 # signals stacked per extraction call: larger blocks save little time and
 # raise the parent process's peak memory
@@ -117,14 +110,9 @@ class FeatureVector:
     names: list
 
 
-def wavelet_band_features(samples, family: str, levels: int = 4,
-                          extension_mode: str = "periodized", denoise: bool = True,
-                          threshold_method: str = "soft") -> FeatureVector:
+def wavelet_band_features(samples, family: str) -> FeatureVector:
     filt = wv.filter_for(family)
-    x = np.asarray(samples, dtype=float)
-    if denoise:
-        x = wv.denoise(x, filt, levels, extension_mode, threshold_method)
-    sb = wv.wavedec(x, filt, levels, extension_mode)
+    sb = wv.wavedec(wv.denoise(samples, filt), filt)
     raw_powers = np.stack([np.sum(b * b, axis=-1) for b in sb.bands], axis=-1)
     total = raw_powers.sum(axis=-1, keepdims=True)
     rel = np.divide(raw_powers, total, out=np.zeros_like(raw_powers), where=total > 0)
@@ -148,26 +136,16 @@ def _sample_names(n_samples: int) -> tuple:
     return tuple(f"sample_{i:04d}" for i in range(n_samples))
 
 
-def assemble_features(samples, extractor: str, *,
-                      mfcc_config: mfcc_mod.MfccConfig = mfcc_mod.MfccConfig(),
-                      levels: int = 4,
-                      extension_mode: str = "periodized",
-                      denoise: bool = True,
-                      threshold_method: str = "soft") -> FeatureVector:
-    """Feature values for any of the benchmark extractors, along the last axis.
-
-    The wavelet keywords are the keys of a run configuration's
-    ``wavelet`` object, so its options pass through unchanged.
-    """
+def assemble_features(samples, extractor: str) -> FeatureVector:
+    """Feature values for any of the benchmark extractors, along the last axis."""
     if extractor not in EXTRACTORS:
         raise ValueError(f"unknown extractor {extractor!r}; expected one of {EXTRACTORS}")
     x = np.asarray(samples, dtype=float)
     if extractor == "wfe":
         return FeatureVector(x.copy(), list(_sample_names(x.shape[-1])))
     if extractor == "mfcc":
-        return FeatureVector(mfcc_mod.mfcc_features(x, mfcc_config),
-                             mfcc_mod.mfcc_feature_names(mfcc_config))
-    return wavelet_band_features(x, extractor, levels, extension_mode, denoise, threshold_method)
+        return FeatureVector(mfcc_mod.mfcc_features(x), mfcc_mod.mfcc_feature_names())
+    return wavelet_band_features(x, extractor)
 
 
 @dataclass
@@ -200,7 +178,7 @@ class FeatureMatrix:
                 writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def extract_matrix(instances, labels, extractor: str, **kwargs) -> FeatureMatrix:
+def extract_matrix(instances, labels, extractor: str) -> FeatureMatrix:
     """Extract one row per instance.
 
     The instances are equal-length recordings (``corpus.load_corpus``
@@ -210,7 +188,7 @@ def extract_matrix(instances, labels, extractor: str, **kwargs) -> FeatureMatrix
     signals = [np.asarray(inst, dtype=float) for inst in instances]
     blocks, names = [], None
     for start in range(0, len(signals), EXTRACT_BLOCK):
-        fv = assemble_features(np.stack(signals[start:start + EXTRACT_BLOCK]), extractor, **kwargs)
+        fv = assemble_features(np.stack(signals[start:start + EXTRACT_BLOCK]), extractor)
         names = names or fv.names
         blocks.append(fv.values)
     return FeatureMatrix(np.vstack(blocks), list(names), np.asarray(labels, dtype=int))
@@ -224,16 +202,6 @@ class PcaModel:
     components: np.ndarray          # (n_components, n_features), orthonormal rows
     explained_variance_ratio: np.ndarray
     n_components: int
-
-    def state_digest(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(self.mean.tobytes())
-        h.update(self.components.tobytes())
-        h.update(self.explained_variance_ratio.tobytes())
-        h.update(str(self.n_components).encode())
-        return h.hexdigest()
 
 
 def pca_fit(matrix, variance_target: float = 0.95) -> PcaModel:

@@ -9,6 +9,10 @@ The chain works along the last axis: a ``(..., n)`` array is a stack of
 signals and yields one cepstral vector per signal, each bit-for-bit the
 vector its signal gives alone; a 1-D signal is the one-row case.
 
+The settings are fixed: 256-sample frames every 128 samples (``NFFT``, the
+FFT length, is the next power of two at or above the frame length),
+pre-emphasis 0.97, 26 mel filters and 14 kept coefficients.
+
 The mel scale has no base or scale setting. Any warping
 m(f) = delta * log_b(1 + f / nu) spaces the filter centres at
 nu * ((1 + f_N / nu) ** (i / (K + 1)) - 1), i = 0..K+1, for K filters up to
@@ -17,8 +21,6 @@ delta and the log base b cancel, and only nu shapes the bank.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,30 +31,12 @@ HAMMING_A = 0.54
 HAMMING_B = 0.46
 MEL_DELTA = 2595.0
 MEL_NU = 700.0
-
-
-@dataclass(frozen=True)
-class MfccConfig:
-    frame_len: int = 256
-    frame_step: int = 128
-    preemph_alpha: float = 0.97
-    n_filters: int = 26
-    n_coeffs: int = 14
-
-    def __post_init__(self):
-        if not 0 < self.frame_step <= self.frame_len:
-            raise ValueError("need 0 < frame_step <= frame_len")
-        if self.n_coeffs > self.n_filters:
-            raise ValueError("cannot keep more coefficients than filters")
-        if not 0.0 <= self.preemph_alpha < 1.0:
-            raise ValueError("pre-emphasis coefficient must be in [0, 1)")
-
-    @property
-    def nfft(self) -> int:
-        n = 1
-        while n < self.frame_len:
-            n *= 2
-        return n
+FRAME_LEN = 256
+FRAME_STEP = 128
+PREEMPH_ALPHA = 0.97
+N_FILTERS = 26
+N_COEFFS = 14
+NFFT = 256
 
 
 def pre_emphasize(signal, alpha: float):
@@ -143,24 +127,24 @@ def _dct_ii_matrix(n_coeffs: int, n_inputs: int):
     return np.cos(np.pi * n * (m + 0.5) / n_inputs)
 
 
-def mfcc_frames(signal, config: MfccConfig = MfccConfig()):
-    """Cepstra for every frame, shape (..., n_frames, n_coeffs)."""
-    x = pre_emphasize(signal, config.preemph_alpha)
-    frames = frame_signal(x, config.frame_len, config.frame_step)
-    frames = frames * hamming_window(config.frame_len)
-    pspec = power_spectrum(frames, config.nfft)
-    fb = mel_filterbank(config.n_filters, config.nfft, SAMPLE_RATE_HZ)
+def mfcc_frames(signal):
+    """Cepstra for every frame, shape (..., n_frames, N_COEFFS)."""
+    x = pre_emphasize(signal, PREEMPH_ALPHA)
+    frames = frame_signal(x, FRAME_LEN, FRAME_STEP)
+    frames = frames * hamming_window(FRAME_LEN)
+    pspec = power_spectrum(frames, NFFT)
+    fb = mel_filterbank(N_FILTERS, NFFT, SAMPLE_RATE_HZ)
     energies = pspec @ fb.T
     log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
-    return log_energies @ _dct_ii_matrix(config.n_coeffs, config.n_filters).T
+    return log_energies @ _dct_ii_matrix(N_COEFFS, N_FILTERS).T
 
 
-def mfcc_feature_names(config: MfccConfig = MfccConfig()):
-    p = config.n_coeffs
-    return [f"mfcc_mean_{i:02d}" for i in range(p)] + [f"mfcc_std_{i:02d}" for i in range(p)]
+def mfcc_feature_names():
+    return ([f"mfcc_mean_{i:02d}" for i in range(N_COEFFS)]
+            + [f"mfcc_std_{i:02d}" for i in range(N_COEFFS)])
 
 
-def mfcc_features(signal, config: MfccConfig = MfccConfig()):
+def mfcc_features(signal):
     """One instance vector: per-coefficient mean then standard deviation across frames."""
-    cepstra = mfcc_frames(signal, config)
+    cepstra = mfcc_frames(signal)
     return np.concatenate([cepstra.mean(axis=-2), cepstra.std(axis=-2)], axis=-1)

@@ -27,7 +27,6 @@ from .corpus import build_dataset, load_corpus, write_manifest
 from .errors import CellError
 from .evaluation import derive_seed, run_cell
 from .features import FeatureMatrix, extract_matrix
-from .mfcc import MfccConfig
 from .reporting import (long_rows, write_boxplot_data, write_inference_reports,
                         write_long_csv, write_performance_tables)
 
@@ -50,16 +49,13 @@ def extract_features(cfg: RunConfig, datasets: dict) -> dict:
     the largest scheme first; each scheme then takes its rows from that
     matrix (the largest one as a view of it).
     """
-    mfcc_config = MfccConfig(**cfg.mfcc_options)
     ordered = sorted(datasets.values(), key=lambda ds: -len(ds.instances))
     signals = list({id(sig): sig for ds in ordered for sig in ds.instances}.values())
     row_of = {id(sig): i for i, sig in enumerate(signals)}
     features = {}
     for extractor in cfg.extractors:
         union = extract_matrix(
-            (sig.samples for sig in signals), [sig.is_seizure for sig in signals], extractor,
-            mfcc_config=mfcc_config, **cfg.wavelet_options,
-        )
+            (sig.samples for sig in signals), [sig.is_seizure for sig in signals], extractor)
         for scheme, ds in datasets.items():
             rows = [row_of[id(sig)] for sig in ds.instances]
             values = (union.values[:len(rows)] if rows == list(range(len(rows)))

@@ -1,12 +1,12 @@
 """Orthogonal wavelet filter banks, multilevel decomposition, and denoising.
 
 The decomposition is a two-channel decimated filter bank applied
-recursively on the approximation path. In ``periodized`` mode the
-transform is orthogonal (energy preserving) and exactly invertible;
-odd-length inputs are padded with a single zero so both properties hold
-at every level. ``symmetric`` mode mirrors the signal edges instead,
-trading orthogonality for reduced edge artifacts, and is still exactly
-invertible.
+recursively on the approximation path, ``LEVELS`` deep. The signal is
+extended periodically (``periodized``), so the transform is orthogonal
+(energy preserving) and exactly invertible; odd-length inputs are padded
+with a single zero so both properties hold at every level. Denoising is
+soft shrinkage of every detail band at the universal threshold (Donoho &
+Johnstone, Biometrika 81, 1994).
 
 Every transform works along the last axis: a ``(..., n)`` array is a
 stack of signals, each decomposed, thresholded and rebuilt on its own,
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SUPPORTED_FAMILIES = ("haar", "db2", "db4", "coif1")
-EXTENSION_MODES = ("periodized", "symmetric")
-THRESHOLD_METHODS = ("soft", "hard")
+LEVELS = 4
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -94,41 +93,29 @@ def filter_for(family: str) -> WaveletFilter:
     return WaveletFilter(family, lo, hi)
 
 
-def _windows(x: np.ndarray, length: int, start: int, count: int, wrap: int | None):
-    k = np.arange(count)[:, None]
-    i = np.arange(length)[None, :]
-    idx = 2 * k + start + i
-    if wrap is not None:
-        idx %= wrap
-    # np.take, unlike x[..., idx], returns each signal's windows C-contiguous,
-    # so the filter products round as they do for a single signal
-    return np.take(x, idx, axis=-1)
+def _taps(n: int, L: int) -> np.ndarray:
+    # row k holds the L sample indices under window k, 2k .. 2k+L-1 mod n (n even)
+    return (2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n
 
 
-def analyze_level(signal, filt: WaveletFilter, mode: str = "periodized"):
+def analyze_level(signal, filt: WaveletFilter):
     """One analysis step: return (approximation, detail) coefficients.
 
-    Periodized mode circularly convolves and decimates by two; odd-length
-    inputs are zero-padded to even length first, so the output length is
-    always ceil(n/2). Symmetric mode mirrors L-1 samples at each edge and
-    yields floor((n+L-1)/2) coefficients per band.
+    Circularly convolves and decimates by two; odd-length inputs are
+    zero-padded to even length first, so the output length is always
+    ceil(n/2).
     """
     x = np.asarray(signal, dtype=float)
     n = x.shape[-1]
     L = len(filt)
     if n < L:
         raise ValueError(f"signal length {n} shorter than filter length {L}")
-    if mode == "periodized":
-        if n % 2:
-            x = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-            n += 1
-        win = _windows(x, L, 0, n // 2, wrap=n)
-    elif mode == "symmetric":
-        p = L - 1
-        ext = np.concatenate([x[..., :p][..., ::-1], x, x[..., -p:][..., ::-1]], axis=-1)
-        win = _windows(ext, L, 1, (n + L - 1) // 2, wrap=None)
-    else:
-        raise ValueError(f"unknown extension mode {mode!r}")
+    if n % 2:
+        x = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+        n += 1
+    # np.take, unlike x[..., taps], returns each signal's windows C-contiguous,
+    # so the filter products round as they do for a single signal
+    win = np.take(x, _taps(n, L), axis=-1)
     return win @ filt.lo_dec, win @ filt.hi_dec
 
 
@@ -141,7 +128,7 @@ def _overlap_add(vals: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
     return out.reshape(vals.shape[:-2] + (size,))
 
 
-def synthesize_level(approx, detail, filt: WaveletFilter, out_len: int, mode: str = "periodized"):
+def synthesize_level(approx, detail, filt: WaveletFilter, out_len: int):
     """Invert one analysis step, recovering a signal of length ``out_len``."""
     a = np.asarray(approx, dtype=float)
     d = np.asarray(detail, dtype=float)
@@ -150,19 +137,10 @@ def synthesize_level(approx, detail, filt: WaveletFilter, out_len: int, mode: st
     L = len(filt)
     nc = a.shape[-1]
     vals = a[..., None] * filt.lo_dec + d[..., None] * filt.hi_dec
-    k = np.arange(nc)[:, None]
-    if mode == "periodized":
-        n = 2 * nc
-        if n not in (out_len, out_len + 1):
-            raise ValueError(f"coefficient length {nc} inconsistent with output length {out_len}")
-        return _overlap_add(vals, (2 * k + np.arange(L)[None, :]) % n, n)[..., :out_len]
-    if mode == "symmetric":
-        if nc != (out_len + L - 1) // 2:
-            raise ValueError(f"coefficient length {nc} inconsistent with output length {out_len}")
-        idx = 2 * k + 1 + np.arange(L)[None, :]
-        buf = _overlap_add(vals, idx, max(int(idx.max()) + 1, L - 1 + out_len))
-        return buf[..., L - 1:L - 1 + out_len]
-    raise ValueError(f"unknown extension mode {mode!r}")
+    n = 2 * nc
+    if n not in (out_len, out_len + 1):
+        raise ValueError(f"coefficient length {nc} inconsistent with output length {out_len}")
+    return _overlap_add(vals, _taps(n, L), n)[..., :out_len]
 
 
 @dataclass
@@ -176,7 +154,6 @@ class SubBands:
     bands: list
     names: list
     family: str
-    mode: str
     level_lengths: list
 
     @property
@@ -184,8 +161,14 @@ class SubBands:
         return len(self.bands) - 1
 
 
-def wavedec(signal, filt: WaveletFilter, levels: int = 4, mode: str = "periodized") -> SubBands:
-    """Decompose ``signal`` into [A_levels, D_levels, ..., D_1]."""
+def wavedec(signal, filt: WaveletFilter, levels: int = LEVELS,
+            mode: str = "periodized") -> SubBands:
+    """Decompose ``signal`` into [A_levels, D_levels, ..., D_1].
+
+    ``mode`` names the boundary rule; ``"periodized"`` is the only one.
+    """
+    if mode != "periodized":
+        raise ValueError(f"unknown extension mode {mode!r}; only 'periodized' is supported")
     x = np.asarray(signal, dtype=float)
     n = x.shape[-1]
     if levels > n.bit_length() - 1:
@@ -195,11 +178,11 @@ def wavedec(signal, filt: WaveletFilter, levels: int = 4, mode: str = "periodize
     cur = x
     for _ in range(levels):
         lengths.append(cur.shape[-1])
-        cur, d = analyze_level(cur, filt, mode)
+        cur, d = analyze_level(cur, filt)
         details.append(d)
     bands = [cur] + details[::-1]
     names = [f"a{levels}"] + [f"d{j}" for j in range(levels, 0, -1)]
-    return SubBands(bands, names, filt.family, mode, lengths)
+    return SubBands(bands, names, filt.family, lengths)
 
 
 def waverec(subbands: SubBands, filt: WaveletFilter):
@@ -210,7 +193,7 @@ def waverec(subbands: SubBands, filt: WaveletFilter):
         raise ValueError("bookkeeping inconsistent: one input length per level required")
     cur = subbands.bands[0]
     for detail, out_len in zip(subbands.bands[1:], subbands.level_lengths[::-1]):
-        cur = synthesize_level(cur, detail, filt, out_len, subbands.mode)
+        cur = synthesize_level(cur, detail, filt, out_len)
     return cur
 
 
@@ -234,23 +217,15 @@ def soft_threshold(coeffs, lam: float):
     return np.sign(c) * np.maximum(np.abs(c) - lam, 0.0)
 
 
-def hard_threshold(coeffs, lam: float):
-    c = np.asarray(coeffs, dtype=float)
-    return np.where(np.abs(c) > lam, c, 0.0)
+def denoise(signal, filt: WaveletFilter):
+    """Soft-threshold denoise a signal; output has the input's length.
 
-
-def denoise(signal, filt: WaveletFilter, levels: int = 4, mode: str = "periodized",
-            method: str = "soft"):
-    """Threshold-denoise a signal; output has the input's length.
-
-    Every detail band of a signal is shrunk with one cutoff derived from
-    that signal's finest band; the approximation band passes through untouched.
+    Every detail band of a ``LEVELS``-deep decomposition is shrunk with one
+    cutoff derived from that signal's finest band; the approximation band
+    passes through untouched.
     """
-    if method not in THRESHOLD_METHODS:
-        raise ValueError(f"unknown threshold method {method!r}")
     x = np.asarray(signal, dtype=float)
-    sb = wavedec(x, filt, levels, mode)
+    sb = wavedec(x, filt)
     lam = np.expand_dims(universal_threshold(sb.bands[-1], x.shape[-1]), -1)
-    shrink = soft_threshold if method == "soft" else hard_threshold
-    sb.bands[1:] = [shrink(d, lam) for d in sb.bands[1:]]
+    sb.bands[1:] = [soft_threshold(d, lam) for d in sb.bands[1:]]
     return waverec(sb, filt)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from eegbench import cli
 from eegbench.config import DEFAULTS, ENV_CORPUS_ROOT, build_config, validate_config
 from eegbench.errors import ConfigError
-from eegbench.mfcc import MfccConfig
 
 
 @pytest.fixture()
@@ -81,17 +79,23 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="variance"):
             build_config({"corpus_root": str(corpus_root), "pca_variance_target": 1.5})
 
+    # the extraction settings are constants: a wavelet or mfcc block, even
+    # an empty one or one that held a valid value, is an unknown key
     @pytest.mark.parametrize("section, options, message", [
-        ("wavelet", {"extension_mode": "periodic"}, "extension_mode"),
-        ("wavelet", {"threshold_method": "median"}, "threshold_method"),
-        ("wavelet", {"levels": 0}, "levels"),
-        ("mfcc", {"log_base": "ten"}, "log_base"),
-        ("mfcc", {"frame_len": 64, "frame_step": 128}, "frame_step"),
-        ("mfcc", {"n_filters": 10, "n_coeffs": 12}, "coefficients"),
-        ("mfcc", {"frame_len": 5000}, "shorter than one 5000-sample frame"),
-        ("mfcc", {"n_filters": 300}, "covers no FFT bin"),
+        ("wavelet", {"extension_mode": "periodic"}, "unknown key 'wavelet'"),
+        ("wavelet", {"threshold_method": "median"}, "unknown key 'wavelet'"),
+        ("wavelet", {"levels": 0}, "unknown key 'wavelet'"),
+        ("mfcc", {"log_base": "ten"}, "unknown key 'mfcc'"),
+        ("mfcc", {"frame_len": 64, "frame_step": 128}, "unknown key 'mfcc'"),
+        ("mfcc", {"n_filters": 10, "n_coeffs": 12}, "unknown key 'mfcc'"),
+        ("mfcc", {"frame_len": 5000}, "unknown key 'mfcc'"),
+        ("mfcc", {"n_filters": 300}, "unknown key 'mfcc'"),
         ("strict_corpus", False, "unknown key 'strict_corpus'"),
-        ("wavelet", {"levels": 20}, "levels"),
+        ("wavelet", {"levels": 20}, "unknown key 'wavelet'"),
+        ("wavelet", {}, "unknown key 'wavelet'"),
+        ("mfcc", {}, "unknown key 'mfcc'"),
+        ("wavelet", {"levels": 4, "extension_mode": "periodized"}, "unknown key 'wavelet'"),
+        ("mfcc", {"n_filters": 26}, "unknown key 'mfcc'"),
         ("hyperparams", {"svm": {"kernel": "foo"}}, "kernel"),
         ("hyperparams", {"knn": {"k": "three"}}, r"hyperparams\.knn"),
         ("hyperparams", {"rf": {"max_features": 0}}, r"hyperparams\.rf: max_features"),
@@ -106,10 +110,10 @@ class TestValidateConfig:
         # bool subclasses int: true must not pass as 1, nor false as 0
         ("jobs", True, "jobs"),
         ("master_seed", False, "master_seed"),
-        ("wavelet", {"levels": True}, "levels"),
+        ("wavelet", {"levels": True}, "unknown key 'wavelet'"),
         ("kfold", {"n_repeats": True}, "n_repeats"),
         ("holdout", {"n_repeats": True}, "n_repeats"),
-        ("mfcc", {"frame_step": True}, "frame_step"),
+        ("mfcc", {"frame_step": True}, "unknown key 'mfcc'"),
         ("hyperparams", {"knn": {"k": True}}, r"hyperparams\.knn: k"),
         ("hyperparams", {"rf": {"n_trees": True}}, r"hyperparams\.rf: n_trees"),
         ("hyperparams", {"gb": {"n_stages": True}}, r"hyperparams\.gb: n_stages"),
@@ -117,7 +121,8 @@ class TestValidateConfig:
         ("hyperparams", {"lda": {"ridge": True}}, r"hyperparams\.lda: ridge"),
     ], ids=["extension_mode", "threshold_method", "levels", "log_base", "frame_step",
             "n_coeffs", "mfcc_frame_too_long", "mfcc_too_many_filters", "strict_corpus",
-            "levels_too_deep", "svm_kernel", "knn_k", "rf_max_features_0",
+            "levels_too_deep", "wavelet_empty", "mfcc_empty", "wavelet_default",
+            "mfcc_default", "svm_kernel", "knn_k", "rf_max_features_0",
             "rf_max_features_half", "rf_max_features_negative", "rf_max_features_log2",
             "rf_max_features_bool", "rf_max_depth_0", "rf_max_depth_negative",
             "rf_max_depth_text", "gb_max_depth_0", "jobs_bool", "master_seed_bool",
@@ -128,32 +133,16 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=message):
             build_config({"corpus_root": str(corpus_root), section: options})
 
-    def test_mfcc_keys_are_the_config_fields(self, corpus_root):
-        for f in dataclasses.fields(MfccConfig):
-            value = getattr(MfccConfig(), f.name)
-            cfg = build_config({"corpus_root": str(corpus_root), "mfcc": {f.name: value}})
-            assert cfg.mfcc_options == {f.name: value}
-        with pytest.raises(ConfigError, match=r"unknown key mfcc\.'log_base'"):
-            build_config({"corpus_root": str(corpus_root), "mfcc": {"log_base": "natural"}})
-
-    def test_levels_limited_by_filter_length(self, corpus_root):
-        # 4 097 samples leave 5 coefficients after ten levels: a four-tap db2
-        # takes an eleventh level, an eight-tap db4 does not
-        raw = {"corpus_root": str(corpus_root), "wavelet": {"levels": 11}}
-        assert build_config({**raw, "extractors": ["db2", "mfcc"]}).wavelet_options["levels"] == 11
-        with pytest.raises(ConfigError, match="db4"):
-            build_config({**raw, "extractors": ["db2", "db4"]})
-
     def test_off_default_options_accepted(self, corpus_root):
         cfg = build_config({
             "corpus_root": str(corpus_root),
-            "wavelet": {"extension_mode": "symmetric", "threshold_method": "hard",
-                        "levels": 1, "denoise": False},
-            "mfcc": {"n_filters": 20},
+            "kfold": {"k": 5, "n_repeats": 2},
+            "profile": "custom",
             "hyperparams": {"svm": {"kernel": "poly"}},
         })
-        assert cfg.wavelet_options["extension_mode"] == "symmetric"
-        assert cfg.mfcc_options == {"n_filters": 20}
+        assert cfg.kfold_plan.k == 5
+        assert cfg.profile == "custom"
+        assert cfg.hyperparams == {"svm": {"kernel": "poly"}}
 
 
 class TestCli:
@@ -171,7 +160,7 @@ class TestCli:
     def test_validate_rejects_bad_option_value(self, tmp_path, corpus_root, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"corpus_root": str(corpus_root),
-                                    "wavelet": {"extension_mode": "periodic"}}))
+                                    "holdout": {"test_fraction": 1.5}}))
         assert cli.main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
@@ -181,8 +170,14 @@ class TestCli:
         {"hyperparams": {"knn": {"k": "three"}}},
         {"mfcc": {"frame_len": 5000}},
         {"mfcc": {"n_filters": 300}},
+        {"wavelet": {}},
+        {"mfcc": {}},
+        # the smallest class holds 100 recordings in either scheme
+        {"kfold": {"k": 200}},
+        {"holdout": {"test_fraction": 0.001}},
     ], ids=["levels_too_deep", "svm_kernel", "knn_k", "mfcc_frame_too_long",
-            "mfcc_too_many_filters"])
+            "mfcc_too_many_filters", "wavelet_empty", "mfcc_empty", "kfold_k_200",
+            "holdout_fraction_0_001"])
     def test_unrunnable_values_fail_before_corpus_load(self, tmp_path, corpus_root, capsys,
                                                        monkeypatch, options):
         from eegbench import runner
@@ -207,6 +202,21 @@ class TestCli:
         monkeypatch.setattr(runner, "load_corpus", no_load)
         assert cli.main(["run", str(minimal_config), "--jobs", jobs]) == 1
         assert capsys.readouterr().err == "config error: jobs must be at least 1\n"
+
+    def test_stats_unanalysable_csv_is_data_error(self, tmp_path, corpus_root, capsys):
+        # one k-fold repeat gives one replication per cell, too few for the ANOVA
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "corpus_root": str(corpus_root), "output_dir": str(tmp_path / "report"),
+            "schemes": ["balanced"], "extractors": ["mfcc", "db2"], "models": ["lda", "nb"],
+            "kfold": {"k": 2}, "holdout": {"n_repeats": 1}}))
+        assert cli.main(["run", str(cfg), "--quiet"]) == 0
+        capsys.readouterr()
+        assert cli.main(["stats", str(tmp_path / "report" / "cells_kfold.csv"),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "two replications per cell" in err
 
     def test_stats_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli.main(["stats", str(tmp_path / "none.csv"),

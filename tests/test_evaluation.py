@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,11 @@ import pytest
 from eegbench import evaluation as ev
 from eegbench.errors import CellError
 from eegbench.features import FeatureMatrix, pca_fit
+
+
+def same_pca(a, b) -> bool:
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
 
 
 def imbalanced_labels():
@@ -139,7 +145,7 @@ class TestRunCell:
         res = ev.run_cell(ds, "wfe", kind, None, plan, features=fm,
                           pca_variance_target=None)
         assert res.n_replications == 3
-        assert res.mean_metrics()[0] == 1.0
+        assert np.mean(res.accuracy) == 1.0
 
     def test_permuted_labels_fall_to_majority_baseline(self):
         rng = np.random.default_rng(9)
@@ -194,7 +200,7 @@ class TestLeakage:
         garbage = X.copy()
         garbage[test_idx] = 1e6 * np.random.default_rng(0).normal(size=(len(test_idx), 6))
         _, pca_dirty = ev.fit_split(garbage, y, train_idx, test_idx, "lda", None, 0.95, 0)
-        assert pca_clean.state_digest() == pca_dirty.state_digest()
+        assert same_pca(pca_clean, pca_dirty)
 
     def test_pca_fit_matches_train_only_fit(self):
         fm = separable_features(n=50, d=5, seed=4)
@@ -203,7 +209,7 @@ class TestLeakage:
         _, pca_inner = ev.fit_split(fm.values, fm.labels, train_idx, test_idx,
                                     "nb", None, 0.9, 0)
         direct = pca_fit(fm.values[train_idx], 0.9)
-        assert pca_inner.state_digest() == direct.state_digest()
+        assert same_pca(pca_inner, direct)
 
 
 class TestSeedDerivation:

@@ -1,0 +1,48 @@
+"""perfbench's tracer still finds every layer it names.
+
+``tracing._wrap_function`` skips a name the module no longer has, so a
+rename would read as a zero per-layer metric rather than a failure. The
+check runs in a child process because ``install`` rebinds module
+attributes for the whole process.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# record every (module, name) that install asks to wrap, install, then list
+# the names that did not end up wrapped
+SCRIPT = """
+import json, sys
+from pathlib import Path
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+from eegbench import runner
+
+requested = [(runner, "execute_cells"), (runner, "_init_worker"), (runner, "_run_one")]
+wrap = tracing._wrap_function
+
+def recording_wrap(tracer, module, attr, *args, **kwargs):
+    requested.append((module, attr))
+    wrap(tracer, module, attr, *args, **kwargs)
+
+tracing._wrap_function = recording_wrap
+tracing.install(tracing.Tracer(), Path(sys.argv[3]))
+print(json.dumps([f"{m.__name__}.{a}" for m, a in requested
+                  if not hasattr(getattr(m, a, None), "__wrapped__")]))
+"""
+
+# named by perfbench but already deleted from eegbench; perfbench drops it
+# at its next change
+GONE = {"eegbench.special.f_survival"}
+
+
+def test_install_wraps_every_named_function(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"), str(tmp_path)],
+        capture_output=True, text=True, check=True, cwd=tmp_path)
+    unwrapped = set(json.loads(out.stdout.strip().splitlines()[-1]))
+    assert unwrapped - GONE == set()

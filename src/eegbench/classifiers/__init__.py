@@ -2,8 +2,15 @@
 
 Every model exposes ``fit(X, y) -> self``, ``predict(X) -> labels`` and a
 ``classes_`` attribute after fitting; predictions are always drawn from
-the training label set. The tree ensembles take an explicit seed; the
+the training label set. The random forest takes an explicit seed; the
 rest are deterministic without one.
+
+``make_model`` builds each model at the paper's one setting, the
+constructor defaults: LDA and QDA with ridge 1e-6, naive Bayes with a
+variance floor of 1e-9 of the largest feature variance, kNN with k = 5,
+an rbf SVM with C = 1 and gamma = 1 / (d var X), a random forest of 100
+Gini trees drawing ceil(sqrt(d)) candidate features per node, and 100
+boosting stages of depth-3 regression trees at learning rate 0.1.
 """
 
 from .boosting import GradientBoostingClassifier
@@ -17,17 +24,7 @@ MODEL_KINDS = ("lda", "qda", "knn", "nb", "svm", "rf", "gb")
 
 # distance / kernel methods get train-fold standardization upstream
 STANDARDIZED_KINDS = frozenset({"knn", "svm"})
-SEEDED_KINDS = frozenset({"rf", "gb"})
-
-DEFAULT_HYPERPARAMS = {
-    "lda": {"ridge": 1e-6},
-    "qda": {"ridge": 1e-6},
-    "nb": {"var_floor_ratio": 1e-9},
-    "knn": {"k": 5},
-    "svm": {"kernel": "rbf", "C": 1.0, "gamma": "scale"},
-    "rf": {"n_trees": 100, "max_features": "sqrt", "max_depth": None},
-    "gb": {"n_stages": 100, "learning_rate": 0.1, "max_depth": 3, "subsample": 1.0},
-}
+SEEDED_KINDS = frozenset({"rf"})
 
 _FACTORIES = {
     "lda": LdaClassifier,
@@ -40,19 +37,17 @@ _FACTORIES = {
 }
 
 
-def make_model(kind: str, hyperparams: dict | None = None, seed: int | None = None):
-    """Instantiate one classifier by kind with defaulted hyperparameters."""
+def make_model(kind: str, seed: int | None = None):
+    """Instantiate one classifier by kind at its default settings."""
     if kind not in _FACTORIES:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    params = dict(DEFAULT_HYPERPARAMS[kind])
-    params.update(hyperparams or {})
     if kind in SEEDED_KINDS:
-        params["seed"] = 0 if seed is None else seed
-    return _FACTORIES[kind](**params)
+        return _FACTORIES[kind](seed=0 if seed is None else seed)
+    return _FACTORIES[kind]()
 
 
 __all__ = [
-    "MODEL_KINDS", "STANDARDIZED_KINDS", "SEEDED_KINDS", "DEFAULT_HYPERPARAMS",
+    "MODEL_KINDS", "STANDARDIZED_KINDS", "SEEDED_KINDS",
     "make_model", "LdaClassifier", "QdaClassifier", "GaussianNaiveBayes",
     "KnnClassifier", "SvmClassifier", "RandomForestClassifier",
     "GradientBoostingClassifier",

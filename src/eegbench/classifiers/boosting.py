@@ -1,17 +1,18 @@
-"""Stochastic gradient boosting with logistic loss.
+"""Gradient boosting with logistic loss.
 
-Stages fit shallow regression trees to the current negative gradient
-(label minus predicted probability); leaf values take one Newton step
-sum(residual) / sum(p(1-p)), scaled by the learning rate. ``subsample``
-below 1 draws a random row fraction per stage without replacement.
+Each stage fits a regression tree of depth ``MAX_DEPTH`` to the current
+negative gradient (label minus predicted probability) on every training
+row; leaf values take one Newton step sum(residual) / sum(p(1-p)),
+scaled by the learning rate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tree import DecisionTree, check_max_depth
+from .tree import DecisionTree
 
+MAX_DEPTH = 3
 _PROB_CLIP = 1e-12
 
 
@@ -30,20 +31,13 @@ def _log_loss(y01, prob):
 
 
 class GradientBoostingClassifier:
-    def __init__(self, n_stages: int = 100, learning_rate: float = 0.1,
-                 max_depth: int = 3, subsample: float = 1.0, seed: int = 0):
+    def __init__(self, n_stages: int = 100, learning_rate: float = 0.1):
         if n_stages < 1:
             raise ValueError("need at least one stage")
         if not 0.0 <= learning_rate <= 1.0:
             raise ValueError("learning rate must be in [0, 1]")
-        if not 0.0 < subsample <= 1.0:
-            raise ValueError("subsample fraction must be in (0, 1]")
-        check_max_depth(max_depth)
         self.n_stages = n_stages
         self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.subsample = subsample
-        self.seed = seed
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -60,32 +54,21 @@ class GradientBoostingClassifier:
         y01 = (y == self.classes_[1]).astype(float)
         p0 = float(np.clip(y01.mean(), _PROB_CLIP, 1.0 - _PROB_CLIP))
         self._f0 = float(np.log(p0 / (1.0 - p0)))
-        n = X.shape[0]
-        rng = np.random.default_rng(self.seed)
-        scores = np.full(n, self._f0)
+        scores = np.full(X.shape[0], self._f0)
         self.trees_ = []
         self.train_loss_path_ = [_log_loss(y01, _sigmoid(scores))]
         for _ in range(self.n_stages):
             prob = _sigmoid(scores)
             residual = y01 - prob
-            if self.subsample < 1.0:
-                m = max(1, int(round(self.subsample * n)))
-                rows = np.sort(rng.choice(n, size=m, replace=False))
-            else:
-                rows = np.arange(n)
-            tree = DecisionTree("mse", max_depth=self.max_depth)
-            tree.fit(X[rows], residual[rows])
-            # Newton step per leaf on the fitted rows
-            fit_residual = residual[rows]
-            hess = prob[rows] * (1.0 - prob[rows])
-            leaf_of = np.empty(rows.size, dtype=np.int64)
+            tree = DecisionTree("mse", max_depth=MAX_DEPTH)
+            tree.fit(X, residual)
+            # Newton step per leaf
+            hess = prob * (1.0 - prob)
+            leaf_of = np.empty(X.shape[0], dtype=np.int64)
             for leaf, idx in tree.leaf_rows_:
-                tree.value[leaf] = float(fit_residual[idx].sum() / (hess[idx].sum() + 1e-16))
+                tree.value[leaf] = float(residual[idx].sum() / (hess[idx].sum() + 1e-16))
                 leaf_of[idx] = leaf
-            if rows.size == n:                            # every row was fitted
-                scores += self.learning_rate * np.asarray(tree.value)[leaf_of]
-            else:
-                scores += self.learning_rate * tree.predict(X)
+            scores += self.learning_rate * np.asarray(tree.value)[leaf_of]
             self.trees_.append(tree)
             self.train_loss_path_.append(_log_loss(y01, _sigmoid(scores)))
         return self

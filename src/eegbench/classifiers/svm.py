@@ -1,15 +1,18 @@
-"""Soft-margin kernel SVM trained by SMO with second-order working-set selection.
+"""Soft-margin rbf-kernel SVM trained by SMO with second-order working-set selection.
 
-The dual max sum(a) - 0.5 sum a_i a_j y_i y_j K_ij subject to
+The kernel is K_ij = exp(-gamma |x_i - x_j|^2) with gamma = 1 / (d var X)
+over the training matrix (1 / d when var X = 0). The dual
+max sum(a) - 0.5 sum a_i a_j y_i y_j K_ij subject to
 0 <= a_i <= C and sum a_i y_i = 0 is solved one pair at a time, as in
 LIBSVM. With g = K (a * y) and v = y - g, I_up holds the multipliers free
 to move along +y (a_t < C, y_t = 1 or a_t > 0, y_t = -1) and I_low those
 free to move along -y. Each update takes i = argmax of v over I_up, then j
 in I_low with the largest second-order gain b^2 / a, b = v_i - v_j > 0,
-a = K_ii + K_jj - 2 K_ij (WSS2; Fan, Chen & Lin, JMLR 2005). When a <= 0,
-as an indefinite (sigmoid) kernel allows, a is replaced by TAU (Chen, Fan
-& Lin, IEEE TNN 2006). The closed-form step is clipped to the box, and a
-multiplier that reaches a bound is set to it exactly.
+a = K_ii + K_jj - 2 K_ij (WSS2; Fan, Chen & Lin, JMLR 2005). The rbf
+kernel gives a = 0 for j == i, and a = 0 up to rounding when row j equals
+row i; an a <= 0 is replaced by TAU (Chen, Fan & Lin, IEEE TNN 2006), so
+the gain and the step stay finite. The closed-form step is clipped to
+the box, and a multiplier that reaches a bound is set to it exactly.
 
 Training stops when m - M <= TOL, m = max of v over I_up, M = min over
 I_low. The bias, the mean of v over free multipliers or (m + M) / 2 when
@@ -22,44 +25,24 @@ import numpy as np
 
 from ..errors import ConvergenceError
 
-KERNELS = ("rbf", "linear", "poly", "sigmoid")
-COEF0 = 1.0
-DEGREE = 3
 TAU = 1e-12
 TOL = 1e-3
 # cap on pair updates; a fit that reaches it raises ConvergenceError
 MAX_UPDATES = 1_000_000
 
 
-def _kernel_matrix(kind, A, B, gamma):
-    if kind == "linear":
-        return A @ B.T
-    if kind == "poly":
-        return (gamma * (A @ B.T) + COEF0) ** DEGREE
-    if kind == "sigmoid":
-        return np.tanh(gamma * (A @ B.T) + COEF0)
-    # rbf
+def _kernel_matrix(A, B, gamma):
     d2 = ((A ** 2).sum(1)[:, None] + (B ** 2).sum(1)[None, :] - 2.0 * A @ B.T)
     np.clip(d2, 0.0, None, out=d2)
     return np.exp(-gamma * d2)
 
 
 class SvmClassifier:
-    def __init__(self, kernel: str = "rbf", C: float = 1.0, gamma="scale"):
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+    def __init__(self, C: float = 1.0):
         if C <= 0:
             raise ValueError("C must be positive")
-        self.kernel = kernel
         self.C = C
-        self.gamma = gamma
         self.tol = TOL
-
-    def _resolve_gamma(self, X) -> float:
-        if self.gamma == "scale":
-            var = X.var()
-            return 1.0 / (X.shape[1] * var) if var > 0 else 1.0 / X.shape[1]
-        return float(self.gamma)
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -69,8 +52,9 @@ class SvmClassifier:
             raise ValueError("binary classifier: need exactly two labels present")
         ym = np.where(y == self.classes_[1], 1.0, -1.0)
         pos = ym > 0
-        self.gamma_ = self._resolve_gamma(X)
-        K = _kernel_matrix(self.kernel, X, X, self.gamma_)
+        var = X.var()
+        self.gamma_ = 1.0 / (X.shape[1] * var) if var > 0 else 1.0 / X.shape[1]
+        K = _kernel_matrix(X, X, self.gamma_)
         diag = K.diagonal()
         C = self.C
 
@@ -115,7 +99,7 @@ class SvmClassifier:
 
     def decision_function(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        K = _kernel_matrix(self.kernel, X, self.support_vectors_, self.gamma_)
+        K = _kernel_matrix(X, self.support_vectors_, self.gamma_)
         return K @ self.dual_coef_ + self._b
 
     def predict(self, X) -> np.ndarray:

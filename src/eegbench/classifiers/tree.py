@@ -22,8 +22,6 @@ within-node variance. Two growers build the same trees:
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 _LEAF = -1
@@ -175,20 +173,12 @@ class DecisionTree:
         return len(self.feature)
 
 
-def check_max_depth(max_depth):
-    """Reject a depth limit other than None or an integer of at least 1."""
-    if max_depth is not None and (isinstance(max_depth, bool)
-                                  or not isinstance(max_depth, numbers.Integral)
-                                  or max_depth < 1):
-        raise ValueError(f"max_depth must be None or an integer >= 1, got {max_depth!r}")
-
-
-def grow_gini_forest(X, y, samples, max_depth=None) -> list[DecisionTree]:
+def grow_gini_forest(X, y, samples) -> list[DecisionTree]:
     """One Gini tree on all columns of ``X`` per row of ``samples``, grown level-wise.
 
     ``samples`` is an (n_trees, n) array of row indices into ``X`` and the
     integer labels ``y``. Tree ``b`` equals, node for node,
-    ``DecisionTree("gini", max_depth).fit(X[samples[b]], y[samples[b]])``
+    ``DecisionTree("gini").fit(X[samples[b]], y[samples[b]])``
     with its nodes numbered in level order.
     """
     X = np.asarray(X, dtype=float)
@@ -198,11 +188,11 @@ def grow_gini_forest(X, y, samples, max_depth=None) -> list[DecisionTree]:
     per_batch = max(1, GROW_BLOCK // (samples.shape[1] * X.shape[1]))
     trees = []
     for first in range(0, samples.shape[0], per_batch):
-        trees += _grow_batch(X, y, samples[first:first + per_batch], n_classes, max_depth)
+        trees += _grow_batch(X, y, samples[first:first + per_batch], n_classes)
     return trees
 
 
-def _grow_batch(X, y, samples, n_classes, max_depth) -> list[DecisionTree]:
+def _grow_batch(X, y, samples, n_classes) -> list[DecisionTree]:
     n_trees, n = samples.shape
     d = X.shape[1]
     V, Y = X[samples.ravel()], y[samples.ravel()]     # tree b owns rows [b*n, (b+1)*n)
@@ -220,12 +210,9 @@ def _grow_batch(X, y, samples, n_classes, max_depth) -> list[DecisionTree]:
     n_nodes = n_trees
     go_left = np.zeros(V.shape[0], dtype=bool)
     levels = []
-    depth = 0
     while size.size:
-        # split search, as in _best_split, on the impure nodes above the depth limit
+        # split search, as in _best_split, on the impure nodes
         grow = (counts < size[:, None]).all(axis=1)
-        if max_depth is not None and depth >= max_depth:
-            grow[:] = False
         P = np.compress(np.repeat(grow, size), P, axis=0)
         g_node, g_size, g_counts = np.flatnonzero(grow), size[grow], counts[grow]
         g_start = np.cumsum(g_size) - g_size
@@ -293,11 +280,10 @@ def _grow_batch(X, y, samples, n_classes, max_depth) -> list[DecisionTree]:
         size = np.column_stack([n_left, s_size - n_left]).ravel()
         counts = np.stack([cut_left[pick], cut_right[pick]], axis=1).reshape(-1, n_classes)
         n_nodes += size.size
-        depth += 1
-    return _batch_trees(levels, n_trees, n_classes, max_depth)
+    return _batch_trees(levels, n_trees, n_classes)
 
 
-def _batch_trees(levels, n_trees, n_classes, max_depth) -> list[DecisionTree]:
+def _batch_trees(levels, n_trees, n_classes) -> list[DecisionTree]:
     """Split a batch's node records, numbered level by level, into one tree each."""
     owner, feature, threshold, left, value = (np.concatenate(a) for a in zip(*levels))
     order = np.argsort(owner, kind="stable")
@@ -309,7 +295,7 @@ def _batch_trees(levels, n_trees, n_classes, max_depth) -> list[DecisionTree]:
     trees = []
     for b in range(n_trees):
         nodes = order[bounds[b]:bounds[b + 1]]
-        tree = DecisionTree("gini", max_depth=max_depth)
+        tree = DecisionTree("gini")
         tree.n_classes = n_classes
         tree.feature = feature[nodes].tolist()
         tree.threshold = threshold[nodes].tolist()

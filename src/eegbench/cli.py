@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from .config import ENV_CORPUS_ROOT, validate_config
@@ -116,13 +119,21 @@ def _cmd_stats(args) -> int:
     if not rows:
         raise DataError(f"{args.cells_csv}: no observations")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
     schemes = sorted({r[0] for r in rows})
-    for scheme in schemes:
-        try:
-            write_inference_reports(rows, scheme, out_dir)
-        except ValueError as exc:       # a design the ANOVA or HSD cannot analyse
-            raise DataError(f"{args.cells_csv}: {exc}") from None
+    # every scheme's tables reach out_dir together, or none do
+    tmp_dir = Path(tempfile.mkdtemp(prefix=out_dir.name + ".tmp-", dir=out_dir.parent))
+    try:
+        for scheme in schemes:
+            try:
+                write_inference_reports(rows, scheme, tmp_dir)
+            except ValueError as exc:       # a design the ANOVA or HSD cannot analyse
+                raise DataError(f"{args.cells_csv}: {exc}") from None
+        out_dir.mkdir(exist_ok=True)
+        for path in sorted(tmp_dir.iterdir()):
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
     print(f"inference tables for {', '.join(schemes)} written to {out_dir}")
     return EXIT_OK
 

@@ -5,17 +5,17 @@ Accepted top-level keys (any other is a ``ConfigError``):
 * ``corpus_root`` -- the Bonn-layout corpus; ``$EEGBENCH_CORPUS_ROOT`` if unset
 * ``output_dir`` -- where the report bundle goes (``eegbench-report``)
 * ``schemes``, ``extractors``, ``models`` -- the factors crossed into cells
-* ``hyperparams`` -- ``{model: {key: value}}`` over each model's defaults
-* ``master_seed``, ``jobs``
-* ``kfold`` (``k``, ``n_repeats``) and ``holdout`` (``test_fraction``,
-  ``n_repeats``) -- the two resampling plans
-* ``pca_variance_target`` -- a fraction in (0, 1], or null for no PCA
+* ``master_seed``, ``jobs`` -- the seed every random draw derives from; worker processes
+* ``kfold``, ``holdout`` -- the two resampling plans, ``{"k", "n_repeats"}`` and
+  ``{"test_fraction", "n_repeats"}``
 * ``profile`` -- ``reproduction`` or ``custom``, recorded in the manifest
 
-The extraction settings are not configurable: they are the constants of
-:mod:`eegbench.wavelet` (``LEVELS``, periodized extension, soft shrinkage)
-and :mod:`eegbench.mfcc` (``FRAME_LEN``, ``FRAME_STEP``, ``PREEMPH_ALPHA``,
-``N_FILTERS``, ``N_COEFFS``, ``NFFT``).
+That is 12 settable values. The paper's other settings are constants,
+not keys: extraction in :mod:`eegbench.wavelet` (``LEVELS``, periodized
+extension, soft shrinkage) and :mod:`eegbench.mfcc` (``FRAME_LEN``,
+``FRAME_STEP``, ``PREEMPH_ALPHA``, ``N_FILTERS``, ``N_COEFFS``, ``NFFT``);
+``evaluation.PCA_VARIANCE_TARGET``; and each model's constructor
+defaults, listed in :mod:`eegbench.classifiers`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import DEFAULT_HYPERPARAMS, MODEL_KINDS, make_model
+from .classifiers import MODEL_KINDS
 from .corpus import BALANCED_PER_NEGATIVE_SET, NEGATIVE_TAGS, SCHEMES, SIGNALS_PER_SET
 from .errors import ConfigError
 from .evaluation import SplitPlan, make_splits
@@ -44,12 +44,10 @@ _SCHEMA = {
     "schemes": list,
     "extractors": list,
     "models": list,
-    "hyperparams": dict,
     "master_seed": int,
     "jobs": int,
     "kfold": dict,
     "holdout": dict,
-    "pca_variance_target": (float, type(None)),
     "profile": str,
 }
 
@@ -64,7 +62,6 @@ DEFAULTS = {
     "jobs": 1,
     "kfold": {"k": 10, "n_repeats": 1},
     "holdout": {"test_fraction": 0.2, "n_repeats": 50},
-    "pca_variance_target": 0.95,
     "profile": "reproduction",
 }
 
@@ -76,12 +73,10 @@ class RunConfig:
     schemes: list
     extractors: list
     models: list
-    hyperparams: dict
     master_seed: int
     jobs: int
     kfold_plan: SplitPlan
     holdout_plan: SplitPlan
-    pca_variance_target: float | None
     profile: str
 
     def normalized(self) -> dict:
@@ -92,13 +87,11 @@ class RunConfig:
             "schemes": list(self.schemes),
             "extractors": list(self.extractors),
             "models": list(self.models),
-            "hyperparams": copy.deepcopy(self.hyperparams),
             "master_seed": self.master_seed,
             "jobs": self.jobs,
             "kfold": {"k": self.kfold_plan.k, "n_repeats": self.kfold_plan.n_repeats},
             "holdout": {"test_fraction": self.holdout_plan.test_fraction,
                         "n_repeats": self.holdout_plan.n_repeats},
-            "pca_variance_target": self.pca_variance_target,
             "profile": self.profile,
         }
 
@@ -111,11 +104,9 @@ def _check_keys(mapping: dict, allowed: dict, context: str):
     for key, value in mapping.items():
         if key not in allowed:
             raise ConfigError(f"unknown key {context}{key!r}")
-        expected = allowed[key] if isinstance(allowed[key], tuple) else (allowed[key],)
-        if allowed[key] is float:
-            expected += (int,)
-        # bool subclasses int, so a bool passes only where a bool is expected
-        if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
+        expected = (float, int) if allowed[key] is float else allowed[key]
+        # bool subclasses int, and no key takes a bool
+        if not isinstance(value, expected) or isinstance(value, bool):
             raise ConfigError(
                 f"key {context}{key!r}: expected {allowed[key]}, got {type(value).__name__}")
 
@@ -126,7 +117,7 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError("configuration must be a JSON object")
     _check_keys(raw, _SCHEMA, "")
     merged = copy.deepcopy(DEFAULTS)
-    merged.update({k: v for k, v in raw.items() if v is not None})
+    merged.update(raw)
 
     corpus_root = merged.get("corpus_root") or os.environ.get(ENV_CORPUS_ROOT)
     if not corpus_root:
@@ -157,23 +148,6 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if not merged["models"]:
         raise ConfigError("models must not be empty")
 
-    hyper = merged.get("hyperparams", {})
-    for kind, params in hyper.items():
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"hyperparams for unknown model {kind!r}")
-        if not isinstance(params, dict):
-            raise ConfigError(f"hyperparams.{kind} must be an object")
-        for key, value in params.items():
-            if key not in DEFAULT_HYPERPARAMS[kind]:
-                raise ConfigError(f"unknown key hyperparams.{kind}.{key!r}")
-            if isinstance(value, bool):         # no hyperparameter is a switch
-                raise ConfigError(f"hyperparams.{kind}: {key} must not be a boolean")
-    for kind in merged["models"]:
-        try:
-            make_model(kind, hyper.get(kind))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"hyperparams.{kind}: {exc}") from None
-
     _check_keys(merged["kfold"], _KFOLD_KEYS, "kfold.")
     _check_keys(merged["holdout"], _HOLDOUT_KEYS, "holdout.")
     kfold_cfg = {**DEFAULTS["kfold"], **merged["kfold"]}
@@ -194,9 +168,6 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"{plan.kind} on the {scheme} scheme: {exc}") from None
 
-    target = merged["pca_variance_target"]
-    if target is not None and not 0.0 < float(target) <= 1.0:
-        raise ConfigError("pca_variance_target must be in (0, 1] or null")
     jobs = merged["jobs"]
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
@@ -209,12 +180,10 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         schemes=list(merged["schemes"]),
         extractors=list(merged["extractors"]),
         models=list(merged["models"]),
-        hyperparams=copy.deepcopy(hyper),
         master_seed=int(merged["master_seed"]),
         jobs=int(jobs),
         kfold_plan=kfold_plan,
         holdout_plan=holdout_plan,
-        pca_variance_target=None if target is None else float(target),
         profile=merged["profile"],
     )
 

@@ -7,7 +7,9 @@ in isolation and reproduces bit-identically regardless of execution
 order or worker count.
 
 Leakage rule: PCA and standardization statistics are fitted on the
-training rows of each split only, then applied to both sides.
+training rows of each split only, then applied to both sides. PCA keeps
+the fewest axes that explain ``PCA_VARIANCE_TARGET`` of the training
+variance, as in the paper.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import CellError
 from .features import FeatureMatrix, pca_apply, pca_fit
 
 PLAN_KINDS = ("kfold", "holdout")
+PCA_VARIANCE_TARGET = 0.95
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -149,42 +152,37 @@ class CellResult:
         return len(self.accuracy)
 
 
-def fit_split(X, y, train_idx, test_idx, model_kind, hyperparams=None,
-              pca_variance_target: float | None = 0.95, seed: int = 0):
+def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0):
     """Fit one split end to end; returns (ConfusionMatrix, fitted PcaModel).
 
     All fold statistics (PCA axes, standardization moments) come from the
     training rows alone.
     """
     X_train, X_test = X[train_idx], X[test_idx]
-    pca = None
-    if pca_variance_target is not None:
-        pca = pca_fit(X_train, pca_variance_target)
-        X_train = pca_apply(pca, X_train)
-        X_test = pca_apply(pca, X_test)
+    pca = pca_fit(X_train, PCA_VARIANCE_TARGET)
+    X_train = pca_apply(pca, X_train)
+    X_test = pca_apply(pca, X_test)
     if model_kind in STANDARDIZED_KINDS:
         mu = X_train.mean(axis=0)
         sd = X_train.std(axis=0)
         sd[sd == 0] = 1.0
         X_train = (X_train - mu) / sd
         X_test = (X_test - mu) / sd
-    model = make_model(model_kind, hyperparams, seed=seed)
+    model = make_model(model_kind, seed=seed)
     model.fit(X_train, y[train_idx])
     cm = ConfusionMatrix.from_predictions(y[test_idx], model.predict(X_test))
     return cm, pca
 
 
-def run_cell(dataset, extractor: str, model_kind: str, hyperparams, plan: SplitPlan,
-             *, features: FeatureMatrix, master_seed: int = 0,
-             pca_variance_target: float | None = 0.95) -> CellResult:
+def run_cell(scheme: str, extractor: str, model_kind: str, plan: SplitPlan,
+             *, features: FeatureMatrix, master_seed: int = 0) -> CellResult:
     """Evaluate one benchmark cell under a replicated resampling plan.
 
-    ``features`` is the dataset's matrix under ``extractor`` (extraction
+    ``features`` is the scheme's matrix under ``extractor`` (extraction
     is per-instance pure, so the runner does it once per scheme and
     extractor). Failures abort the cell and carry (scheme, extractor,
     model, replication).
     """
-    scheme = dataset.scheme
     X, y = features.values, features.labels
     split_seed = derive_seed(master_seed, scheme, plan.kind, extractor, model_kind, "split")
     splits = make_splits(y, replace(plan, seed=split_seed))
@@ -197,8 +195,7 @@ def run_cell(dataset, extractor: str, model_kind: str, hyperparams, plan: SplitP
             fit_seed = derive_seed(master_seed, scheme, plan.kind, extractor,
                                    model_kind, "fit", rep, s)
             try:
-                cm, _ = fit_split(X, y, train_idx, test_idx, model_kind,
-                                  hyperparams, pca_variance_target, fit_seed)
+                cm, _ = fit_split(X, y, train_idx, test_idx, model_kind, fit_seed)
             except Exception as exc:
                 raise CellError(
                     f"cell failed: scheme={scheme} extractor={extractor} "

@@ -76,33 +76,25 @@ def enumerate_cells(cfg: RunConfig):
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(cfg, datasets, features):
+def _init_worker(cfg, features):
     _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["datasets"] = datasets
     _WORKER_STATE["features"] = features
 
 
 def _run_one(cell_key):
     cfg = _WORKER_STATE["cfg"]
-    datasets = _WORKER_STATE["datasets"]
     features = _WORKER_STATE["features"]
-    return cell_key, _evaluate_cell(cfg, datasets, features, cell_key)
+    return cell_key, _evaluate_cell(cfg, features, cell_key)
 
 
-def _evaluate_cell(cfg: RunConfig, datasets: dict, features: dict, cell_key):
+def _evaluate_cell(cfg: RunConfig, features: dict, cell_key):
     scheme, plan_name, extractor, model = cell_key
     plan = cfg.kfold_plan if plan_name == "kfold" else cfg.holdout_plan
-    return run_cell(
-        datasets[scheme], extractor, model,
-        cfg.hyperparams.get(model), plan,
-        master_seed=cfg.master_seed,
-        pca_variance_target=cfg.pca_variance_target,
-        features=features[(scheme, extractor)],
-    )
+    return run_cell(scheme, extractor, model, plan,
+                    features=features[(scheme, extractor)], master_seed=cfg.master_seed)
 
 
-def execute_cells(cfg: RunConfig, datasets: dict, features: dict,
-                  progress=None):
+def execute_cells(cfg: RunConfig, features: dict, progress=None):
     """Run every configured cell; returns {key: CellResult}.
 
     A failing cell's ``CellError`` leaves with the results of the cells
@@ -113,12 +105,12 @@ def execute_cells(cfg: RunConfig, datasets: dict, features: dict,
     try:
         if cfg.jobs <= 1:
             for key in keys:
-                results[key] = _evaluate_cell(cfg, datasets, features, key)
+                results[key] = _evaluate_cell(cfg, features, key)
                 if progress:
                     progress(key, len(results), len(keys))
         else:
             with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
-                                     initargs=(cfg, datasets, features)) as pool:
+                                     initargs=(cfg, features)) as pool:
                 for key, result in pool.map(_run_one, keys):
                     results[key] = result
                     if progress:
@@ -176,7 +168,7 @@ def run_experiment(cfg: RunConfig, progress=None) -> Path:
     datasets = build_datasets(cfg)
     features = extract_features(cfg, datasets)
     try:
-        results = execute_cells(cfg, datasets, features, progress)
+        results = execute_cells(cfg, features, progress)
     except CellError as exc:
         _write_partial(cfg, exc.completed, exc, time.time() - start)
         raise

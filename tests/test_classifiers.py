@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from eegbench.classifiers import (
-    DEFAULT_HYPERPARAMS,
     MODEL_KINDS,
     GaussianNaiveBayes,
     GradientBoostingClassifier,
@@ -200,10 +199,13 @@ class TestKnn:
 
 class TestSvm:
     def test_two_point_dual_solution(self):
+        # var X = 1, so gamma = 1 and K_12 = exp(-4); the dual gives
+        # a_1 = a_2 = 1 / (1 - K_12), with both margins at exactly 1
         X = np.array([[-1.0], [1.0]])
         y = np.array([-1, 1])
-        m = SvmClassifier(kernel="linear", C=100.0).fit(X, y)
-        assert np.allclose(m.alpha_, [0.5, 0.5], atol=1e-9)
+        m = SvmClassifier(C=100.0).fit(X, y)
+        assert m.gamma_ == 1.0
+        assert np.allclose(m.alpha_, 1.0 / (1.0 - math.exp(-4.0)), atol=1e-9)
         assert m.bias == pytest.approx(0.0, abs=1e-9)
         f = m.decision_function(X)
         assert np.allclose(f, [-1.0, 1.0], atol=1e-6)  # margin 2 around 0
@@ -212,7 +214,7 @@ class TestSvm:
     def test_xor_with_rbf_kernel(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         y = np.array([-1, -1, 1, 1])
-        m = SvmClassifier(kernel="rbf", gamma=1.0, C=10.0).fit(X, y)
+        m = SvmClassifier(C=10.0).fit(X, y)
         assert (m.predict(X) == y).all()
         f = m.decision_function(X)
         assert (np.sign(f) == y).all()
@@ -221,7 +223,7 @@ class TestSvm:
         rng = np.random.default_rng(17)
         X, y01 = two_blobs(rng, n=80, d=2, sep=2.0)
         y = np.where(y01 == 1, 1, -1)
-        m = SvmClassifier(kernel="rbf", C=1.0).fit(X, y)
+        m = SvmClassifier(C=1.0).fit(X, y)
         assert np.all(m.alpha_ >= -1e-12)
         assert np.all(m.alpha_ <= m.C + 1e-12)
         assert abs(np.sum(m.alpha_ * np.where(y == 1, 1.0, -1.0))) < 1e-6
@@ -235,24 +237,20 @@ class TestSvm:
         assert np.array_equal(a.alpha_, b.alpha_)
         assert a.bias == b.bias
 
-    @pytest.mark.parametrize("kernel", ["linear", "poly", "sigmoid", "rbf"])
-    def test_kernel_menu_separates_blobs(self, kernel):
+    def test_separates_standardized_blobs(self):
         # standardized inputs, as the evaluation pipeline feeds this model
         X, y = two_blobs(np.random.default_rng(2), n=40, d=2, sep=8.0)
         X = (X - X.mean(0)) / X.std(0)
-        m = SvmClassifier(kernel=kernel, C=10.0, gamma="scale").fit(X, y)
+        m = SvmClassifier(C=10.0).fit(X, y)
         assert (m.predict(X) == y).mean() == 1.0
 
-    @pytest.mark.parametrize("kernel", ["linear", "rbf", "poly"])
-    def test_dual_objective_matches_slsqp(self, kernel):
+    def test_dual_objective_matches_slsqp(self):
         from scipy.optimize import minimize
 
         X, y01 = two_blobs(np.random.default_rng(5), n=30, d=2, sep=1.0)
         y = np.where(y01 == 1, 1.0, -1.0)
-        gamma, C = 0.5, 1.0
-        K = {"linear": X @ X.T,
-             "rbf": np.exp(-gamma * ((X[:, None] - X[None]) ** 2).sum(-1)),
-             "poly": (gamma * X @ X.T + 1.0) ** 3}[kernel]
+        gamma, C = 1.0 / (X.shape[1] * X.var()), 1.0
+        K = np.exp(-gamma * ((X[:, None] - X[None]) ** 2).sum(-1))
         Q = K * np.outer(y, y)
 
         def neg_dual(a):
@@ -263,19 +261,28 @@ class TestSvm:
                        constraints=[{"type": "eq", "fun": lambda a: a @ y, "jac": lambda a: y}],
                        options={"ftol": 1e-12, "maxiter": 1000})
         assert ref.success
-        m = SvmClassifier(kernel=kernel, C=C, gamma=gamma).fit(X, y01)
+        m = SvmClassifier(C=C).fit(X, y01)
+        assert m.gamma_ == gamma
         assert -neg_dual(m.alpha_) == pytest.approx(-ref.fun, rel=1e-3)
 
-    def test_sigmoid_nonpositive_curvature_meets_tolerance(self):
-        # nearby positive points: K_ii + K_jj - 2 K_ij < 0 for every pair,
-        # so every update takes the TAU branch
-        X = np.linspace(1.0, 2.0, 12)[:, None]
-        y = np.tile([-1, 1], 6)
-        K = np.tanh(X @ X.T + 1.0)
-        a = np.diag(K)[:, None] + np.diag(K)[None, :] - 2.0 * K
-        assert (a[~np.eye(12, dtype=bool)] < 0).all()
-        m = SvmClassifier(kernel="sigmoid", C=1.0, gamma=1.0).fit(X, y)
+    def test_identical_rows_of_opposite_labels_take_tau_branch(self):
+        from eegbench.classifiers.svm import _kernel_matrix
+
+        # rows 0 and 1 are equal with opposite labels: a = K_00 + K_11 - 2 K_01
+        # is 0, TAU stands in for it, and the pair's step runs to the box
+        X, y = two_blobs(np.random.default_rng(12), n=20, d=2, sep=2.0)
+        X[1], y[:2] = X[0], [0, 1]
+        K = _kernel_matrix(X, X, 1.0 / (X.shape[1] * X.var()))
+        assert K[0, 0] + K[1, 1] - 2.0 * K[0, 1] == 0.0
+        m = SvmClassifier(C=1.0).fit(X, y)
         assert m.n_sweeps_ > 0
+        assert m.alpha_[0] == m.alpha_[1] == m.C
+        assert m.kkt_violation() <= m.tol
+
+    def test_constant_features_take_gamma_one_over_d(self):
+        X = np.ones((6, 3))
+        m = SvmClassifier().fit(X, np.tile([0, 1], 3))
+        assert m.gamma_ == 1.0 / 3.0
         assert m.kkt_violation() <= m.tol
 
     def test_update_cap_raises_convergence_error(self, monkeypatch):
@@ -308,10 +315,6 @@ class TestSvm:
     def test_requires_both_labels(self):
         with pytest.raises(ValueError, match="two labels"):
             SvmClassifier().fit(np.zeros((4, 2)), np.zeros(4))
-
-    def test_unknown_kernel(self):
-        with pytest.raises(ValueError, match="kernel"):
-            SvmClassifier(kernel="laplace")
 
 
 def _naive_cart(X, y, feats_order=None):
@@ -407,25 +410,24 @@ class TestForest:
         m = RandomForestClassifier(n_trees=25, seed=3).fit(X, y)
         assert (m.predict(X) == y).mean() == 1.0
 
-    @pytest.mark.parametrize("n, d, n_classes, max_depth, ties", [
-        (80, 1, 2, None, False),
-        (80, 2, 2, None, False),
-        (60, 2, 2, None, True),
-        (70, 2, 2, 2, False),
-        (90, 2, 3, None, True),
-        (3, 1, 2, None, False),
-        (2, 2, 2, None, True),
-    ], ids=["d1", "d2", "tied_values", "max_depth", "three_classes", "tiny_n", "two_rows"])
-    def test_level_wise_trees_equal_depth_first(self, n, d, n_classes, max_depth, ties):
+    @pytest.mark.parametrize("n, d, n_classes, ties", [
+        (80, 1, 2, False),
+        (80, 2, 2, False),
+        (60, 2, 2, True),
+        (90, 2, 3, True),
+        (3, 1, 2, False),
+        (2, 2, 2, True),
+    ], ids=["d1", "d2", "tied_values", "three_classes", "tiny_n", "two_rows"])
+    def test_level_wise_trees_equal_depth_first(self, n, d, n_classes, ties):
         rng = np.random.default_rng(n + d)
         X = rng.normal(size=(n, d))
         if ties:
             X = np.round(X * 2.0) / 2.0
         y = rng.integers(0, n_classes, size=n)
-        m = RandomForestClassifier(n_trees=30, max_depth=max_depth, seed=5).fit(X, y)
+        m = RandomForestClassifier(n_trees=30, seed=5).fit(X, y)
         _, samples = _forest_samples(5, 30, n)
         for tree, rows in zip(m.trees_, samples):
-            ref = DecisionTree("gini", max_depth=max_depth).fit(X[rows], y[rows])
+            ref = DecisionTree("gini").fit(X[rows], y[rows])
             assert _preorder(tree) == _preorder(ref)
             assert tree.n_nodes == ref.n_nodes
 
@@ -490,18 +492,10 @@ class TestBoosting:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(100, 4))
         y = ((X[:, 0] + X[:, 1] ** 2 + 0.3 * rng.normal(size=100)) > 0.5).astype(int)
-        m = GradientBoostingClassifier(n_stages=60, subsample=1.0, seed=0).fit(X, y)
+        m = GradientBoostingClassifier(n_stages=60).fit(X, y)
         path = np.asarray(m.train_loss_path_)
         assert len(path) == 61
         assert np.all(np.diff(path) <= 1e-10)
-
-    def test_same_seed_identical_with_subsampling(self):
-        rng = np.random.default_rng(4)
-        X, y = two_blobs(rng, n=60, d=3, sep=1.0)
-        q = rng.normal(size=(25, 3))
-        a = GradientBoostingClassifier(n_stages=20, subsample=0.6, seed=9).fit(X, y)
-        b = GradientBoostingClassifier(n_stages=20, subsample=0.6, seed=9).fit(X, y)
-        assert np.array_equal(a.predict(q), b.predict(q))
 
     def test_fits_nonlinear_boundary(self):
         rng = np.random.default_rng(5)
@@ -510,22 +504,19 @@ class TestBoosting:
         m = GradientBoostingClassifier(n_stages=80).fit(X, y)
         assert (m.predict(X) == y).mean() > 0.95
 
-    @pytest.mark.parametrize("subsample", [1.0, 0.6])
-    def test_training_scores_equal_predicted_scores(self, subsample):
+    def test_training_scores_equal_predicted_scores(self):
         # the scores each stage updates from its fit's leaves are the model's own
         from eegbench.classifiers.boosting import _log_loss, _sigmoid
 
         rng = np.random.default_rng(6)
         X = np.round(rng.normal(size=(90, 3)), 1)
         y = (X[:, 0] - X[:, 2] + 0.4 * rng.normal(size=90) > 0).astype(int)
-        m = GradientBoostingClassifier(n_stages=15, subsample=subsample, seed=2).fit(X, y)
+        m = GradientBoostingClassifier(n_stages=15).fit(X, y)
         assert m.train_loss_path_[-1] == _log_loss(y.astype(float), _sigmoid(m.decision_scores(X)))
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
             GradientBoostingClassifier(learning_rate=1.5)
-        with pytest.raises(ValueError):
-            GradientBoostingClassifier(subsample=0.0)
         with pytest.raises(ValueError):
             GradientBoostingClassifier(n_stages=0)
 
@@ -570,12 +561,16 @@ class TestUniformContract:
             make_model("mlp")
 
     def test_make_model_applies_overrides(self):
-        m = make_model("knn", {"k": 9})
-        assert m.k == 9
         assert make_model("rf", seed=42).seed == 42
+        assert make_model("rf").seed == 0
 
     def test_defaults_match_documented_values(self):
-        assert DEFAULT_HYPERPARAMS["svm"]["C"] == 1.0
-        assert DEFAULT_HYPERPARAMS["rf"]["n_trees"] == 100
-        assert DEFAULT_HYPERPARAMS["gb"]["learning_rate"] == 0.1
-        assert DEFAULT_HYPERPARAMS["knn"]["k"] == 5
+        from eegbench.classifiers.boosting import MAX_DEPTH
+
+        assert make_model("lda").ridge == make_model("qda").ridge == 1e-6
+        assert make_model("nb").var_floor_ratio == 1e-9
+        assert make_model("knn").k == 5
+        assert make_model("svm").C == 1.0
+        assert make_model("rf").n_trees == 100
+        gb = make_model("gb")
+        assert (gb.n_stages, gb.learning_rate, MAX_DEPTH) == (100, 0.1, 3)

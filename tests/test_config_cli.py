@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from eegbench import cli
+from eegbench import cli, config
 from eegbench.config import DEFAULTS, ENV_CORPUS_ROOT, build_config, validate_config
 from eegbench.errors import ConfigError
 
@@ -23,7 +24,6 @@ class TestValidateConfig:
         assert cfg.kfold_plan.k == 10
         assert cfg.holdout_plan.n_repeats == 50
         assert cfg.holdout_plan.test_fraction == 0.2
-        assert cfg.pca_variance_target == 0.95
         assert cfg.master_seed == DEFAULTS["master_seed"]
 
     def test_unknown_key_is_named(self, tmp_path, corpus_root):
@@ -33,9 +33,15 @@ class TestValidateConfig:
             validate_config(path)
 
     def test_nested_unknown_key(self, corpus_root):
-        with pytest.raises(ConfigError, match=r"hyperparams\.knn\..*neighbors"):
-            build_config({"corpus_root": str(corpus_root),
-                          "hyperparams": {"knn": {"neighbors": 3}}})
+        with pytest.raises(ConfigError, match=r"kfold\..*folds"):
+            build_config({"corpus_root": str(corpus_root), "kfold": {"folds": 3}})
+
+    def test_docstring_lists_the_schema_keys(self):
+        listed = set()
+        for line in config.__doc__.splitlines():
+            if line.startswith("* "):
+                listed.update(re.findall(r"``(\w+)``", line.split(" -- ")[0]))
+        assert listed == set(config._SCHEMA)
 
     def test_unknown_model_and_extractor(self, corpus_root):
         with pytest.raises(ConfigError, match="mlp"):
@@ -76,11 +82,11 @@ class TestValidateConfig:
             build_config({"corpus_root": str(corpus_root), "kfold": {"k": 1}})
 
     def test_bad_variance_target(self, corpus_root):
-        with pytest.raises(ConfigError, match="variance"):
+        with pytest.raises(ConfigError, match="unknown key 'pca_variance_target'"):
             build_config({"corpus_root": str(corpus_root), "pca_variance_target": 1.5})
 
-    # the extraction settings are constants: a wavelet or mfcc block, even
-    # an empty one or one that held a valid value, is an unknown key
+    # the extraction, model and PCA settings are constants: a block or value
+    # for them, even an empty one or one that held the default, is an unknown key
     @pytest.mark.parametrize("section, options, message", [
         ("wavelet", {"extension_mode": "periodic"}, "unknown key 'wavelet'"),
         ("wavelet", {"threshold_method": "median"}, "unknown key 'wavelet'"),
@@ -96,17 +102,17 @@ class TestValidateConfig:
         ("mfcc", {}, "unknown key 'mfcc'"),
         ("wavelet", {"levels": 4, "extension_mode": "periodized"}, "unknown key 'wavelet'"),
         ("mfcc", {"n_filters": 26}, "unknown key 'mfcc'"),
-        ("hyperparams", {"svm": {"kernel": "foo"}}, "kernel"),
-        ("hyperparams", {"knn": {"k": "three"}}, r"hyperparams\.knn"),
-        ("hyperparams", {"rf": {"max_features": 0}}, r"hyperparams\.rf: max_features"),
-        ("hyperparams", {"rf": {"max_features": 0.5}}, r"hyperparams\.rf: max_features"),
-        ("hyperparams", {"rf": {"max_features": -3}}, r"hyperparams\.rf: max_features"),
-        ("hyperparams", {"rf": {"max_features": "log2"}}, r"hyperparams\.rf: max_features"),
-        ("hyperparams", {"rf": {"max_features": True}}, r"hyperparams\.rf: max_features"),
-        ("hyperparams", {"rf": {"max_depth": 0}}, r"hyperparams\.rf: max_depth"),
-        ("hyperparams", {"rf": {"max_depth": -1}}, r"hyperparams\.rf: max_depth"),
-        ("hyperparams", {"rf": {"max_depth": "x"}}, r"hyperparams\.rf: max_depth"),
-        ("hyperparams", {"gb": {"max_depth": 0}}, r"hyperparams\.gb: max_depth"),
+        ("hyperparams", {"svm": {"kernel": "foo"}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"knn": {"k": "three"}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"rf": {"max_features": 0}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"rf": {"max_features": 0.5}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"rf": {"max_features": -3}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"rf": {"max_features": "log2"}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"rf": {"max_features": True}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"rf": {"max_depth": 0}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"rf": {"max_depth": -1}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"rf": {"max_depth": "x"}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"gb": {"max_depth": 0}}, "unknown key 'hyperparams'"),
         # bool subclasses int: true must not pass as 1, nor false as 0
         ("jobs", True, "jobs"),
         ("master_seed", False, "master_seed"),
@@ -114,11 +120,14 @@ class TestValidateConfig:
         ("kfold", {"n_repeats": True}, "n_repeats"),
         ("holdout", {"n_repeats": True}, "n_repeats"),
         ("mfcc", {"frame_step": True}, "unknown key 'mfcc'"),
-        ("hyperparams", {"knn": {"k": True}}, r"hyperparams\.knn: k"),
-        ("hyperparams", {"rf": {"n_trees": True}}, r"hyperparams\.rf: n_trees"),
-        ("hyperparams", {"gb": {"n_stages": True}}, r"hyperparams\.gb: n_stages"),
-        ("hyperparams", {"svm": {"C": True}}, r"hyperparams\.svm: C"),
-        ("hyperparams", {"lda": {"ridge": True}}, r"hyperparams\.lda: ridge"),
+        ("hyperparams", {"knn": {"k": True}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"rf": {"n_trees": True}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"gb": {"n_stages": True}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"svm": {"C": True}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {"lda": {"ridge": True}}, "unknown key 'hyperparams'"),
+        ("hyperparams", {}, "unknown key 'hyperparams'"),
+        ("pca_variance_target", 0.95, "unknown key 'pca_variance_target'"),
+        ("pca_variance_target", None, "unknown key 'pca_variance_target'"),
     ], ids=["extension_mode", "threshold_method", "levels", "log_base", "frame_step",
             "n_coeffs", "mfcc_frame_too_long", "mfcc_too_many_filters", "strict_corpus",
             "levels_too_deep", "wavelet_empty", "mfcc_empty", "wavelet_default",
@@ -128,7 +137,8 @@ class TestValidateConfig:
             "rf_max_depth_text", "gb_max_depth_0", "jobs_bool", "master_seed_bool",
             "levels_bool", "kfold_n_repeats_bool", "holdout_n_repeats_bool",
             "frame_step_bool", "knn_k_bool", "rf_n_trees_bool", "gb_n_stages_bool",
-            "svm_C_bool", "lda_ridge_bool"])
+            "svm_C_bool", "lda_ridge_bool", "hyperparams_empty", "pca_variance_target",
+            "pca_variance_target_null"])
     def test_bad_option_values(self, corpus_root, section, options, message):
         with pytest.raises(ConfigError, match=message):
             build_config({"corpus_root": str(corpus_root), section: options})
@@ -138,11 +148,9 @@ class TestValidateConfig:
             "corpus_root": str(corpus_root),
             "kfold": {"k": 5, "n_repeats": 2},
             "profile": "custom",
-            "hyperparams": {"svm": {"kernel": "poly"}},
         })
         assert cfg.kfold_plan.k == 5
         assert cfg.profile == "custom"
-        assert cfg.hyperparams == {"svm": {"kernel": "poly"}}
 
 
 class TestCli:
@@ -175,9 +183,11 @@ class TestCli:
         # the smallest class holds 100 recordings in either scheme
         {"kfold": {"k": 200}},
         {"holdout": {"test_fraction": 0.001}},
+        {"hyperparams": {}},
+        {"pca_variance_target": None},
     ], ids=["levels_too_deep", "svm_kernel", "knn_k", "mfcc_frame_too_long",
             "mfcc_too_many_filters", "wavelet_empty", "mfcc_empty", "kfold_k_200",
-            "holdout_fraction_0_001"])
+            "holdout_fraction_0_001", "hyperparams_empty", "pca_variance_target_null"])
     def test_unrunnable_values_fail_before_corpus_load(self, tmp_path, corpus_root, capsys,
                                                        monkeypatch, options):
         from eegbench import runner
@@ -217,6 +227,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert "two replications per cell" in err
+
+    def test_stats_failure_leaves_no_partial_tables(self, tmp_path, capsys):
+        from eegbench.evaluation import CellResult
+        from eegbench.reporting import write_long_csv
+
+        # balanced can be analysed (three replications per cell); imbalanced,
+        # analysed after it, cannot (one replication per cell)
+        cells = []
+        for i, (extractor, model) in enumerate([("db2", "lda"), ("db2", "nb"),
+                                                ("mfcc", "lda"), ("mfcc", "nb")]):
+            acc = [0.80 + 0.03 * i + 0.01 * r * (i % 3 + 1) for r in range(3)]
+            cells.append(CellResult("balanced", extractor, model, "holdout", acc, acc, acc))
+            cells.append(CellResult("imbalanced", extractor, model, "holdout",
+                                    acc[:1], acc[:1], acc[:1]))
+        write_long_csv(cells, tmp_path / "cells.csv")
+        out = tmp_path / "o"
+        assert cli.main(["stats", str(tmp_path / "cells.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "two replications per cell" in err
+        left = [p.name for pattern in ("anova_*", "omega_squared_*", "hsd_*", "inference_*")
+                for p in out.glob(pattern)]
+        assert left == []
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith("o.tmp-")] == []
 
     def test_stats_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli.main(["stats", str(tmp_path / "none.csv"),

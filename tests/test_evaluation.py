@@ -126,24 +126,12 @@ def separable_features(n=80, d=4, seed=0):
     return FeatureMatrix(X, [f"f{i}" for i in range(d)], y)
 
 
-class FakeDataset:
-    """Stand-in with the LabeledDataset surface run_cell needs."""
-
-    def __init__(self, fm):
-        self.scheme = "balanced"
-        self._fm = fm
-        self.labels = fm.labels
-        self.instances = []
-
-
 class TestRunCell:
     @pytest.mark.parametrize("kind", ["lda", "knn", "svm", "rf", "gb", "nb", "qda"])
     def test_separable_dataset_perfect_accuracy(self, kind):
         fm = separable_features()
-        ds = FakeDataset(fm)
         plan = ev.SplitPlan("holdout", test_fraction=0.25, n_repeats=3)
-        res = ev.run_cell(ds, "wfe", kind, None, plan, features=fm,
-                          pca_variance_target=None)
+        res = ev.run_cell("balanced", "wfe", kind, plan, features=fm)
         assert res.n_replications == 3
         assert np.mean(res.accuracy) == 1.0
 
@@ -153,10 +141,8 @@ class TestRunCell:
         shuffled = fm.labels.copy()
         rng.shuffle(shuffled)
         fm2 = FeatureMatrix(fm.values, fm.feature_names, shuffled)
-        ds = FakeDataset(fm2)
         plan = ev.SplitPlan("holdout", test_fraction=0.25, n_repeats=20)
-        res = ev.run_cell(ds, "wfe", "lda", None, plan, features=fm2,
-                          pca_variance_target=None)
+        res = ev.run_cell("balanced", "wfe", "lda", plan, features=fm2)
         acc = np.mean(res.accuracy)
         # majority baseline is 0.5; 3 sigma for 20 reps of 30 test points
         sigma = math.sqrt(0.5 * 0.5 / (30 * 20))
@@ -164,27 +150,30 @@ class TestRunCell:
 
     def test_same_seed_identical_cell(self):
         fm = separable_features(n=60)
-        ds = FakeDataset(fm)
         plan = ev.SplitPlan("holdout", n_repeats=4)
-        a = ev.run_cell(ds, "wfe", "rf", None, plan, features=fm, master_seed=5)
-        b = ev.run_cell(ds, "wfe", "rf", None, plan, features=fm, master_seed=5)
+        a = ev.run_cell("balanced", "wfe", "rf", plan, features=fm, master_seed=5)
+        b = ev.run_cell("balanced", "wfe", "rf", plan, features=fm, master_seed=5)
         assert a.accuracy == b.accuracy
         assert a.sensitivity == b.sensitivity
 
     def test_kfold_aggregates_folds_per_repeat(self):
         fm = separable_features(n=60)
-        ds = FakeDataset(fm)
         plan = ev.SplitPlan("kfold", k=5, n_repeats=2)
-        res = ev.run_cell(ds, "wfe", "knn", {"k": 3}, plan, features=fm,
-                          pca_variance_target=None)
+        res = ev.run_cell("balanced", "wfe", "knn", plan, features=fm)
         assert res.n_replications == 2
 
-    def test_failure_carries_cell_context(self):
+    def test_failure_carries_cell_context(self, monkeypatch):
+        from eegbench.classifiers import KnnClassifier
+
+        def fail(self, X, y):
+            raise ValueError("fit failed")
+
+        monkeypatch.setattr(KnnClassifier, "fit", fail)
         fm = separable_features(n=40)
-        ds = FakeDataset(fm)
         plan = ev.SplitPlan("holdout", n_repeats=2)
         with pytest.raises(CellError) as err:
-            ev.run_cell(ds, "wfe", "knn", {"k": 1000}, plan, features=fm)
+            ev.run_cell("balanced", "wfe", "knn", plan, features=fm)
+        assert err.value.scheme == "balanced"
         assert err.value.model == "knn"
         assert err.value.extractor == "wfe"
         assert err.value.replication == 0
@@ -196,19 +185,18 @@ class TestLeakage:
         X, y = fm.values, fm.labels
         splits = ev.make_splits(y, ev.SplitPlan("holdout", seed=1))
         train_idx, test_idx = splits[0]
-        _, pca_clean = ev.fit_split(X, y, train_idx, test_idx, "lda", None, 0.95, 0)
+        _, pca_clean = ev.fit_split(X, y, train_idx, test_idx, "lda")
         garbage = X.copy()
         garbage[test_idx] = 1e6 * np.random.default_rng(0).normal(size=(len(test_idx), 6))
-        _, pca_dirty = ev.fit_split(garbage, y, train_idx, test_idx, "lda", None, 0.95, 0)
+        _, pca_dirty = ev.fit_split(garbage, y, train_idx, test_idx, "lda")
         assert same_pca(pca_clean, pca_dirty)
 
     def test_pca_fit_matches_train_only_fit(self):
         fm = separable_features(n=50, d=5, seed=4)
         splits = ev.make_splits(fm.labels, ev.SplitPlan("holdout", seed=2))
         train_idx, test_idx = splits[0]
-        _, pca_inner = ev.fit_split(fm.values, fm.labels, train_idx, test_idx,
-                                    "nb", None, 0.9, 0)
-        direct = pca_fit(fm.values[train_idx], 0.9)
+        _, pca_inner = ev.fit_split(fm.values, fm.labels, train_idx, test_idx, "nb")
+        direct = pca_fit(fm.values[train_idx], ev.PCA_VARIANCE_TARGET)
         assert same_pca(pca_inner, direct)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -148,8 +149,38 @@ class TestDeterminism:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+class TestDefaultCellBits:
+    """The cells CSVs of a small run of all seven models, pinned bit for bit.
+
+    The run is the session corpus (seed 0), balanced, ``mfcc`` and ``db2``,
+    2 folds and 2 hold-outs, at every model's default settings and the
+    default master seed. Recorded with numpy 2.4.6 and its bundled OpenBLAS
+    0.3.31 on x86-64; another BLAS build or CPU may round differently.
+    """
+
+    EXPECTED = {
+        "cells_kfold.csv": "5a80cf2cf70d732802c63730a92db6506612158e9038c324ea270fcfdb406080",
+        "cells_holdout.csv": "9a5683d17737300e787210b335e1030e8b10549b8df445b24e79ac054d0109cf",
+    }
+
+    def test_cells_hash(self, corpus_root, tmp_path):
+        cfg = small_config(corpus_root, tmp_path / "report",
+                           models=["lda", "qda", "knn", "nb", "svm", "rf", "gb"],
+                           kfold={"k": 2}, holdout={"n_repeats": 2})
+        report = run_experiment(cfg)
+        assert {name: hashlib.sha256((report / name).read_bytes()).hexdigest()
+                for name in self.EXPECTED} == self.EXPECTED
+
+
 class TestFailurePath:
-    def test_cell_failure_writes_partial_manifest(self, corpus_root, tmp_path, capsys):
+    def test_cell_failure_writes_partial_manifest(self, corpus_root, tmp_path, capsys,
+                                                  monkeypatch):
+        from eegbench.classifiers import KnnClassifier
+
+        def fail(self, X, y):
+            raise ValueError("fit failed")
+
+        monkeypatch.setattr(KnnClassifier, "fit", fail)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "corpus_root": str(corpus_root),
@@ -158,7 +189,6 @@ class TestFailurePath:
             "extractors": ["mfcc"],
             "models": ["lda", "knn"],
             "holdout": {"n_repeats": 2},
-            "hyperparams": {"knn": {"k": 100000}},
         }))
         code = cli.main(["run", str(cfg_path), "--quiet"])
         assert code == 3

@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute the configured experiment")
     run.add_argument("config", help="path to a JSON run configuration")
     run.add_argument("--seed", type=int, help="override the master seed")
-    run.add_argument("--jobs", type=int, help="worker processes for cells")
+    run.add_argument("--jobs", type=int, help="worker processes for feature extraction and cells")
     run.add_argument("--out", help="override the output directory")
     run.add_argument("--quiet", action="store_true", help="suppress progress lines")
 

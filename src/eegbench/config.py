@@ -6,6 +6,7 @@ Accepted top-level keys (any other is a ``ConfigError``):
 * ``output_dir`` -- where the report bundle goes (``eegbench-report``)
 * ``schemes``, ``extractors``, ``models`` -- the factors crossed into cells
 * ``master_seed``, ``jobs`` -- the seed every random draw derives from; worker processes
+  for feature extraction and cells
 * ``kfold``, ``holdout`` -- the two resampling plans, ``{"k", "n_repeats"}`` and
   ``{"test_fraction", "n_repeats"}``
 * ``profile`` -- ``reproduction`` or ``custom``, recorded in the manifest

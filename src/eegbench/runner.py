@@ -1,10 +1,13 @@
 """Experiment orchestration: corpus to finished report bundle.
 
-Cells (scheme x plan x extractor x model) are independent jobs; results
-are keyed by cell identity so output never depends on completion order.
+Feature extraction and the cells (scheme x plan x extractor x model)
+both run on ``cfg.jobs`` worker processes. Under ``jobs>1`` each
+extractor's signals go to the pool in contiguous chunks, stacked back in
+order; under ``jobs=1`` extraction and cells run in-process. Results are
+keyed by cell identity so output never depends on completion order.
 The report directory is written atomically (temp dir + rename); a cell
 failure leaves a ``<output>.partial`` directory with the manifest of
-completed cells instead.
+every completed cell instead.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import platform
 import shutil
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -26,7 +30,7 @@ from .config import RunConfig
 from .corpus import build_dataset, load_corpus, write_manifest
 from .errors import CellError
 from .evaluation import derive_seed, run_cell
-from .features import FeatureMatrix, extract_matrix
+from .features import EXTRACT_BLOCK, FeatureMatrix, extract_matrix
 from .reporting import (long_rows, write_boxplot_data, write_inference_reports,
                         write_long_csv, write_performance_tables)
 
@@ -42,20 +46,63 @@ def build_datasets(cfg: RunConfig) -> dict:
     return datasets
 
 
+# extraction chunks per worker and extractor: more than one, so the pool's
+# last tasks are short and no worker idles long while another finishes
+CHUNKS_PER_WORKER = 2
+
+
+class _Chunk(NamedTuple):
+    """One pool task of extraction: ``extractor`` on signals[start:stop]."""
+
+    extractor: str
+    start: int
+    stop: int
+
+
+def _extract(signals, extractor: str) -> FeatureMatrix:
+    return extract_matrix((sig.samples for sig in signals),
+                          [sig.is_seizure for sig in signals], extractor)
+
+
+def _extract_unions(cfg: RunConfig, signals: list) -> dict:
+    """extractor -> FeatureMatrix over ``signals``, rows in order.
+
+    Under ``jobs=1`` this is one in-process ``extract_matrix`` per
+    extractor. Otherwise each extractor's signals are cut into about
+    ``CHUNKS_PER_WORKER`` chunks per worker, each a whole number of
+    ``EXTRACT_BLOCK``s, and every chunk of every extractor goes to one pool.
+    """
+    if cfg.jobs <= 1:
+        return {extractor: _extract(signals, extractor) for extractor in cfg.extractors}
+    per_chunk = -(-len(signals) // (cfg.jobs * CHUNKS_PER_WORKER))
+    per_chunk = -(-per_chunk // EXTRACT_BLOCK) * EXTRACT_BLOCK
+    chunks = [_Chunk(extractor, start, min(start + per_chunk, len(signals)))
+              for extractor in cfg.extractors
+              for start in range(0, len(signals), per_chunk)]
+    parts = {extractor: [] for extractor in cfg.extractors}
+    with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
+                             initargs=(cfg, signals)) as pool:
+        for chunk, fm in pool.map(_run_one, chunks):
+            parts[chunk.extractor].append(fm)
+    return {extractor: FeatureMatrix(np.vstack([fm.values for fm in fms]), fms[0].feature_names,
+                                     np.concatenate([fm.labels for fm in fms]))
+            for extractor, fms in parts.items()}
+
+
 def extract_features(cfg: RunConfig, datasets: dict) -> dict:
     """(scheme, extractor) -> FeatureMatrix; extraction is per-instance pure.
 
     Every distinct signal is extracted once per extractor, in the order of
-    the largest scheme first; each scheme then takes its rows from that
-    matrix (the largest one as a view of it).
+    the largest scheme first: in chunks on ``cfg.jobs`` worker processes
+    under ``jobs>1``, in-process under ``jobs=1`` (see ``_extract_unions``).
+    Each scheme then takes its rows from that matrix (the largest one as a
+    view of it).
     """
     ordered = sorted(datasets.values(), key=lambda ds: -len(ds.instances))
     signals = list({id(sig): sig for ds in ordered for sig in ds.instances}.values())
     row_of = {id(sig): i for i, sig in enumerate(signals)}
     features = {}
-    for extractor in cfg.extractors:
-        union = extract_matrix(
-            (sig.samples for sig in signals), [sig.is_seizure for sig in signals], extractor)
+    for extractor, union in _extract_unions(cfg, signals).items():
         for scheme, ds in datasets.items():
             rows = [row_of[id(sig)] for sig in ds.instances]
             values = (union.values[:len(rows)] if rows == list(range(len(rows)))
@@ -76,15 +123,18 @@ def enumerate_cells(cfg: RunConfig):
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(cfg, features):
+def _init_worker(cfg, inputs):
+    # inputs: the signal list for extraction chunks, the features for cells
     _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["features"] = features
+    _WORKER_STATE["inputs"] = inputs
 
 
-def _run_one(cell_key):
-    cfg = _WORKER_STATE["cfg"]
-    features = _WORKER_STATE["features"]
-    return cell_key, _evaluate_cell(cfg, features, cell_key)
+def _run_one(task):
+    """One pool task, an extraction ``_Chunk`` or a cell key; returns (task, result)."""
+    inputs = _WORKER_STATE["inputs"]
+    if isinstance(task, _Chunk):
+        return task, _extract(inputs[task.start:task.stop], task.extractor)
+    return task, _evaluate_cell(_WORKER_STATE["cfg"], inputs, task)
 
 
 def _evaluate_cell(cfg: RunConfig, features: dict, cell_key):
@@ -95,10 +145,11 @@ def _evaluate_cell(cfg: RunConfig, features: dict, cell_key):
 
 
 def execute_cells(cfg: RunConfig, features: dict, progress=None):
-    """Run every configured cell; returns {key: CellResult}.
+    """Run every configured cell; returns {key: CellResult} in cell order.
 
-    A failing cell's ``CellError`` leaves with the results of the cells
-    finished before it in ``completed``.
+    A failing cell's ``CellError`` leaves with the results of every cell
+    that finished in ``completed``. Under ``jobs>1`` the cells not yet
+    started are cancelled and those already running are let finish.
     """
     keys = list(enumerate_cells(cfg))
     results = {}
@@ -109,16 +160,32 @@ def execute_cells(cfg: RunConfig, features: dict, progress=None):
                 if progress:
                     progress(key, len(results), len(keys))
         else:
-            with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
-                                     initargs=(cfg, features)) as pool:
-                for key, result in pool.map(_run_one, keys):
-                    results[key] = result
-                    if progress:
-                        progress(key, len(results), len(keys))
+            _execute_pooled(cfg, features, keys, results, progress)
     except CellError as exc:
-        exc.completed = results
+        exc.completed = {key: results[key] for key in keys if key in results}
         raise
-    return results
+    return {key: results[key] for key in keys}
+
+
+def _execute_pooled(cfg: RunConfig, features: dict, keys: list, results: dict, progress):
+    # fills ``results`` as cells complete, so a CellError leaves them behind
+    with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
+                             initargs=(cfg, features)) as pool:
+        futures = [pool.submit(_run_one, key) for key in keys]
+        try:
+            for future in as_completed(futures):
+                key, result = future.result()
+                results[key] = result
+                if progress:
+                    progress(key, len(results), len(keys))
+        except CellError:
+            # cancel the cells not started, wait for the running ones, keep their results
+            pool.shutdown(cancel_futures=True)
+            for future in futures:
+                if not future.cancelled() and future.exception() is None:
+                    key, result = future.result()
+                    results[key] = result
+            raise
 
 
 def _manifest(cfg: RunConfig, completed, elapsed_s: float) -> dict:

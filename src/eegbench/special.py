@@ -85,8 +85,13 @@ def studentized_range_cdf(q: float, m: int, df: float, tol: float = 1e-5) -> flo
     return fine
 
 
+@lru_cache(maxsize=64)
 def studentized_range_quantile(p: float, m: int, df: float) -> float:
-    """Inverse CDF by bisection (the CDF is monotone in q)."""
+    """Inverse CDF by bisection (the CDF is monotone in q).
+
+    Cached per ``(p, m, df)``: each call costs dozens of CDF quadratures,
+    and Tukey HSD asks for the same critical value once per scheme.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError("p must be inside (0, 1)")
     lo, hi = 1e-9, 10.0

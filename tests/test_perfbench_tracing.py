@@ -1,9 +1,11 @@
 """perfbench's tracer still finds every layer it names.
 
 ``tracing._wrap_function`` skips a name the module no longer has, so a
-rename would read as a zero per-layer metric rather than a failure. The
-check runs in a child process because ``install`` rebinds module
-attributes for the whole process.
+rename would read as a zero per-layer metric rather than a failure; and
+pool workers ship their spans only from ``runner._run_one``, so work that
+reaches the pool another way would read as zero too. The checks run in a
+child process because ``install`` rebinds module attributes for the whole
+process.
 """
 
 import json
@@ -46,3 +48,40 @@ def test_install_wraps_every_named_function(tmp_path):
         capture_output=True, text=True, check=True, cwd=tmp_path)
     unwrapped = set(json.loads(out.stdout.strip().splitlines()[-1]))
     assert unwrapped - GONE == set()
+
+
+# a tiny traced jobs=2 run; prints the per-layer metrics of the merged trace
+POOLED_RUN = """
+import json, sys
+from pathlib import Path
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+from eegbench import runner
+from eegbench.config import build_config
+
+trace_dir = Path(sys.argv[4])
+trace_dir.mkdir()
+cfg = build_config({"corpus_root": sys.argv[3], "output_dir": str(trace_dir.parent / "report"),
+                    "schemes": ["balanced"], "extractors": ["db2", "mfcc"],
+                    "models": ["lda", "knn"], "kfold": {"k": 2}, "holdout": {"n_repeats": 2},
+                    "jobs": 2})
+tracer = tracing.Tracer()
+tracing.install(tracer, trace_dir)
+runner.run_experiment(cfg)
+tracer.merge_worker_files(trace_dir)
+print(json.dumps(tracing.layer_metrics(tracer, cfg.jobs)))
+"""
+
+
+def test_pooled_extraction_is_traced(corpus_root, tmp_path):
+    from eegbench.corpus import build_dataset, load_corpus
+
+    out = subprocess.run(
+        [sys.executable, "-c", POOLED_RUN, str(ROOT / "perfbench"), str(ROOT / "src"),
+         str(corpus_root), str(tmp_path / "trace")],
+        capture_output=True, text=True, check=True, cwd=tmp_path)
+    metrics = json.loads(out.stdout.strip().splitlines()[-1])
+    signals = len(build_dataset(load_corpus(corpus_root), "balanced").instances)
+    assert metrics["features.rows"] == 2 * signals
+    assert metrics["features.extract_s.db2"] > 0
+    assert metrics["features.extract_s.mfcc"] > 0

@@ -12,10 +12,11 @@ import scipy
 import eegbench
 from eegbench import cli
 from eegbench.config import build_config
+from eegbench.errors import CellError
 from eegbench.evaluation import CellResult
 from eegbench.reporting import (five_number_summary, read_long_csv,
                                 write_long_csv)
-from eegbench.features import extract_matrix
+from eegbench.features import EXTRACTORS, extract_matrix
 from eegbench.runner import build_datasets, extract_features, run_experiment
 
 
@@ -114,6 +115,22 @@ def test_extraction_shared_across_schemes(corpus_root, tmp_path):
             assert fm.values.tobytes() == alone.values.tobytes()
 
 
+def test_extraction_independent_of_jobs(corpus_root, tmp_path):
+    # 500 distinct signals: not a multiple of the jobs=2 chunk size, and
+    # the balanced rows are not a prefix of them
+    features = {}
+    for jobs in (1, 2):
+        cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
+                           extractors=list(EXTRACTORS), jobs=jobs)
+        features[jobs] = extract_features(cfg, build_datasets(cfg))
+    assert features[1].keys() == features[2].keys()
+    assert len(features[1]) == 2 * len(EXTRACTORS)
+    for key, fm in features[1].items():
+        assert np.array_equal(fm.values, features[2][key].values)
+        assert fm.feature_names == features[2][key].feature_names
+        assert np.array_equal(fm.labels, features[2][key].labels)
+
+
 def test_runner_import_loads_no_heavy_scipy_module():
     # scipy.stats alone adds tens of megabytes to a run's peak RSS
     heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
@@ -202,6 +219,35 @@ class TestFailurePath:
         rows = read_long_csv(partial / "cells_kfold.csv")
         assert [r[:4] for r in rows] == [("balanced", "mfcc", "lda", 0)]
         assert not (tmp_path / "report").exists()  # nothing half-written
+
+
+    def test_pooled_failure_keeps_every_finished_cell(self, bundle, corpus_root, tmp_path,
+                                                     monkeypatch):
+        from eegbench.classifiers import KnnClassifier
+
+        def fail(self, X, y):
+            raise ValueError("fit failed")
+
+        # the first cell fails; the cells already handed to the workers
+        # still finish and must be kept
+        monkeypatch.setattr(KnnClassifier, "fit", fail)
+        cfg = small_config(corpus_root, tmp_path / "report", models=["knn", "lda"], jobs=2)
+        with pytest.raises(CellError):
+            run_experiment(cfg)
+        partial = tmp_path / "report.partial"
+        manifest = json.loads((partial / "manifest.json").read_text())
+        assert manifest["failure"]["model"] == "knn"
+        completed = manifest["completed_cells"]
+        assert completed
+        assert all(cell.endswith("/lda") for cell in completed)
+        _, report = bundle
+        for plan in ("kfold", "holdout"):
+            rows = read_long_csv(partial / f"cells_{plan}.csv")
+            assert sorted({f"{r[0]}/{plan}/{r[1]}/{r[2]}" for r in rows}) == sorted(
+                c for c in completed if f"/{plan}/" in c)
+            full = {r[:4]: r for r in read_long_csv(report / f"cells_{plan}.csv")}
+            assert all(full[r[:4]] == r for r in rows)
+        assert not (tmp_path / "report").exists()
 
 
 class TestReportingUnits:

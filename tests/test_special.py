@@ -50,6 +50,25 @@ class TestStudentizedRange:
             q = special.studentized_range_quantile(p, 5, 40)
             assert special.studentized_range_cdf(q, 5, 40) == pytest.approx(p, abs=1e-5)
 
+    def test_quantile_cached_per_arguments(self, monkeypatch):
+        special.studentized_range_quantile.cache_clear()
+        calls = []
+        cdf = special.studentized_range_cdf
+
+        def counting_cdf(*args, **kwargs):
+            calls.append(args)
+            return cdf(*args, **kwargs)
+
+        monkeypatch.setattr(special, "studentized_range_cdf", counting_cdf)
+        first = special.studentized_range_quantile(0.95, 4, 28)
+        n_calls = len(calls)
+        assert n_calls > 0
+        assert special.studentized_range_quantile(0.95, 4, 28) is first
+        assert len(calls) == n_calls
+        special.studentized_range_quantile.cache_clear()
+        assert special.studentized_range_quantile(0.95, 4, 28) == first
+        assert len(calls) == 2 * n_calls
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             special.studentized_range_cdf(2.0, 1, 10)

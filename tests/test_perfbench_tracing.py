@@ -3,7 +3,9 @@
 ``tracing._wrap_function`` skips a name the module no longer has, so a
 rename would read as a zero per-layer metric rather than a failure; and
 pool workers ship their spans only from ``runner._run_one``, so work that
-reaches the pool another way would read as zero too. The checks run in a
+reaches the pool another way would read as zero too. The in-process
+path of a ``jobs=1`` run must not go through those two worker functions:
+their wrappers reset and flush the process's spans. The checks run in a
 child process because ``install`` rebinds module attributes for the whole
 process.
 """
@@ -12,6 +14,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,7 +54,8 @@ def test_install_wraps_every_named_function(tmp_path):
     assert unwrapped - GONE == set()
 
 
-# a tiny traced jobs=2 run; prints the per-layer metrics of the merged trace
+# a tiny traced run at jobs sys.argv[5]; prints the per-layer metrics of the
+# merged trace and the split fits the config asks for
 POOLED_RUN = """
 import json, sys
 from pathlib import Path
@@ -64,24 +69,31 @@ trace_dir.mkdir()
 cfg = build_config({"corpus_root": sys.argv[3], "output_dir": str(trace_dir.parent / "report"),
                     "schemes": ["balanced"], "extractors": ["db2", "mfcc"],
                     "models": ["lda", "knn"], "kfold": {"k": 2}, "holdout": {"n_repeats": 2},
-                    "jobs": 2})
+                    "jobs": int(sys.argv[5])})
 tracer = tracing.Tracer()
 tracing.install(tracer, trace_dir)
 runner.run_experiment(cfg)
 tracer.merge_worker_files(trace_dir)
-print(json.dumps(tracing.layer_metrics(tracer, cfg.jobs)))
+fits = sum(len(cfg.schemes) * len(cfg.extractors) * len(cfg.models)
+           * plan.splits_per_repeat * plan.n_repeats
+           for plan in (cfg.kfold_plan, cfg.holdout_plan))
+print(json.dumps({"metrics": tracing.layer_metrics(tracer, cfg.jobs), "split_fits": fits}))
 """
 
 
-def test_pooled_extraction_is_traced(corpus_root, tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pooled_extraction_is_traced(corpus_root, tmp_path, jobs):
     from eegbench.corpus import build_dataset, load_corpus
 
     out = subprocess.run(
         [sys.executable, "-c", POOLED_RUN, str(ROOT / "perfbench"), str(ROOT / "src"),
-         str(corpus_root), str(tmp_path / "trace")],
+         str(corpus_root), str(tmp_path / "trace"), str(jobs)],
         capture_output=True, text=True, check=True, cwd=tmp_path)
-    metrics = json.loads(out.stdout.strip().splitlines()[-1])
+    run = json.loads(out.stdout.strip().splitlines()[-1])
+    metrics = run["metrics"]
     signals = len(build_dataset(load_corpus(corpus_root), "balanced").instances)
     assert metrics["features.rows"] == 2 * signals
     assert metrics["features.extract_s.db2"] > 0
     assert metrics["features.extract_s.mfcc"] > 0
+    assert metrics["evaluation.split_fits"] == run["split_fits"]
+    assert metrics["runner.execute_cells_s"] > 0

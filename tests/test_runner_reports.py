@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,121 @@ class TestFailurePath:
             full = {r[:4]: r for r in read_long_csv(report / f"cells_{plan}.csv")}
             assert all(full[r[:4]] == r for r in rows)
         assert not (tmp_path / "report").exists()
+
+    def test_failed_partial_write_leaves_nothing(self, corpus_root, tmp_path, monkeypatch):
+        from eegbench import runner
+        from eegbench.classifiers import KnnClassifier
+
+        def fail(self, X, y):
+            raise ValueError("fit failed")
+
+        calls = []
+        write = runner.write_long_csv
+
+        def write_or_fail(cells, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write(cells, path)
+
+        monkeypatch.setattr(KnnClassifier, "fit", fail)
+        monkeypatch.setattr(runner, "write_long_csv", write_or_fail)
+        cfg = small_config(corpus_root, tmp_path / "report", extractors=["mfcc"])
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(cfg)
+        assert len(calls) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+class TestTaskRunner:
+    def test_pool_starts_no_more_workers_than_tasks(self, corpus_root, tmp_path, monkeypatch):
+        from concurrent.futures import Future
+
+        from eegbench import runner
+
+        pools = []
+
+        class InlineExecutor:
+            """Records its worker count and runs each task at submit."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append({"workers": max_workers, "tasks": 0})
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, task):
+                pools[-1]["tasks"] += 1
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(runner, "_WORKER_STATE", {})
+        cfg = small_config(corpus_root, tmp_path / "report", extractors=["mfcc"],
+                           models=["lda"], jobs=8)
+        run_experiment(cfg)
+        assert len(pools) == 2  # extraction chunks, then the cells
+        assert pools[1] == {"workers": 2, "tasks": 2}
+        assert all(pool["workers"] == min(8, pool["tasks"]) for pool in pools)
+
+    def test_failing_chunk_cancels_queued_chunks(self, corpus_root, tmp_path, monkeypatch):
+        from eegbench import runner
+        from eegbench.features import FeatureMatrix
+
+        cfg = small_config(corpus_root, tmp_path / "report", jobs=2)
+        first = build_datasets(cfg)["balanced"].instances[0].samples
+        ran = tmp_path / "ran.txt"
+
+        def extract(instances, labels, extractor):
+            samples = list(instances)
+            if extractor == cfg.extractors[0] and np.array_equal(samples[0], first):
+                raise RuntimeError("first chunk failed")
+            time.sleep(0.5)
+            with open(ran, "a") as fh:
+                fh.write(f"{extractor}\n")
+            return FeatureMatrix(np.zeros((len(samples), 1)), ["x"], np.asarray(labels))
+
+        monkeypatch.setattr(runner, "extract_matrix", extract)
+        signals = len(build_datasets(cfg)["balanced"].instances)
+        per_chunk = -(-signals // (cfg.jobs * runner.CHUNKS_PER_WORKER))
+        per_chunk = -(-per_chunk // runner.EXTRACT_BLOCK) * runner.EXTRACT_BLOCK
+        chunks = len(cfg.extractors) * -(-signals // per_chunk)
+        with pytest.raises(RuntimeError, match="first chunk failed"):
+            run_experiment(cfg)
+        # every chunk but the failing one sleeps and records itself
+        assert len(ran.read_text().splitlines()) < chunks - 1
+        assert not (tmp_path / "report").exists()
+
+    def test_failing_cell_cancels_queued_cells(self, corpus_root, tmp_path, monkeypatch):
+        # an error that is not a CellError, so no partial bundle is written
+        from eegbench import runner
+
+        cfg = small_config(corpus_root, tmp_path / "report", jobs=2)
+        cells = list(runner.enumerate_cells(cfg))
+        ran = tmp_path / "ran.txt"
+        run_cell = runner.run_cell
+
+        def cell(scheme, extractor, model, plan, **kwargs):
+            if (scheme, plan.kind, extractor, model) == cells[0]:
+                raise RuntimeError("first cell failed")
+            time.sleep(0.5)
+            with open(ran, "a") as fh:
+                fh.write(f"{extractor}/{model}\n")
+            return run_cell(scheme, extractor, model, plan, **kwargs)
+
+        monkeypatch.setattr(runner, "run_cell", cell)
+        with pytest.raises(RuntimeError, match="first cell failed"):
+            run_experiment(cfg)
+        assert len(ran.read_text().splitlines()) < len(cells) - 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ran.txt"]
 
 
 class TestReportingUnits:

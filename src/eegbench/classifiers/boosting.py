@@ -3,14 +3,15 @@
 Each stage fits a regression tree of depth ``MAX_DEPTH`` to the current
 negative gradient (label minus predicted probability) on every training
 row; leaf values take one Newton step sum(residual) / sum(p(1-p)),
-scaled by the learning rate.
+scaled by the learning rate. Every stage fits the same rows, so all the
+trees grow from one ``presort`` of the training matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tree import DecisionTree
+from .tree import DecisionTree, predict_trees, presort
 
 MAX_DEPTH = 3
 _PROB_CLIP = 1e-12
@@ -55,13 +56,13 @@ class GradientBoostingClassifier:
         p0 = float(np.clip(y01.mean(), _PROB_CLIP, 1.0 - _PROB_CLIP))
         self._f0 = float(np.log(p0 / (1.0 - p0)))
         scores = np.full(X.shape[0], self._f0)
+        root = presort(X)                              # shared by every stage's tree
+        prob = _sigmoid(scores)
         self.trees_ = []
-        self.train_loss_path_ = [_log_loss(y01, _sigmoid(scores))]
+        self.train_loss_path_ = [_log_loss(y01, prob)]
         for _ in range(self.n_stages):
-            prob = _sigmoid(scores)
             residual = y01 - prob
-            tree = DecisionTree("mse", max_depth=MAX_DEPTH)
-            tree.fit(X, residual)
+            tree = DecisionTree("mse", max_depth=MAX_DEPTH).grow(X, residual, root)
             # Newton step per leaf
             hess = prob * (1.0 - prob)
             leaf_of = np.empty(X.shape[0], dtype=np.int64)
@@ -70,14 +71,16 @@ class GradientBoostingClassifier:
                 leaf_of[idx] = leaf
             scores += self.learning_rate * np.asarray(tree.value)[leaf_of]
             self.trees_.append(tree)
-            self.train_loss_path_.append(_log_loss(y01, _sigmoid(scores)))
+            prob = _sigmoid(scores)
+            self.train_loss_path_.append(_log_loss(y01, prob))
         return self
 
     def decision_scores(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         scores = np.full(X.shape[0], self._f0)
-        for tree in self.trees_:
-            scores += self.learning_rate * tree.predict(X)
+        if self.trees_:
+            for values in self.learning_rate * predict_trees(self.trees_, X):
+                scores += values                       # in stage order
         return scores
 
     def predict_proba(self, X) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .tree import DecisionTree, grow_gini_forest
+from .tree import DecisionTree, grow_gini_forest, predict_trees
 
 
 class RandomForestClassifier:
@@ -43,8 +43,7 @@ class RandomForestClassifier:
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        counts = np.zeros((X.shape[0], self.classes_.size), dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        for tree in self.trees_:
-            counts[rows, tree.predict(X).astype(np.int64)] += 1
+        n, k = X.shape[0], self.classes_.size
+        votes = predict_trees(self.trees_, X).astype(np.int64)      # (trees, rows) classes
+        counts = np.bincount((np.arange(n) * k + votes).ravel(), minlength=n * k).reshape(n, k)
         return self.classes_[np.argmax(counts, axis=1)]

@@ -193,12 +193,13 @@ def _write_bundle(cfg: RunConfig, datasets: dict, results: dict, start: float,
     """Write a report bundle into a temp dir beside its target, then rename it there.
 
     Without ``failure`` the target is ``output_dir`` and the bundle is the
-    full report. After a ``CellError`` it is ``<output>.partial`` (any
-    earlier one is removed first), with the cells CSVs and the manifest
-    of the completed cells and a ``failure`` block.
+    full report; an earlier run's ``<output>.partial`` is removed once it
+    is written. After a ``CellError`` the target is ``<output>.partial``
+    (any earlier one is removed first), with the cells CSVs and the
+    manifest of the completed cells and a ``failure`` block.
     """
-    target = (cfg.output_dir if failure is None
-              else cfg.output_dir.with_name(cfg.output_dir.name + ".partial"))
+    partial = cfg.output_dir.with_name(cfg.output_dir.name + ".partial")
+    target = cfg.output_dir if failure is None else partial
     if failure is not None:
         shutil.rmtree(target, ignore_errors=True)
     ordered = sorted(results.items())
@@ -235,6 +236,8 @@ def _write_bundle(cfg: RunConfig, datasets: dict, results: dict, start: float,
     except Exception:
         shutil.rmtree(tmp_dir, ignore_errors=True)
         raise
+    if failure is None:
+        shutil.rmtree(partial, ignore_errors=True)   # the failure it recorded is fixed
     return target
 
 

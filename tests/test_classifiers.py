@@ -15,7 +15,7 @@ from eegbench.classifiers import (
     SvmClassifier,
     make_model,
 )
-from eegbench.classifiers.tree import DecisionTree, grow_gini_forest
+from eegbench.classifiers.tree import DecisionTree, apply_trees, grow_gini_forest
 
 
 def two_blobs(rng, n=60, d=3, sep=10.0):
@@ -542,6 +542,274 @@ class TestDecisionTreeDirect:
     def test_unknown_criterion(self):
         with pytest.raises(ValueError):
             DecisionTree("entropy")
+
+
+class ReferenceTree:
+    """CART grown with a stable argsort at every node, walked with a Python stack.
+
+    A copy of the grower and the walk that presorted growth and the flat
+    walk replaced, kept here as the reference they must equal node for node.
+    """
+
+    def __init__(self, criterion, max_depth=None, max_features=None, rng=None):
+        self.criterion = criterion
+        self.max_depth = max_depth
+        self.max_features = max_features
+        self.rng = rng
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+        self.n_classes = 0
+
+    def fit(self, X, targets):
+        X = np.asarray(X, dtype=float)
+        t = np.asarray(targets)
+        if self.criterion == "gini":
+            t = t.astype(np.int64)
+            self.n_classes = int(t.max()) + 1 if t.size else 0
+        else:
+            t = t.astype(float)
+        self.leaf_rows_ = []
+        self._grow(X, t, np.arange(X.shape[0]), depth=0)
+        return self
+
+    def _new_node(self):
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.0)
+        return len(self.feature) - 1
+
+    def _leaf(self, node, sub_t, idx):
+        if self.criterion == "gini":
+            self.value[node] = int(np.argmax(np.bincount(sub_t, minlength=self.n_classes)))
+        else:
+            self.value[node] = float(sub_t.mean())
+        self.leaf_rows_.append((node, idx))
+        return node
+
+    def _grow(self, X, t, idx, depth):
+        node = self._new_node()
+        sub_t = t[idx]
+        if self.max_depth is not None and depth >= self.max_depth:
+            return self._leaf(node, sub_t, idx)
+        pure = (sub_t == sub_t[0]).all() if self.criterion == "gini" else sub_t.var() <= 1e-14
+        split = None if pure else self._best_split(X, sub_t, idx)
+        if split is None:
+            return self._leaf(node, sub_t, idx)
+        feat, thr = split
+        go_left = X[idx, feat] <= thr
+        self.feature[node] = feat
+        self.threshold[node] = thr
+        self.left[node] = self._grow(X, t, idx[go_left], depth + 1)
+        self.right[node] = self._grow(X, t, idx[~go_left], depth + 1)
+        return node
+
+    def _best_split(self, X, sub_t, idx):
+        d = X.shape[1]
+        if self.max_features is None or self.max_features >= d:
+            feats = np.arange(d)
+        else:
+            feats = np.sort(self.rng.choice(d, size=self.max_features, replace=False))
+        cols = X[np.ix_(idx, feats)]
+        n = idx.size
+        order = np.argsort(cols, axis=0, kind="stable")
+        sorted_x = np.take_along_axis(cols, order, axis=0)
+        valid = sorted_x[:-1] < sorted_x[1:]
+        if not valid.any():
+            return None
+        left_n = np.arange(1, n, dtype=float)[:, None]
+        right_n = n - left_n
+        if self.criterion == "gini":
+            onehot = sub_t[order][:, :, None] == np.arange(self.n_classes)[None, None, :]
+            cum = np.cumsum(onehot, axis=0)[:-1].astype(float)
+            score = (cum ** 2).sum(axis=2) / left_n
+            score += ((cum[-1:] + onehot[-1][None] - cum) ** 2).sum(axis=2) / right_n
+            parent = float((np.bincount(sub_t, minlength=self.n_classes).astype(float) ** 2).sum() / n)
+        else:
+            sorted_y = sub_t[order]
+            cum = np.cumsum(sorted_y, axis=0)[:-1]
+            total = cum[-1] + sorted_y[-1]
+            score = cum ** 2 / left_n + (total[None, :] - cum) ** 2 / right_n
+            parent = float((sub_t.sum() ** 2) / n)
+        score = np.where(valid, score, -np.inf)
+        flat = int(np.argmax(score))
+        if score.ravel()[flat] <= parent + 1e-10 * max(1.0, parent):
+            return None
+        pos, fcol = np.unravel_index(flat, score.shape)
+        lo, hi = sorted_x[pos, fcol], sorted_x[pos + 1, fcol]
+        thr = lo + (hi - lo) / 2.0
+        if thr >= hi:
+            thr = lo
+        return int(feats[fcol]), float(thr)
+
+
+def _reference_apply(tree, X):
+    """Leaf id of every row, walking one tree's nodes with a Python stack."""
+    X = np.asarray(X, dtype=float)
+    out = np.zeros(X.shape[0], dtype=np.int64)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        if tree.feature[node] == -1:
+            out[rows] = node
+            continue
+        go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+        stack.append((tree.left[node], rows[go_left]))
+        stack.append((tree.right[node], rows[~go_left]))
+    return out
+
+
+def _reference_boosting(X, y, n_stages, learning_rate=0.1):
+    """Boosting's fit loop driven by ReferenceTree: its trees and loss path."""
+    from eegbench.classifiers.boosting import MAX_DEPTH, _PROB_CLIP, _log_loss, _sigmoid
+
+    y01 = (y == np.unique(y)[1]).astype(float)
+    p0 = float(np.clip(y01.mean(), _PROB_CLIP, 1.0 - _PROB_CLIP))
+    scores = np.full(X.shape[0], float(np.log(p0 / (1.0 - p0))))
+    trees, path = [], [_log_loss(y01, _sigmoid(scores))]
+    for _ in range(n_stages):
+        prob = _sigmoid(scores)
+        residual = y01 - prob
+        tree = ReferenceTree("mse", max_depth=MAX_DEPTH).fit(X, residual)
+        hess = prob * (1.0 - prob)
+        leaf_of = np.empty(X.shape[0], dtype=np.int64)
+        for leaf, idx in tree.leaf_rows_:
+            tree.value[leaf] = float(residual[idx].sum() / (hess[idx].sum() + 1e-16))
+            leaf_of[idx] = leaf
+        scores += learning_rate * np.asarray(tree.value)[leaf_of]
+        trees.append(tree)
+        path.append(_log_loss(y01, _sigmoid(scores)))
+    return trees, path
+
+
+def _nodes(tree):
+    """Every node field and each leaf's rows, for node-for-node comparison."""
+    return (tree.feature, tree.threshold, tree.left, tree.right, tree.value,
+            [(leaf, rows.tolist()) for leaf, rows in tree.leaf_rows_])
+
+
+def _tree_case(case, rng):
+    """(X, max_depth) of one shape of input the growers must agree on."""
+    if case == "depth_cap":
+        return rng.normal(size=(80, 2)), 2
+    if case == "tied":
+        return np.round(rng.normal(size=(70, 3)) * 2.0) / 2.0, None
+    if case == "constant_columns":
+        X = rng.normal(size=(50, 3))
+        X[:, 0], X[:, 2] = 1.0, -2.0
+        return X, None
+    if case == "all_constant":
+        return np.ones((30, 2)), None
+    if case == "two_rows":
+        return rng.normal(size=(2, 2)), None
+    d = int(case[1:])                                  # "d1", "d2", ...
+    return rng.normal(size=(40 if d > 3 else 80, d)), None
+
+
+class TestPresortedGrowth:
+    CASES = ["d1", "d2", "d3", "d200", "tied", "constant_columns", "all_constant",
+             "depth_cap", "two_rows"]
+
+    @pytest.mark.parametrize("criterion", ["mse", "gini"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_trees_equal_per_node_sort(self, criterion, case):
+        rng = np.random.default_rng(len(case) + (criterion == "gini"))
+        X, depth = _tree_case(case, rng)
+        t = (rng.normal(size=X.shape[0]) if criterion == "mse"
+             else rng.integers(0, 3, size=X.shape[0]))
+        if case == "two_rows" and criterion == "gini":
+            t = np.array([0, 1])
+        tree = DecisionTree(criterion, max_depth=depth).fit(X, t)
+        assert _nodes(tree) == _nodes(ReferenceTree(criterion, max_depth=depth).fit(X, t))
+
+    @pytest.mark.parametrize("criterion", ["mse", "gini"])
+    def test_feature_drawing_trees_keep_per_node_sort(self, criterion):
+        rng = np.random.default_rng(27)
+        X = np.round(rng.normal(size=(90, 5)), 1)
+        t = rng.normal(size=90) if criterion == "mse" else rng.integers(0, 2, size=90)
+        trees = [cls(criterion, max_features=2, rng=np.random.default_rng(4)).fit(X, t)
+                 for cls in (DecisionTree, ReferenceTree)]
+        assert trees[0].n_nodes > 9
+        assert _nodes(trees[0]) == _nodes(trees[1])
+
+    @pytest.mark.parametrize("criterion", ["mse", "gini"])
+    def test_node_without_gain_stays_a_leaf(self, criterion):
+        # the only cut leaves both sides as mixed as the parent
+        X, t = np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 1, 0, 1])
+        tree = DecisionTree(criterion).fit(X, t)
+        assert tree.n_nodes == 1
+        assert _nodes(tree) == _nodes(ReferenceTree(criterion).fit(X, t))
+
+    def test_boosting_equals_reference_grower(self):
+        rng = np.random.default_rng(21)
+        X = np.round(rng.normal(size=(150, 3)), 1)
+        y = (X[:, 0] * X[:, 1] + 0.3 * rng.normal(size=150) > 0).astype(int)
+        m = GradientBoostingClassifier(n_stages=100).fit(X, y)
+        trees, path = _reference_boosting(X, y, 100)
+        assert m.train_loss_path_ == path
+        assert [_nodes(t) for t in m.trees_] == [_nodes(t) for t in trees]
+        q = rng.normal(size=(40, 3))
+        scores = np.full(40, m._f0)
+        for tree in trees:
+            scores += m.learning_rate * np.asarray(tree.value)[_reference_apply(tree, q)]
+        assert np.array_equal(m.decision_scores(q), scores)
+
+    def test_boosting_sorts_once_per_fit(self, monkeypatch):
+        import eegbench.classifiers.tree as tree_module
+
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(tree_module.np, "argsort",
+                            lambda *args, **kwargs: calls.append(1) or argsort(*args, **kwargs))
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(60, 3))
+        y = (X[:, 0] + X[:, 1] ** 2 > 0.5).astype(int)
+        GradientBoostingClassifier(n_stages=20).fit(X, y)
+        assert len(calls) == 1
+
+
+class TestFlatWalk:
+    @staticmethod
+    def _assert_walk_equals_reference(trees, q):
+        # rows sitting exactly on split thresholds, which go left
+        thresholds = np.unique(np.concatenate([t.threshold for t in trees]))[:25]
+        q = np.vstack([q, np.repeat(thresholds[:, None], q.shape[1], axis=1)])
+        expected = np.array([_reference_apply(t, q) for t in trees]).reshape(len(trees), -1)
+        assert np.array_equal(apply_trees(trees, q), expected)
+        for tree, leaves in zip(trees, expected):
+            assert np.array_equal(tree.apply(q), leaves)
+
+    @pytest.mark.parametrize("d", [2, 3], ids=["level_wise", "feature_draws"])
+    def test_forest_leaves_and_votes(self, d):
+        rng = np.random.default_rng(23 + d)
+        X = rng.normal(size=(80, d))
+        y = (X.sum(axis=1) + 0.5 * rng.normal(size=80) > 0).astype(int)
+        m = RandomForestClassifier(n_trees=30, seed=2).fit(X, y)
+        q = rng.normal(size=(50, d))
+        self._assert_walk_equals_reference(m.trees_, q)
+        votes = np.zeros((50, 2), dtype=np.int64)
+        for tree in m.trees_:
+            votes[np.arange(50), np.asarray(tree.value, dtype=np.int64)[_reference_apply(tree, q)]] += 1
+        assert np.array_equal(m.predict(q), m.classes_[np.argmax(votes, axis=1)])
+
+    def test_boosting_trees(self):
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(90, 2))
+        y = (X[:, 0] * X[:, 1] > 0).astype(int)
+        m = GradientBoostingClassifier(n_stages=25).fit(X, y)
+        self._assert_walk_equals_reference(m.trees_, rng.normal(size=(60, 2)))
+
+    def test_one_node_tree_and_no_rows(self):
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(20, 2))
+        lone = DecisionTree("gini").fit(X, np.ones(20, dtype=int))
+        deep = DecisionTree("mse").fit(X, rng.normal(size=20))
+        assert lone.n_nodes == 1
+        self._assert_walk_equals_reference([lone, deep], rng.normal(size=(15, 2)))
+        self._assert_walk_equals_reference([lone, deep], np.zeros((0, 2)))
+        assert apply_trees([lone, deep], np.zeros((0, 2))).shape == (2, 0)
 
 
 class TestUniformContract:

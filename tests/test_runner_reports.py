@@ -250,6 +250,22 @@ class TestFailurePath:
             assert all(full[r[:4]] == r for r in rows)
         assert not (tmp_path / "report").exists()
 
+    def test_finished_run_removes_earlier_failure_bundle(self, corpus_root, tmp_path,
+                                                         monkeypatch):
+        from eegbench.classifiers import KnnClassifier
+
+        def fail(self, X, y):
+            raise ValueError("fit failed")
+
+        cfg = small_config(corpus_root, tmp_path / "report", extractors=["mfcc"])
+        with monkeypatch.context() as patch:
+            patch.setattr(KnnClassifier, "fit", fail)
+            with pytest.raises(CellError):
+                run_experiment(cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.partial"]
+        run_experiment(cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report"]
+
     def test_failed_partial_write_leaves_nothing(self, corpus_root, tmp_path, monkeypatch):
         from eegbench import runner
         from eegbench.classifiers import KnnClassifier

@@ -5,9 +5,10 @@ contiguous chunks of signals, then the cells (scheme x plan x extractor
 x model). Under ``jobs=1`` the tasks run in order in this process;
 otherwise on forked worker processes. Results are keyed by task, so
 output never depends on completion order. ``_write_bundle`` writes the
-report into a temp dir and renames it into place; after a cell failure
-it writes ``<output>.partial`` the same way, with the manifest and cells
-CSVs of every completed cell.
+report into a temp dir and renames it into place; after a failure in the
+cells phase (a ``CellError``, or any other exception once a cell has
+finished) it writes ``<output>.partial`` the same way, with the manifest
+and cells CSVs of every completed cell.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def enumerate_cells(cfg: RunConfig):
 def execute_cells(cfg: RunConfig, features: dict, progress=None):
     """Run every configured cell through ``_run_tasks``; returns {key: CellResult} in cell order.
 
-    A failing cell's ``CellError`` leaves with the results of every cell
-    that finished in ``completed``.
+    Any exception, a failing cell's ``CellError`` or an interrupt, leaves
+    with the results of every cell that finished in ``completed``.
     """
     return _run_tasks(cfg, features, list(enumerate_cells(cfg)), progress)
 
@@ -138,8 +139,8 @@ def _run_tasks(cfg: RunConfig, inputs, tasks: list, progress=None) -> dict:
     Under ``jobs=1`` the tasks run in order in this process. Otherwise
     they run on ``min(jobs, len(tasks))`` forked workers, which get
     ``inputs`` at fork. Any exception cancels the tasks not yet started
-    and lets the running ones finish; a ``CellError`` leaves with the
-    result of every finished task in ``completed``.
+    and lets the running ones finish; it leaves with the result of every
+    finished task in ``completed``.
     """
     results = {}
     try:
@@ -165,7 +166,7 @@ def _run_tasks(cfg: RunConfig, inputs, tasks: list, progress=None) -> dict:
                             task, result = future.result()
                             results[task] = result
                     raise
-    except CellError as exc:
+    except BaseException as exc:
         exc.completed = {task: results[task] for task in tasks if task in results}
         raise
     return {task: results[task] for task in tasks}
@@ -189,14 +190,15 @@ def _manifest(cfg: RunConfig, completed, elapsed_s: float) -> dict:
 
 
 def _write_bundle(cfg: RunConfig, datasets: dict, results: dict, start: float,
-                  failure: CellError | None = None) -> Path:
+                  failure: BaseException | None = None) -> Path:
     """Write a report bundle into a temp dir beside its target, then rename it there.
 
     Without ``failure`` the target is ``output_dir`` and the bundle is the
     full report; an earlier run's ``<output>.partial`` is removed once it
-    is written. After a ``CellError`` the target is ``<output>.partial``
-    (any earlier one is removed first), with the cells CSVs and the
-    manifest of the completed cells and a ``failure`` block.
+    is written. After a failure the target is ``<output>.partial`` (any
+    earlier one is removed first), with the cells CSVs and the manifest of
+    the completed cells and a ``failure`` block; its scheme, extractor,
+    model and replication are null unless the failure is a ``CellError``.
     """
     partial = cfg.output_dir.with_name(cfg.output_dir.name + ".partial")
     target = cfg.output_dir if failure is None else partial
@@ -224,12 +226,11 @@ def _write_bundle(cfg: RunConfig, datasets: dict, results: dict, start: float,
                     write_inference_reports(rows, scheme, tmp_dir)
         manifest = _manifest(cfg, [k for k, _ in ordered], time.time() - start)
         if failure is not None:
+            located = isinstance(failure, CellError)
             manifest["failure"] = {
-                "message": str(failure),
-                "scheme": failure.scheme,
-                "extractor": failure.extractor,
-                "model": failure.model,
-                "replication": failure.replication,
+                "message": str(failure) if located else f"{type(failure).__name__}: {failure}",
+                **{key: getattr(failure, key) if located else None
+                   for key in ("scheme", "extractor", "model", "replication")},
             }
         (tmp_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
         os.replace(tmp_dir, target)
@@ -250,7 +251,9 @@ def run_experiment(cfg: RunConfig, progress=None) -> Path:
     features = extract_features(cfg, datasets)
     try:
         results = execute_cells(cfg, features, progress)
-    except CellError as exc:
-        _write_bundle(cfg, datasets, exc.completed, start, failure=exc)
+    except BaseException as exc:
+        completed = getattr(exc, "completed", {})
+        if completed or isinstance(exc, CellError):
+            _write_bundle(cfg, datasets, completed, start, failure=exc)
         raise
     return _write_bundle(cfg, datasets, results, start)

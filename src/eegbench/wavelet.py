@@ -11,11 +11,15 @@ Johnstone, Biometrika 81, 1994).
 Every transform works along the last axis: a ``(..., n)`` array is a
 stack of signals, each decomposed, thresholded and rebuilt on its own,
 and a 1-D signal is the one-row case. Row for row, a stack gives the same
-bits as its signals passed one at a time.
+bits as its signals passed one at a time. Analysis multiplies each
+signal's windows by the filters; synthesis overlap-adds the weighted
+coefficients as shifted whole-band adds, in the order the windows would
+add them one by one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,9 +97,13 @@ def filter_for(family: str) -> WaveletFilter:
     return WaveletFilter(family, lo, hi)
 
 
+@functools.lru_cache(maxsize=32)
 def _taps(n: int, L: int) -> np.ndarray:
-    # row k holds the L sample indices under window k, 2k .. 2k+L-1 mod n (n even)
-    return (2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n
+    # row k holds the L sample indices under window k, 2k .. 2k+L-1 mod n (n even);
+    # shared between calls, so read-only
+    taps = (2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n
+    taps.flags.writeable = False
+    return taps
 
 
 def analyze_level(signal, filt: WaveletFilter):
@@ -119,28 +127,35 @@ def analyze_level(signal, filt: WaveletFilter):
     return win @ filt.lo_dec, win @ filt.hi_dec
 
 
-def _overlap_add(vals: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
-    # out[..., idx[k, i]] += vals[..., k, i] in (k, i) order from zero, as
-    # np.add.at does; bincount over one flat index adds in that same order
-    rows = vals.reshape(-1, idx.size)
-    flat = np.arange(rows.shape[0])[:, None] * size + idx.ravel()
-    out = np.bincount(flat.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * size)
-    return out.reshape(vals.shape[:-2] + (size,))
-
-
 def synthesize_level(approx, detail, filt: WaveletFilter, out_len: int):
-    """Invert one analysis step, recovering a signal of length ``out_len``."""
+    """Invert one analysis step, recovering a signal of length ``out_len``.
+
+    Output sample ``2m + p`` is the overlap-add of ``a·lo[p+2r] + d·hi[p+2r]``
+    taken at coefficient ``m - r`` (mod ``nc``), for r = 0 .. L/2-1. The
+    terms are added from zero in ascending window order, as ``np.add.at``
+    over the analysis windows adds them: r descending, and in the first
+    L/2 - 1 outputs of each parity, where the windows wrap, the wrapped
+    terms (r > m) last.
+    """
     a = np.asarray(approx, dtype=float)
     d = np.asarray(detail, dtype=float)
     if a.shape != d.shape:
         raise ValueError("approximation and detail lengths differ")
-    L = len(filt)
+    h = len(filt) // 2
     nc = a.shape[-1]
-    vals = a[..., None] * filt.lo_dec + d[..., None] * filt.hi_dec
-    n = 2 * nc
-    if n not in (out_len, out_len + 1):
+    if 2 * nc not in (out_len, out_len + 1):
         raise ValueError(f"coefficient length {nc} inconsistent with output length {out_len}")
-    return _overlap_add(vals, _taps(n, L), n)[..., :out_len]
+    if nc < h:
+        raise ValueError(f"{nc} coefficients are fewer than half the filter length {2 * h}")
+    out = np.zeros(a.shape[:-1] + (2, nc))
+    for p in (0, 1):
+        lo, hi, acc = filt.lo_dec[p::2], filt.hi_dec[p::2], out[..., p, :]
+        for r in range(h - 1, -1, -1):
+            acc[..., h - 1:] += a[..., h - 1 - r:nc - r] * lo[r] + d[..., h - 1 - r:nc - r] * hi[r]
+        for m in range(h - 1):
+            for r in (*range(m, -1, -1), *range(h - 1, m, -1)):
+                acc[..., m] += a[..., m - r] * lo[r] + d[..., m - r] * hi[r]
+    return np.swapaxes(out, -1, -2).reshape(a.shape[:-1] + (2 * nc,))[..., :out_len]
 
 
 @dataclass
@@ -197,6 +212,30 @@ def waverec(subbands: SubBands, filt: WaveletFilter):
     return cur
 
 
+def sorted_median(s):
+    """``np.median`` along the last axis of ``s``, already sorted along it."""
+    n = s.shape[-1]
+    # the mean of the middle one or two, as np.median takes it
+    return np.mean(s[..., (n - 1) // 2:n // 2 + 1], axis=-1)
+
+
+def sorted_percentile(s, q: float):
+    """``np.percentile(x, 100 * q, axis=-1)`` for ``s = np.sort(x, axis=-1)``.
+
+    numpy's linear rule, step for step: the virtual index, its floor and
+    fraction ``t``, then numpy's lerp, which counts down from the upper
+    value when ``t >= 0.5``. Needs 0 <= q < 1 and two values a row.
+    """
+    n = s.shape[-1]
+    alpha = beta = 1
+    virtual = n * q + (alpha + q * (1 - alpha - beta)) - 1
+    i = math.floor(virtual)
+    t = virtual - i
+    lower, upper = s[..., i], s[..., i + 1]
+    diff = upper - lower
+    return upper - diff * (1 - t) if t >= 0.5 else lower + diff * t
+
+
 def universal_threshold(detail_coeffs, n: int):
     """Noise cutoff sigma_hat * sqrt(2 ln n), one per signal.
 
@@ -208,7 +247,7 @@ def universal_threshold(detail_coeffs, n: int):
         raise ValueError("empty detail band")
     if n < 2:
         raise ValueError("need at least two samples")
-    sigma = np.median(np.abs(d), axis=-1) / 0.6745
+    sigma = sorted_median(np.sort(np.abs(d), axis=-1)) / 0.6745
     return sigma * math.sqrt(2.0 * math.log(n))
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,9 +128,11 @@ class TestAssemble:
 
 @pytest.fixture(scope="module")
 def signals(corpus_root):
-    """Recordings from three sets, a count that is no multiple of the block."""
-    paths = [p for tag in ("Z", "F", "S") for p in sorted((corpus_root / tag).iterdir())[:7]]
-    return [load_signal(p, p.parent.name).samples for p in paths[:2 * ft.EXTRACT_BLOCK + 3]]
+    """Recordings from three sets: two whole blocks and three signals more."""
+    count = 2 * ft.EXTRACT_BLOCK + 3
+    paths = [p for tag in ("Z", "F", "S")
+             for p in sorted((corpus_root / tag).iterdir())[:-(-count // 3)]]
+    return [load_signal(p, p.parent.name).samples for p in paths[:count]]
 
 
 def reference_band_statistics(x):
@@ -158,9 +161,23 @@ def rows_one_at_a_time(signals, extractor):
 class TestBatchedExtraction:
     @pytest.mark.parametrize("extractor", ["db2", "db4", "coif1", "mfcc"])
     def test_blocks_equal_one_row_calls(self, signals, extractor):
+        assert len(signals) > 2 * ft.EXTRACT_BLOCK
         assert len(signals) % ft.EXTRACT_BLOCK
         fm = ft.extract_matrix(signals, [0] * len(signals), extractor)
         assert fm.values.tobytes() == rows_one_at_a_time(signals, extractor).tobytes()
+
+    def test_block_memory_is_bounded(self, signals):
+        # 8.7 MB measured at a block of 32; a synthesis that builds every
+        # tap's values and a flat index for one bincount took it to 12.3 MB
+        assert len(signals) == 2 * ft.EXTRACT_BLOCK + 3
+        assert {x.size for x in signals} == {4097}
+        tracemalloc.start()
+        try:
+            ft.extract_matrix(signals, [0] * len(signals), "db4")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_kurtosis_divides_by_python_float_square(self):
         # C pow and np.square round var² differently in about 1 of 700 rows here

@@ -359,7 +359,8 @@ class TestTaskRunner:
         assert not (tmp_path / "report").exists()
 
     def test_failing_cell_cancels_queued_cells(self, corpus_root, tmp_path, monkeypatch):
-        # an error that is not a CellError, so no partial bundle is written
+        # an error that is not a CellError: the cells that finished are kept
+        # in the partial bundle, under a failure block that names no cell
         from eegbench import runner
 
         cfg = small_config(corpus_root, tmp_path / "report", jobs=2)
@@ -371,15 +372,60 @@ class TestTaskRunner:
             if (scheme, plan.kind, extractor, model) == cells[0]:
                 raise RuntimeError("first cell failed")
             time.sleep(0.5)
+            result = run_cell(scheme, extractor, model, plan, **kwargs)
             with open(ran, "a") as fh:
-                fh.write(f"{extractor}/{model}\n")
-            return run_cell(scheme, extractor, model, plan, **kwargs)
+                fh.write(f"{scheme}/{plan.kind}/{extractor}/{model}\n")
+            return result
 
         monkeypatch.setattr(runner, "run_cell", cell)
         with pytest.raises(RuntimeError, match="first cell failed"):
             run_experiment(cfg)
-        assert len(ran.read_text().splitlines()) < len(cells) - 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ran.txt"]
+        finished = ran.read_text().splitlines()
+        assert 0 < len(finished) < len(cells) - 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ran.txt", "report.partial"]
+        manifest = json.loads((tmp_path / "report.partial" / "manifest.json").read_text())
+        assert sorted(manifest["completed_cells"]) == sorted(finished)
+        assert manifest["failure"] == {"message": "RuntimeError: first cell failed",
+                                       "scheme": None, "extractor": None, "model": None,
+                                       "replication": None}
+        for plan in ("kfold", "holdout"):
+            rows = read_long_csv(tmp_path / "report.partial" / f"cells_{plan}.csv")
+            assert {f"{r[0]}/{plan}/{r[1]}/{r[2]}" for r in rows} == {
+                c for c in finished if f"/{plan}/" in c}
+
+    def test_interrupt_keeps_finished_cells(self, corpus_root, tmp_path, monkeypatch):
+        from eegbench import runner
+
+        cfg = small_config(corpus_root, tmp_path / "report", extractors=["mfcc"])
+        cells = list(runner.enumerate_cells(cfg))
+        run_cell = runner.run_cell
+
+        def cell(scheme, extractor, model, plan, **kwargs):
+            if (scheme, plan.kind, extractor, model) == cells[2]:
+                raise KeyboardInterrupt
+            return run_cell(scheme, extractor, model, plan, **kwargs)
+
+        monkeypatch.setattr(runner, "run_cell", cell)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg)
+        manifest = json.loads((tmp_path / "report.partial" / "manifest.json").read_text())
+        assert manifest["completed_cells"] == sorted("/".join(c) for c in cells[:2])
+        assert manifest["failure"]["message"] == "KeyboardInterrupt: "
+        assert manifest["failure"]["model"] is None
+        assert not (tmp_path / "report").exists()
+
+    def test_failure_before_any_cell_finishes_writes_nothing(self, corpus_root, tmp_path,
+                                                             monkeypatch):
+        from eegbench import runner
+
+        def cell(*args, **kwargs):
+            raise RuntimeError("no cell runs")
+
+        monkeypatch.setattr(runner, "run_cell", cell)
+        cfg = small_config(corpus_root, tmp_path / "report", extractors=["mfcc"])
+        with pytest.raises(RuntimeError, match="no cell runs"):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportingUnits:

@@ -233,16 +233,59 @@ def test_stacked_signals_equal_single_signals(family, mode):
         assert denoised[i].tobytes() == wv.denoise(X[i], f).tobytes()
 
 
-@pytest.mark.parametrize("family", ["db4", "coif1"])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_synthesis_adds_in_add_at_order(family):
-    # several taps overlap each output sample, so the order of the sums shows
+    # several taps overlap each output sample, so the order of the sums shows;
+    # at nc = L/2, the fewest coefficients analysis leaves, every window wraps
     f = wv.filter_for(family)
     L = len(f)
-    a, d = np.random.default_rng(4).normal(size=(2, 3, 100))
-    stacked = wv.synthesize_level(a, d, f, 200)
-    k = np.arange(100)[:, None]
-    for i in range(3):
-        vals = np.outer(a[i], f.lo_dec) + np.outer(d[i], f.hi_dec)
-        buf = np.zeros(200)
-        np.add.at(buf, ((2 * k + np.arange(L)) % 200).ravel(), vals.ravel())
-        assert stacked[i].tobytes() == buf.tobytes()
+    rng = np.random.default_rng(4)
+    for nc in (L // 2, L // 2 + 1, 100):
+        n = 2 * nc
+        a, d = rng.normal(size=(2, 3, nc))
+        a[:, ::3] = 0.0
+        d[:, 1::4] = -0.0
+        k = np.arange(nc)[:, None]
+        for out_len in (n, n - 1):
+            stacked = wv.synthesize_level(a, d, f, out_len)
+            for i in range(3):
+                vals = np.outer(a[i], f.lo_dec) + np.outer(d[i], f.hi_dec)
+                buf = np.zeros(n)
+                np.add.at(buf, ((2 * k + np.arange(L)) % n).ravel(), vals.ravel())
+                assert stacked[i].tobytes() == buf[:out_len].tobytes()
+                one = wv.synthesize_level(a[i], d[i], f, out_len)
+                assert one.tobytes() == buf[:out_len].tobytes()
+
+
+def test_synthesis_rejects_fewer_coefficients_than_half_the_filter():
+    f = wv.filter_for("db4")
+    with pytest.raises(ValueError, match="fewer than half"):
+        wv.synthesize_level(np.ones(3), np.ones(3), f, 6)
+
+
+def _quantile_rows(n, rng):
+    """Rows of length n: noise, ties, exact zeros, -0.0, and both zeros mixed."""
+    x = rng.normal(size=n)
+    rows = [x, np.round(2 * x) / 2, np.where(np.abs(x) < 0.7, 0.0, x),
+            np.where(np.abs(x) < 0.7, -0.0, x), np.full(n, -0.0), np.full(n, 3.0),
+            np.where(x < 0, -0.0, 0.0), np.where(np.abs(x) < 0.5, -0.0, np.round(x))]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 33, 34, 35, 36, 257, 298, 299])
+def test_sorted_quantiles_equal_numpy(n):
+    # np.partition may leave either zero at an index of a row that holds both
+    # 0.0 and -0.0, so there a quartile can differ from np.percentile in the
+    # sign of a zero only; every other row must match bit for bit
+    rng = np.random.default_rng(n)
+    for X in (_quantile_rows(n, rng), rng.normal(size=(3, 2, n))):
+        s = np.sort(X, axis=-1)
+        both_zeros = (np.any((X == 0) & np.signbit(X), axis=-1)
+                      & np.any((X == 0) & ~np.signbit(X), axis=-1))
+        assert wv.sorted_median(s).tobytes() == np.median(X, axis=-1).tobytes()
+        for q, ref in zip((0.25, 0.75), np.percentile(X, [25.0, 75.0], axis=-1)):
+            got = wv.sorted_percentile(s, q)
+            assert np.array_equal(got, ref)
+            assert got[~both_zeros].tobytes() == ref[~both_zeros].tobytes()
+        for row, srow in zip(X.reshape(-1, n), s.reshape(-1, n)):
+            assert wv.sorted_median(srow).tobytes() == np.median(row).tobytes()

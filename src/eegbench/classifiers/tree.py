@@ -13,7 +13,8 @@ within-node variance. Three growers build the same trees:
   matrix once per fit and grows all its stages' ``mse`` trees from that one
   presort (XGBoost's column block; Chen & Guestrin 2016, section 4.1).
 - A tree that draws candidate features (``max_features`` below the column
-  count) sorts its drawn columns at every node instead. The draws come from
+  count) sorts its drawn columns at every node instead, and it is the only
+  tree ``grow`` takes without a presort (``root`` None). The draws come from
   the tree's generator in depth-first node order, and any other order would
   draw other features. Partitioning every column at every node costs more
   than sorting the few drawn ones: 100 forest trees on a 450 x 207 matrix,
@@ -67,7 +68,7 @@ def _partition(rows, sorted_x, mask):
 
 
 class DecisionTree:
-    """One fitted tree over flat node arrays; ``apply`` maps rows to leaf ids."""
+    """One fitted tree over flat node arrays; ``apply_trees`` maps rows to leaf ids."""
 
     def __init__(self, criterion: str, max_depth=None, max_features=None,
                  rng: np.random.Generator | None = None):
@@ -83,8 +84,6 @@ class DecisionTree:
         self.right: list = []
         self.value: list = []
         self.n_classes = 0
-
-    # -- construction -------------------------------------------------
 
     def fit(self, X, targets):
         """Grow depth first and set every leaf's value (majority class or mean)."""
@@ -105,8 +104,8 @@ class DecisionTree:
         """Grow the nodes depth first, leaving every leaf's value 0.
 
         ``root`` is ``presort(X)``, or None for a tree that sorts its drawn
-        columns at each node. ``leaf_rows_`` lists each leaf with its rows
-        of ``X``, ascending.
+        columns at each node, which needs ``max_features`` below the column
+        count. ``leaf_rows_`` lists each leaf with its rows of ``X``, ascending.
         """
         self.leaf_rows_ = []
         self._grow(X, t, np.arange(X.shape[0]), 0, root)
@@ -148,7 +147,7 @@ class DecisionTree:
         if pure:
             return self._leaf(node, idx)
         if sorted_cols is None:
-            feats = self._candidate_features(X.shape[1])
+            feats = np.sort(self.rng.choice(X.shape[1], size=self.max_features, replace=False))
             cols = X[np.ix_(idx, feats)]
             order = np.argsort(cols, axis=0, kind="stable")
             sorted_x = np.take_along_axis(cols, order, axis=0)
@@ -185,11 +184,6 @@ class DecisionTree:
         self.right[node] = self._grow(X, t, idx[~go_left], depth + 1, right)
         return node
 
-    def _candidate_features(self, d: int):
-        if self.max_features is None or self.max_features >= d:
-            return np.arange(d)
-        return np.sort(self.rng.choice(d, size=self.max_features, replace=False))
-
     def _best_split(self, sorted_x, sorted_t, valid, sub_t, total):
         """(position, column) of the best cut of the node's sorted columns, or None."""
         n = sorted_t.shape[0]
@@ -210,15 +204,6 @@ class DecisionTree:
         if score.ravel()[flat] <= parent + 1e-10 * max(1.0, parent):
             return None                                # no impurity decrease, or no cut
         return divmod(flat, score.shape[1])
-
-    # -- inference ----------------------------------------------------
-
-    def apply(self, X) -> np.ndarray:
-        """Leaf node id for every row."""
-        return apply_trees([self], X)[0]
-
-    def predict(self, X) -> np.ndarray:
-        return predict_trees([self], X)[0]
 
     @property
     def n_nodes(self) -> int:

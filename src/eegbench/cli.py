@@ -45,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     feats = sub.add_parser("features", help="extract and dump one feature matrix")
     feats.add_argument("config")
-    feats.add_argument("--scheme", default="imbalanced",
-                       choices=["imbalanced", "balanced"])
+    feats.add_argument("--scheme", choices=["imbalanced", "balanced"],
+                       help="class-balance scheme (default: the config's first scheme)")
     feats.add_argument("--extractor", default="db4")
     feats.add_argument("--out", required=True, help="CSV output path")
 
@@ -58,6 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("out_dir")
     synth.add_argument("--seed", type=int, default=0)
     return parser
+
+
+def _prepare_output(out: Path, is_dir: bool) -> bool:
+    """Make ``out``'s missing parents, or report a path of the wrong kind and return False."""
+    if out.exists() and out.is_dir() != is_dir:
+        kind = "not a directory" if is_dir else "a directory"
+        print(f"error: output path is {kind}: {out}", file=sys.stderr)
+        return False
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        print(f"error: a parent of the output path is not a directory: {out}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_run(args) -> int:
@@ -96,12 +110,15 @@ def _cmd_features(args) -> int:
     from .runner import build_datasets, extract_features
 
     cfg = validate_config(args.config)
+    scheme = args.scheme or cfg.schemes[0]
     if args.extractor not in cfg.extractors:
         raise ConfigError(f"extractor {args.extractor!r} not in configured set")
-    if args.scheme not in cfg.schemes:
-        raise ConfigError(f"scheme {args.scheme!r} not in configured set")
-    cfg.schemes, cfg.extractors = [args.scheme], [args.extractor]
-    fm = extract_features(cfg, build_datasets(cfg))[(args.scheme, args.extractor)]
+    if scheme not in cfg.schemes:
+        raise ConfigError(f"scheme {scheme!r} not in configured set")
+    if not _prepare_output(Path(args.out), is_dir=False):
+        return EXIT_CONFIG
+    cfg.schemes, cfg.extractors = [scheme], [args.extractor]
+    fm = extract_features(cfg, build_datasets(cfg))[(scheme, args.extractor)]
     fm.to_csv(args.out)
     print(f"{fm.n_instances} x {len(fm.feature_names)} matrix written to {args.out}")
     return EXIT_OK
@@ -110,6 +127,9 @@ def _cmd_features(args) -> int:
 def _cmd_stats(args) -> int:
     from .reporting import read_long_csv, write_inference_reports
 
+    out_dir = Path(args.out)
+    if not _prepare_output(out_dir, is_dir=True):
+        return EXIT_CONFIG
     try:
         rows = read_long_csv(args.cells_csv)
     except FileNotFoundError:
@@ -118,8 +138,6 @@ def _cmd_stats(args) -> int:
         raise DataError(str(exc)) from None
     if not rows:
         raise DataError(f"{args.cells_csv}: no observations")
-    out_dir = Path(args.out)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
     schemes = sorted({r[0] for r in rows})
     # every scheme's tables reach out_dir together, or none do
     tmp_dir = Path(tempfile.mkdtemp(prefix=out_dir.name + ".tmp-", dir=out_dir.parent))

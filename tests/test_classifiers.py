@@ -15,7 +15,8 @@ from eegbench.classifiers import (
     SvmClassifier,
     make_model,
 )
-from eegbench.classifiers.tree import DecisionTree, apply_trees, grow_gini_forest
+from eegbench.classifiers.boosting import _sigmoid
+from eegbench.classifiers.tree import DecisionTree, apply_trees, grow_gini_forest, predict_trees
 
 
 def two_blobs(rng, n=60, d=3, sep=10.0):
@@ -402,8 +403,8 @@ class TestForest:
         tree = grow_gini_forest(X, y, np.arange(X.shape[0])[None])[0]
         oracle = _naive_cart(X, y)
         q = rng.normal(size=(200, 3))
-        assert (tree.predict(X) == oracle(X)).all()
-        assert (tree.predict(q) == oracle(q)).all()
+        assert (predict_trees([tree], X)[0] == oracle(X)).all()
+        assert (predict_trees([tree], q)[0] == oracle(q)).all()
 
     def test_separates_blobs(self):
         X, y = two_blobs(np.random.default_rng(4), n=60, d=3, sep=6.0)
@@ -476,10 +477,10 @@ class TestForest:
 
 
 class TestBoosting:
-    def test_single_label_degenerates_gracefully(self):
+    def test_requires_both_labels(self):
         X = np.random.default_rng(1).normal(size=(10, 2))
-        m = GradientBoostingClassifier(n_stages=3).fit(X, np.full(10, 4))
-        assert (m.predict(X) == 4).all()
+        with pytest.raises(ValueError, match="two labels"):
+            GradientBoostingClassifier(n_stages=3).fit(X, np.full(10, 4))
 
     def test_zero_learning_rate_predicts_prior_majority(self):
         rng = np.random.default_rng(2)
@@ -493,7 +494,17 @@ class TestBoosting:
         X = rng.normal(size=(100, 4))
         y = ((X[:, 0] + X[:, 1] ** 2 + 0.3 * rng.normal(size=100)) > 0.5).astype(int)
         m = GradientBoostingClassifier(n_stages=60).fit(X, y)
-        path = np.asarray(m.train_loss_path_)
+
+        def log_loss(scores):
+            p = _sigmoid(scores)
+            return -np.mean(y * np.log(p) + (1 - y) * np.log(1.0 - p))
+
+        # the training log loss of every prefix of the stages, the empty one first
+        scores = np.full(X.shape[0], m._f0)
+        path = [log_loss(scores)]
+        for values in m.learning_rate * predict_trees(m.trees_, X):
+            scores += values
+            path.append(log_loss(scores))
         assert len(path) == 61
         assert np.all(np.diff(path) <= 1e-10)
 
@@ -503,16 +514,6 @@ class TestBoosting:
         y = (X[:, 0] * X[:, 1] > 0).astype(int)
         m = GradientBoostingClassifier(n_stages=80).fit(X, y)
         assert (m.predict(X) == y).mean() > 0.95
-
-    def test_training_scores_equal_predicted_scores(self):
-        # the scores each stage updates from its fit's leaves are the model's own
-        from eegbench.classifiers.boosting import _log_loss, _sigmoid
-
-        rng = np.random.default_rng(6)
-        X = np.round(rng.normal(size=(90, 3)), 1)
-        y = (X[:, 0] - X[:, 2] + 0.4 * rng.normal(size=90) > 0).astype(int)
-        m = GradientBoostingClassifier(n_stages=15).fit(X, y)
-        assert m.train_loss_path_[-1] == _log_loss(y.astype(float), _sigmoid(m.decision_scores(X)))
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
@@ -526,7 +527,7 @@ class TestDecisionTreeDirect:
         X = np.linspace(0, 1, 50).reshape(-1, 1)
         y = np.where(X[:, 0] < 0.43, 2.0, 5.0)
         t = DecisionTree("mse", max_depth=2).fit(X, y)
-        assert np.abs(t.predict(X) - y).max() < 1e-12
+        assert np.abs(predict_trees([t], X)[0] - y).max() < 1e-12
 
     @pytest.mark.parametrize("criterion", ["gini", "mse"])
     def test_leaf_rows_are_the_rows_each_leaf_receives(self, criterion):
@@ -534,7 +535,7 @@ class TestDecisionTreeDirect:
         X = np.round(rng.normal(size=(70, 2)), 1)
         t = (X[:, 0] > 0.2).astype(int) if criterion == "gini" else X[:, 1] ** 2
         tree = DecisionTree(criterion, max_depth=4).fit(X, t)
-        leaf_of = tree.apply(X)
+        leaf_of = apply_trees([tree], X)[0]
         assert sorted(leaf for leaf, _ in tree.leaf_rows_) == sorted(set(leaf_of.tolist()))
         for leaf, rows in tree.leaf_rows_:
             assert np.array_equal(rows, np.flatnonzero(leaf_of == leaf))
@@ -662,13 +663,13 @@ def _reference_apply(tree, X):
 
 
 def _reference_boosting(X, y, n_stages, learning_rate=0.1):
-    """Boosting's fit loop driven by ReferenceTree: its trees and loss path."""
-    from eegbench.classifiers.boosting import MAX_DEPTH, _PROB_CLIP, _log_loss, _sigmoid
+    """Boosting's fit loop driven by ReferenceTree: its trees and final training scores."""
+    from eegbench.classifiers.boosting import MAX_DEPTH
 
     y01 = (y == np.unique(y)[1]).astype(float)
-    p0 = float(np.clip(y01.mean(), _PROB_CLIP, 1.0 - _PROB_CLIP))
+    p0 = float(y01.mean())
     scores = np.full(X.shape[0], float(np.log(p0 / (1.0 - p0))))
-    trees, path = [], [_log_loss(y01, _sigmoid(scores))]
+    trees = []
     for _ in range(n_stages):
         prob = _sigmoid(scores)
         residual = y01 - prob
@@ -680,8 +681,7 @@ def _reference_boosting(X, y, n_stages, learning_rate=0.1):
             leaf_of[idx] = leaf
         scores += learning_rate * np.asarray(tree.value)[leaf_of]
         trees.append(tree)
-        path.append(_log_loss(y01, _sigmoid(scores)))
-    return trees, path
+    return trees, scores
 
 
 def _nodes(tree):
@@ -747,9 +747,9 @@ class TestPresortedGrowth:
         X = np.round(rng.normal(size=(150, 3)), 1)
         y = (X[:, 0] * X[:, 1] + 0.3 * rng.normal(size=150) > 0).astype(int)
         m = GradientBoostingClassifier(n_stages=100).fit(X, y)
-        trees, path = _reference_boosting(X, y, 100)
-        assert m.train_loss_path_ == path
+        trees, train_scores = _reference_boosting(X, y, 100)
         assert [_nodes(t) for t in m.trees_] == [_nodes(t) for t in trees]
+        assert np.array_equal(m.decision_scores(X), train_scores)
         q = rng.normal(size=(40, 3))
         scores = np.full(40, m._f0)
         for tree in trees:
@@ -779,7 +779,7 @@ class TestFlatWalk:
         expected = np.array([_reference_apply(t, q) for t in trees]).reshape(len(trees), -1)
         assert np.array_equal(apply_trees(trees, q), expected)
         for tree, leaves in zip(trees, expected):
-            assert np.array_equal(tree.apply(q), leaves)
+            assert np.array_equal(apply_trees([tree], q)[0], leaves)
 
     @pytest.mark.parametrize("d", [2, 3], ids=["level_wise", "feature_draws"])
     def test_forest_leaves_and_votes(self, d):

@@ -257,6 +257,19 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_stats_out_existing_file_fails_before_reading(self, tmp_path, capsys, monkeypatch):
+        from eegbench import reporting
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("cells CSV read before --out was rejected")
+
+        monkeypatch.setattr(reporting, "read_long_csv", no_read)
+        out = tmp_path / "o"
+        out.write_text("keep")
+        assert cli.main(["stats", str(tmp_path / "cells.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: output path is not a directory: {out}\n"
+        assert out.read_text() == "keep"
+
     def test_synth_writes_layout(self, tmp_path, capsys, monkeypatch):
         import eegbench.synthetic as synthetic
 
@@ -288,3 +301,33 @@ class TestCli:
             "corpus_root": str(corpus_root), "extractors": ["mfcc"]}))
         assert cli.main(["features", str(cfg), "--extractor", "db4",
                          "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_features_out_directory_fails_before_extraction(self, tmp_path, corpus_root,
+                                                            capsys, monkeypatch):
+        from eegbench import runner
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("corpus loaded before --out was rejected")
+
+        monkeypatch.setattr(runner, "load_corpus", no_load)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus_root": str(corpus_root), "extractors": ["mfcc"]}))
+        assert cli.main(["features", str(cfg), "--extractor", "mfcc",
+                         "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: output path is a directory: {tmp_path}\n"
+
+    def test_features_out_creates_missing_parent(self, tmp_path, corpus_root, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus_root": str(corpus_root), "extractors": ["mfcc"]}))
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        assert cli.main(["features", str(cfg), "--scheme", "balanced", "--extractor", "mfcc",
+                         "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 201
+
+    def test_features_scheme_defaults_to_first_configured(self, tmp_path, corpus_root, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "corpus_root": str(corpus_root), "schemes": ["balanced"], "extractors": ["mfcc"]}))
+        out = tmp_path / "x.csv"
+        assert cli.main(["features", str(cfg), "--extractor", "mfcc", "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 201

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eegbench import evaluation as ev
-from eegbench.errors import CellError
+from eegbench.errors import CellError, ConfigError
 from eegbench.features import FeatureMatrix, pca_fit
 
 
@@ -83,6 +83,32 @@ class TestMakeSplits:
         y = np.array([0] * 50 + [1] * 2)
         with pytest.raises(ValueError, match="stratification impossible"):
             ev.make_splits(y, ev.SplitPlan("holdout", test_fraction=0.1))
+
+    @pytest.mark.parametrize("scheme", ["imbalanced", "balanced"])
+    def test_every_accepted_plan_trains_on_both_labels(self, tmp_path, scheme):
+        # the binary models need both labels on every training side
+        from eegbench.config import build_config
+        from eegbench.corpus import BALANCED_PER_NEGATIVE_SET, NEGATIVE_TAGS, SIGNALS_PER_SET
+
+        per_negative = SIGNALS_PER_SET if scheme == "imbalanced" else BALANCED_PER_NEGATIVE_SET
+        y = np.repeat([0, 1], [len(NEGATIVE_TAGS) * per_negative, SIGNALS_PER_SET])
+
+        def config(kfold, holdout):
+            return build_config({"corpus_root": str(tmp_path), "schemes": [scheme],
+                                 "kfold": kfold, "holdout": holdout})
+
+        # k at the smallest class count (100 in either scheme), and the
+        # smallest and largest test fractions that leave every label on both sides
+        for k, fraction in [(SIGNALS_PER_SET, 0.00501), (2, 0.99499)]:
+            cfg = config({"k": k, "n_repeats": 2}, {"test_fraction": fraction, "n_repeats": 20})
+            for plan in (cfg.kfold_plan, cfg.holdout_plan):
+                for train, _ in ev.make_splits(y, dataclasses.replace(plan, seed=k)):
+                    assert set(y[train].tolist()) == {0, 1}
+        # one step past each boundary the plan is refused
+        for kfold, holdout in [({"k": SIGNALS_PER_SET + 1}, {}), ({}, {"test_fraction": 0.005}),
+                               ({}, {"test_fraction": 0.995})]:
+            with pytest.raises(ConfigError, match="stratification impossible"):
+                config(kfold, holdout)
 
 
 class TestConfusion:

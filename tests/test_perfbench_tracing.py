@@ -55,7 +55,7 @@ def test_install_wraps_every_named_function(tmp_path):
 
 
 # a tiny traced run at jobs sys.argv[5]; prints the per-layer metrics of the
-# merged trace and the split fits the config asks for
+# merged trace, the tracer's SVM check counts and the split fits the config asks for
 POOLED_RUN = """
 import json, sys
 from pathlib import Path
@@ -68,7 +68,8 @@ trace_dir = Path(sys.argv[4])
 trace_dir.mkdir()
 cfg = build_config({"corpus_root": sys.argv[3], "output_dir": str(trace_dir.parent / "report"),
                     "schemes": ["balanced"], "extractors": ["db2", "mfcc"],
-                    "models": ["lda", "knn"], "kfold": {"k": 2}, "holdout": {"n_repeats": 2},
+                    "models": ["lda", "knn", "svm", "rf", "gb"],
+                    "kfold": {"k": 2}, "holdout": {"n_repeats": 2},
                     "jobs": int(sys.argv[5])})
 tracer = tracing.Tracer()
 tracing.install(tracer, trace_dir)
@@ -77,7 +78,9 @@ tracer.merge_worker_files(trace_dir)
 fits = sum(len(cfg.schemes) * len(cfg.extractors) * len(cfg.models)
            * plan.splits_per_repeat * plan.n_repeats
            for plan in (cfg.kfold_plan, cfg.holdout_plan))
-print(json.dumps({"metrics": tracing.layer_metrics(tracer, cfg.jobs), "split_fits": fits}))
+checks = {key: tracer.counts[key] for key in ("check.svm_fits", "check.svm_kkt_failures")}
+print(json.dumps({"metrics": tracing.layer_metrics(tracer, cfg.jobs), "checks": checks,
+                  "split_fits": fits}))
 """
 
 
@@ -97,3 +100,10 @@ def test_pooled_extraction_is_traced(corpus_root, tmp_path, jobs):
     assert metrics["features.extract_s.mfcc"] > 0
     assert metrics["evaluation.split_fits"] == run["split_fits"]
     assert metrics["runner.execute_cells_s"] > 0
+    # what the tracer reads from fitted models: a renamed field fails here
+    assert metrics["classifiers.rf.nodes"] > 0
+    assert metrics["classifiers.gb.nodes"] > 0
+    assert metrics["classifiers.svm.support_vectors"] > 0
+    assert metrics["classifiers.svm.sweeps"] > 0
+    assert run["checks"]["check.svm_fits"] == metrics["classifiers.svm.fits"] > 0
+    assert run["checks"]["check.svm_kkt_failures"] == 0

@@ -86,6 +86,8 @@ def _cmd_run(args) -> int:
         cfg.jobs = args.jobs
     if args.out:
         cfg.output_dir = Path(args.out)
+    if not _prepare_output(cfg.output_dir, is_dir=True):
+        return EXIT_CONFIG
 
     def progress(key, done, total):
         if not args.quiet:

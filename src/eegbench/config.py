@@ -133,21 +133,17 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if base_dir and not output_dir.is_absolute():
         output_dir = base_dir / output_dir
 
-    for scheme in merged["schemes"]:
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {scheme!r}")
-    if not merged["schemes"]:
-        raise ConfigError("schemes must not be empty")
-    for ext in merged["extractors"]:
-        if ext not in EXTRACTORS:
-            raise ConfigError(f"unknown extractor {ext!r}")
-    if not merged["extractors"]:
-        raise ConfigError("extractors must not be empty")
-    for kind in merged["models"]:
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model {kind!r}")
-    if not merged["models"]:
-        raise ConfigError("models must not be empty")
+    for key, noun, known in (("schemes", "scheme", SCHEMES),
+                             ("extractors", "extractor", EXTRACTORS),
+                             ("models", "model", MODEL_KINDS)):
+        levels = merged[key]
+        for i, level in enumerate(levels):
+            if level not in known:
+                raise ConfigError(f"unknown {noun} {level!r}")
+            if level in levels[:i]:
+                raise ConfigError(f"duplicate {noun} {level!r}")
+        if not levels:
+            raise ConfigError(f"{key} must not be empty")
 
     _check_keys(merged["kfold"], _KFOLD_KEYS, "kfold.")
     _check_keys(merged["holdout"], _HOLDOUT_KEYS, "holdout.")

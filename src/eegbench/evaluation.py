@@ -10,12 +10,16 @@ Leakage rule: PCA and standardization statistics are fitted on the
 training rows of each split only, then applied to both sides. PCA keeps
 the fewest axes that explain ``PCA_VARIANCE_TARGET`` of the training
 variance, as in the paper.
+
+Results: ``run_cell`` gives one long row per replication, ``(scheme,
+extractor, model, replication, accuracy, sensitivity, specificity)``,
+the one format of the runner, the report writers and ``eegbench stats``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,61 +103,21 @@ def make_splits(labels, plan: SplitPlan) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("confusion counts must be nonnegative")
-
-    @classmethod
-    def from_predictions(cls, y_true, y_pred, positive=1):
-        t = np.asarray(y_true) == positive
-        p = np.asarray(y_pred) == positive
-        return cls(
-            tp=int(np.sum(t & p)),
-            fp=int(np.sum(~t & p)),
-            tn=int(np.sum(~t & ~p)),
-            fn=int(np.sum(t & ~p)),
-        )
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-def confusion_metrics(cm: ConfusionMatrix):
-    """(accuracy, sensitivity, specificity); undefined metrics come back nan."""
+def split_rates(y_true, y_pred):
+    """(accuracy, sensitivity, specificity) from the confusion counts; an undefined rate is nan."""
+    t = np.asarray(y_true) == 1
+    p = np.asarray(y_pred) == 1
+    tp, fp = int(np.sum(t & p)), int(np.sum(~t & p))
+    tn, fn = int(np.sum(~t & ~p)), int(np.sum(t & ~p))
     nan = float("nan")
-    acc = (cm.tp + cm.tn) / cm.total if cm.total else nan
-    sen = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn else nan
-    spe = cm.tn / (cm.tn + cm.fp) if cm.tn + cm.fp else nan
+    acc = (tp + tn) / t.size if t.size else nan
+    sen = tp / (tp + fn) if tp + fn else nan
+    spe = tn / (tn + fp) if tn + fp else nan
     return acc, sen, spe
 
 
-@dataclass
-class CellResult:
-    """Per-replication metrics for one (scheme, extractor, model) cell."""
-
-    scheme: str
-    extractor: str
-    model_kind: str
-    plan_kind: str
-    accuracy: list = field(default_factory=list)
-    sensitivity: list = field(default_factory=list)
-    specificity: list = field(default_factory=list)
-
-    @property
-    def n_replications(self) -> int:
-        return len(self.accuracy)
-
-
 def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0):
-    """Fit one split end to end; returns (ConfusionMatrix, fitted PcaModel).
+    """Fit one split end to end; returns ((acc, sen, spe), fitted PcaModel).
 
     All fold statistics (PCA axes, standardization moments) come from the
     training rows alone.
@@ -170,32 +134,32 @@ def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0):
         X_test = (X_test - mu) / sd
     model = make_model(model_kind, seed=seed)
     model.fit(X_train, y[train_idx])
-    cm = ConfusionMatrix.from_predictions(y[test_idx], model.predict(X_test))
-    return cm, pca
+    return split_rates(y[test_idx], model.predict(X_test)), pca
 
 
 def run_cell(scheme: str, extractor: str, model_kind: str, plan: SplitPlan,
-             *, features: FeatureMatrix, master_seed: int = 0) -> CellResult:
+             *, features: FeatureMatrix, master_seed: int = 0) -> list:
     """Evaluate one benchmark cell under a replicated resampling plan.
 
-    ``features`` is the scheme's matrix under ``extractor`` (extraction
-    is per-instance pure, so the runner does it once per scheme and
-    extractor). Failures abort the cell and carry (scheme, extractor,
-    model, replication).
+    Returns a long row per replication, each rate the mean over its
+    splits. ``features`` is the scheme's matrix under ``extractor``
+    (extraction is per-instance pure, so the runner does it once per
+    scheme and extractor). Failures abort the cell and carry (scheme,
+    extractor, model, replication).
     """
     X, y = features.values, features.labels
     split_seed = derive_seed(master_seed, scheme, plan.kind, extractor, model_kind, "split")
     splits = make_splits(y, replace(plan, seed=split_seed))
-    result = CellResult(scheme, extractor, model_kind, plan.kind)
     per_rep = plan.splits_per_repeat
+    rows = []
     for rep in range(plan.n_repeats):
-        acc_parts, sen_parts, spe_parts = [], [], []
+        rates = []
         for s in range(per_rep):
             train_idx, test_idx = splits[rep * per_rep + s]
             fit_seed = derive_seed(master_seed, scheme, plan.kind, extractor,
                                    model_kind, "fit", rep, s)
             try:
-                cm, _ = fit_split(X, y, train_idx, test_idx, model_kind, fit_seed)
+                rates.append(fit_split(X, y, train_idx, test_idx, model_kind, fit_seed)[0])
             except Exception as exc:
                 raise CellError(
                     f"cell failed: scheme={scheme} extractor={extractor} "
@@ -203,11 +167,6 @@ def run_cell(scheme: str, extractor: str, model_kind: str, plan: SplitPlan,
                     scheme=scheme, extractor=extractor,
                     model=model_kind, replication=rep,
                 ) from exc
-            acc, sen, spe = confusion_metrics(cm)
-            acc_parts.append(acc)
-            sen_parts.append(sen)
-            spe_parts.append(spe)
-        result.accuracy.append(float(np.mean(acc_parts)))
-        result.sensitivity.append(float(np.mean(sen_parts)))
-        result.specificity.append(float(np.mean(spe_parts)))
-    return result
+        rows.append((scheme, extractor, model_kind, rep,
+                     *(float(np.mean(parts)) for parts in zip(*rates))))
+    return rows

@@ -1,9 +1,12 @@
 """Two-way ANOVA with interaction, omega-squared effect sizes, Tukey HSD.
 
 Works on long-format observations: an iterable of (factor_a_level,
-factor_b_level, response) triples. Only balanced designs (equal
-replication per cell) are supported; the benchmark always produces
-them, and the sum-of-squares decomposition is then unambiguous.
+factor_b_level, response) triples. The report layer makes them from a
+scheme's long rows as (model, extractor, accuracy in points), one per
+replication. Only balanced designs (equal replication per cell) are
+supported; the benchmark always produces them, and the sum-of-squares
+decomposition is then unambiguous. One ``two_way_anova`` table serves
+its F tests, ``omega_squared`` and both factors' ``tukey_hsd``.
 """
 
 from __future__ import annotations
@@ -203,24 +206,19 @@ def tukey_from_groups(groups: dict, ms_resid: float, df_resid: int,
     return out
 
 
-def tukey_hsd(observations, factor="a", alpha: float = 0.05,
-              factor_a: str = "A", factor_b: str = "B") -> list:
+def tukey_hsd(observations, table: AnovaTable, factor: str, alpha: float = 0.05) -> list:
     """Pairwise marginal comparisons for one factor of a two-way design.
 
-    The error term (mean square and degrees of freedom) comes from the
-    full two-way ANOVA with interaction, matching how the benchmark's
-    comparison tables are built.
+    ``table`` is the two-way ANOVA with interaction of the same
+    observations, and ``factor`` one of its two factor names. The error
+    term (mean square and degrees of freedom) is ``table.residual``,
+    matching how the benchmark's comparison tables are built.
     """
-    obs = list(observations)
-    table = two_way_anova(obs, factor_a, factor_b)
-    if factor in ("a", factor_a):
-        pos, name = 0, factor_a
-    elif factor in ("b", factor_b):
-        pos, name = 1, factor_b
-    else:
-        raise ValueError(f"factor must identify {factor_a!r} or {factor_b!r}")
+    if factor not in (table.factor_a, table.factor_b):
+        raise ValueError(f"factor must identify {table.factor_a!r} or {table.factor_b!r}")
+    pos = 0 if factor == table.factor_a else 1
     groups: dict = {}
-    for triple in obs:
+    for triple in observations:
         groups.setdefault(triple[pos], []).append(float(triple[2]))
     resid = table.residual
-    return tukey_from_groups(groups, resid.mean_sq, resid.df, name, alpha)
+    return tukey_from_groups(groups, resid.mean_sq, resid.df, factor, alpha)

@@ -1,5 +1,13 @@
-"""Report files: long-format cell CSVs, performance tables, inferential
-statistics tables (CSV plus aligned text), and boxplot data."""
+"""Report files from long rows: cell CSVs, performance tables, inferential
+statistics tables (CSV plus aligned text), and boxplot data.
+
+A long row is ``(scheme, extractor, model, replication, accuracy,
+sensitivity, specificity)``, in ``LONG_HEADER`` order: one replication of
+one cell, as ``run_cell`` returns it, ``write_long_csv`` writes it and
+``read_long_csv`` reads it back. The writers keep the order of the rows
+they are given within each table, so rows joined from the sorted cell
+keys give the same bytes at every ``jobs``.
+"""
 
 from __future__ import annotations
 
@@ -21,50 +29,47 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def long_rows(cell_results):
-    """(scheme, extractor, model, replication, acc, sen, spe) per cell replication:
-    the rows ``write_long_csv`` writes and ``read_long_csv`` reads back."""
-    for cell in cell_results:
-        for rep in range(cell.n_replications):
-            yield (cell.scheme, cell.extractor, cell.model_kind, rep,
-                   cell.accuracy[rep], cell.sensitivity[rep], cell.specificity[rep])
+def _group(rows, key):
+    """{key(row): rows}, groups and the rows in each in first-seen order."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row)
+    return groups
 
 
-def write_long_csv(cell_results, path):
-    """The ``long_rows`` of the cells; the input schema of the stats stage."""
+def write_long_csv(rows, path):
+    """Long rows as CSV, nan as an empty field; the input schema of the stats stage."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LONG_HEADER)
-        for row in long_rows(cell_results):
+        for row in rows:
             writer.writerow(list(row[:4]) + [_fmt(v) for v in row[4:]])
 
 
 def read_long_csv(path):
-    """Rows of (scheme, extractor, model, replication, acc, sen, spe)."""
-    out = []
+    """The long rows of a cells CSV; a repeated (scheme, extractor, model,
+    replication) is a ``ValueError``."""
+    out, seen = [], set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in LONG_HEADER if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
         for row in reader:
-            out.append((
-                row["scheme"], row["extractor"], row["model"],
-                int(row["replication"]),
-                float(row["accuracy"]) if row["accuracy"] else float("nan"),
-                float(row["sensitivity"]) if row["sensitivity"] else float("nan"),
-                float(row["specificity"]) if row["specificity"] else float("nan"),
-            ))
+            key = (row["scheme"], row["extractor"], row["model"], int(row["replication"]))
+            if key in seen:
+                raise ValueError(f"{path}: duplicate row for scheme={key[0]} "
+                                 f"extractor={key[1]} model={key[2]} replication={key[3]}")
+            seen.add(key)
+            out.append(key + tuple(float(row[c]) if row[c] else float("nan")
+                                   for c in LONG_HEADER[4:]))
     return out
 
 
-def write_performance_tables(cell_results, out_dir: Path, plan_name: str):
+def write_performance_tables(rows, out_dir: Path, plan_name: str):
     """Per (scheme, extractor): model rows with ACC/SPE/SEN mean and std (%)."""
-    by_table = {}
-    for cell in cell_results:
-        by_table.setdefault((cell.scheme, cell.extractor), []).append(cell)
     text_lines = []
-    for (scheme, extractor), cells in sorted(by_table.items()):
+    for (scheme, extractor), table_rows in sorted(_group(rows, lambda r: r[:2]).items()):
         path = out_dir / f"performance_{plan_name}_{scheme}_{extractor}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -72,20 +77,13 @@ def write_performance_tables(cell_results, out_dir: Path, plan_name: str):
                              "sen_mean", "sen_std"])
             text_lines.append(f"\n[{plan_name}] scheme={scheme} extractor={extractor}")
             text_lines.append(f"{'model':<6} {'ACC(%)':>10} {'SPE(%)':>10} {'SEN(%)':>10}")
-            for cell in cells:
-                acc = 100 * np.asarray(cell.accuracy)
-                sen = 100 * np.asarray(cell.sensitivity)
-                spe = 100 * np.asarray(cell.specificity)
-                writer.writerow([cell.model_kind] + [
-                    f"{v:.4f}" for v in (
-                        np.nanmean(acc), np.nanstd(acc), np.nanmean(spe),
-                        np.nanstd(spe), np.nanmean(sen), np.nanstd(sen))
-                ])
-                text_lines.append(
-                    f"{cell.model_kind:<6} "
-                    f"{np.nanmean(acc):7.2f}+-{np.nanstd(acc):5.2f} "
-                    f"{np.nanmean(spe):7.2f}+-{np.nanstd(spe):5.2f} "
-                    f"{np.nanmean(sen):7.2f}+-{np.nanstd(sen):5.2f}")
+            for model, model_rows in _group(table_rows, lambda r: r[2]).items():
+                # acc, spe, sen: each mean then std, in points
+                stats = [f(100 * np.asarray([r[col] for r in model_rows]))
+                         for col in (4, 6, 5) for f in (np.nanmean, np.nanstd)]
+                writer.writerow([model] + [f"{v:.4f}" for v in stats])
+                text_lines.append(f"{model:<6} " + " ".join(
+                    f"{mean:7.2f}+-{std:5.2f}" for mean, std in zip(stats[::2], stats[1::2])))
     (out_dir / f"performance_{plan_name}.txt").write_text("\n".join(text_lines) + "\n")
 
 
@@ -101,45 +99,32 @@ def five_number_summary(values):
             float(inside[0]), float(inside[-1]), outliers)
 
 
-def write_boxplot_data(cell_results, out_dir: Path):
+def write_boxplot_data(rows, out_dir: Path):
     """Per scheme: raw accuracy observations plus five-number summaries."""
-    by_scheme = {}
-    for cell in cell_results:
-        by_scheme.setdefault(cell.scheme, []).append(cell)
-    for scheme, cells in sorted(by_scheme.items()):
+    for scheme, scheme_rows in sorted(_group(rows, lambda r: r[0]).items()):
         with open(out_dir / f"boxplot_{scheme}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["extractor", "model", "replication", "accuracy"])
-            for cell in cells:
-                for rep, acc in enumerate(cell.accuracy):
-                    writer.writerow([cell.extractor, cell.model_kind, rep, _fmt(acc)])
+            for _, extractor, model, rep, acc, _sen, _spe in scheme_rows:
+                writer.writerow([extractor, model, rep, _fmt(acc)])
         with open(out_dir / f"boxplot_summary_{scheme}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["extractor", "model", "min", "q1", "median", "q3",
                              "max", "whisker_low", "whisker_high", "n_outliers"])
-            for cell in cells:
-                summary = five_number_summary(cell.accuracy)
-                writer.writerow([cell.extractor, cell.model_kind]
+            for (extractor, model), cell_rows in _group(scheme_rows, lambda r: r[1:3]).items():
+                summary = five_number_summary([r[4] for r in cell_rows])
+                writer.writerow([extractor, model]
                                 + [_fmt(v) for v in summary[:7]] + [summary[7]])
 
 
-def accuracy_observations(rows, scheme: str):
-    """Long rows -> (model, extractor, accuracy-in-points) triples."""
-    return [(model, extractor, 100.0 * acc)
-            for s, extractor, model, _rep, acc, _sen, _spe in rows
-            if s == scheme and not math.isnan(acc)]
-
-
 def run_inference(rows, scheme: str):
-    """ANOVA table, effect sizes, and both HSD factor tables for one scheme."""
-    obs = accuracy_observations(rows, scheme)
+    """ANOVA table, effect sizes, and both HSD factor tables for one scheme,
+    all read from the one two-way ANOVA of its accuracies (in points)."""
+    obs = [(model, extractor, 100.0 * acc) for s, extractor, model, _, acc, _, _ in rows
+           if s == scheme and not math.isnan(acc)]
     table = two_way_anova(obs, factor_a="Models", factor_b="feat_extr")
-    effects = omega_squared(table)
-    hsd_extractor = tukey_hsd(obs, factor="feat_extr",
-                              factor_a="Models", factor_b="feat_extr")
-    hsd_models = tukey_hsd(obs, factor="Models",
-                           factor_a="Models", factor_b="feat_extr")
-    return table, effects, hsd_extractor, hsd_models
+    return (table, omega_squared(table), tukey_hsd(obs, table, "feat_extr"),
+            tukey_hsd(obs, table, "Models"))
 
 
 def write_inference_reports(rows, scheme: str, out_dir: Path):

@@ -4,7 +4,9 @@ A run has two phases, and ``_run_tasks`` runs both: feature extraction in
 contiguous chunks of signals, then the cells (scheme x plan x extractor
 x model). Under ``jobs=1`` the tasks run in order in this process;
 otherwise on forked worker processes. Results are keyed by task, so
-output never depends on completion order. ``_write_bundle`` writes the
+output never depends on completion order. A cell's result is its long
+rows (see :mod:`eegbench.reporting`); ``_write_bundle`` joins those of
+the sorted cell keys per plan for every report writer, writes the
 report into a temp dir and renames it into place; after a failure in the
 cells phase (a ``CellError``, or any other exception once a cell has
 finished) it writes ``<output>.partial`` the same way, with the manifest
@@ -30,10 +32,10 @@ from . import __version__
 from .config import RunConfig
 from .corpus import build_dataset, load_corpus, write_manifest
 from .errors import CellError
-from .evaluation import derive_seed, run_cell
+from .evaluation import PLAN_KINDS, derive_seed, run_cell
 from .features import EXTRACT_BLOCK, FeatureMatrix, extract_matrix
-from .reporting import (long_rows, write_boxplot_data, write_inference_reports,
-                        write_long_csv, write_performance_tables)
+from .reporting import (write_boxplot_data, write_inference_reports, write_long_csv,
+                        write_performance_tables)
 
 BALANCED_SAMPLING_TAG = "balanced-dataset"
 
@@ -92,14 +94,14 @@ def extract_features(cfg: RunConfig, datasets: dict) -> dict:
 
 def enumerate_cells(cfg: RunConfig):
     for scheme in cfg.schemes:
-        for plan_name in ("kfold", "holdout"):
+        for plan_name in PLAN_KINDS:
             for extractor in cfg.extractors:
                 for model in cfg.models:
                     yield (scheme, plan_name, extractor, model)
 
 
 def execute_cells(cfg: RunConfig, features: dict, progress=None):
-    """Run every configured cell through ``_run_tasks``; returns {key: CellResult} in cell order.
+    """Run every configured cell through ``_run_tasks``; returns {key: long rows} in cell order.
 
     Any exception, a failing cell's ``CellError`` or an interrupt, leaves
     with the results of every cell that finished in ``completed``.
@@ -205,25 +207,24 @@ def _write_bundle(cfg: RunConfig, datasets: dict, results: dict, start: float,
     if failure is not None:
         shutil.rmtree(target, ignore_errors=True)
     ordered = sorted(results.items())
-    kfold_cells = [r for k, r in ordered if k[1] == "kfold"]
-    holdout_cells = [r for k, r in ordered if k[1] == "holdout"]
+    rows = {plan: [row for key, cell_rows in ordered if key[1] == plan for row in cell_rows]
+            for plan in PLAN_KINDS}
 
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp_dir = Path(tempfile.mkdtemp(prefix=target.name + ".tmp-", dir=target.parent))
     try:
-        write_long_csv(kfold_cells, tmp_dir / "cells_kfold.csv")
-        write_long_csv(holdout_cells, tmp_dir / "cells_holdout.csv")
+        for plan, plan_rows in rows.items():
+            write_long_csv(plan_rows, tmp_dir / f"cells_{plan}.csv")
         if failure is None:
             for scheme, ds in datasets.items():
                 write_manifest(ds, tmp_dir / f"dataset_{scheme}.csv")
-            write_performance_tables(kfold_cells, tmp_dir, "kfold")
-            write_performance_tables(holdout_cells, tmp_dir, "holdout")
-            write_boxplot_data(holdout_cells, tmp_dir)
-            if (len(set(cfg.models)) > 1 and len(set(cfg.extractors)) > 1
+            for plan, plan_rows in rows.items():
+                write_performance_tables(plan_rows, tmp_dir, plan)
+            write_boxplot_data(rows["holdout"], tmp_dir)
+            if (len(cfg.models) > 1 and len(cfg.extractors) > 1
                     and cfg.holdout_plan.n_repeats > 1):
-                rows = list(long_rows(holdout_cells))
                 for scheme in cfg.schemes:
-                    write_inference_reports(rows, scheme, tmp_dir)
+                    write_inference_reports(rows["holdout"], scheme, tmp_dir)
         manifest = _manifest(cfg, [k for k, _ in ordered], time.time() - start)
         if failure is not None:
             located = isinstance(failure, CellError)

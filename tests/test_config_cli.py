@@ -128,6 +128,9 @@ class TestValidateConfig:
         ("hyperparams", {}, "unknown key 'hyperparams'"),
         ("pca_variance_target", 0.95, "unknown key 'pca_variance_target'"),
         ("pca_variance_target", None, "unknown key 'pca_variance_target'"),
+        ("schemes", ["balanced", "imbalanced", "balanced"], "duplicate scheme 'balanced'"),
+        ("extractors", ["db2", "db2", "mfcc"], "duplicate extractor 'db2'"),
+        ("models", ["lda", "lda", "knn"], "duplicate model 'lda'"),
     ], ids=["extension_mode", "threshold_method", "levels", "log_base", "frame_step",
             "n_coeffs", "mfcc_frame_too_long", "mfcc_too_many_filters", "strict_corpus",
             "levels_too_deep", "wavelet_empty", "mfcc_empty", "wavelet_default",
@@ -138,7 +141,8 @@ class TestValidateConfig:
             "levels_bool", "kfold_n_repeats_bool", "holdout_n_repeats_bool",
             "frame_step_bool", "knn_k_bool", "rf_n_trees_bool", "gb_n_stages_bool",
             "svm_C_bool", "lda_ridge_bool", "hyperparams_empty", "pca_variance_target",
-            "pca_variance_target_null"])
+            "pca_variance_target_null", "schemes_duplicate", "extractors_duplicate",
+            "models_duplicate"])
     def test_bad_option_values(self, corpus_root, section, options, message):
         with pytest.raises(ConfigError, match=message):
             build_config({"corpus_root": str(corpus_root), section: options})
@@ -185,9 +189,11 @@ class TestCli:
         {"holdout": {"test_fraction": 0.001}},
         {"hyperparams": {}},
         {"pca_variance_target": None},
+        {"extractors": ["db2", "db2", "mfcc"], "models": ["lda", "lda", "knn"], "jobs": 2},
     ], ids=["levels_too_deep", "svm_kernel", "knn_k", "mfcc_frame_too_long",
             "mfcc_too_many_filters", "wavelet_empty", "mfcc_empty", "kfold_k_200",
-            "holdout_fraction_0_001", "hyperparams_empty", "pca_variance_target_null"])
+            "holdout_fraction_0_001", "hyperparams_empty", "pca_variance_target_null",
+            "duplicate_levels"])
     def test_unrunnable_values_fail_before_corpus_load(self, tmp_path, corpus_root, capsys,
                                                        monkeypatch, options):
         from eegbench import runner
@@ -201,6 +207,29 @@ class TestCli:
         for command in ("validate", "run"):
             assert cli.main([command, str(path)]) == 1
             assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("via", ["--out", "output_dir"])
+    def test_run_output_under_a_file_fails_before_any_work(self, tmp_path, corpus_root,
+                                                           capsys, monkeypatch, via):
+        from eegbench import runner
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("datasets built before the output path was rejected")
+
+        monkeypatch.setattr(runner, "build_datasets", no_build)
+        blocker = tmp_path / "file"
+        blocker.write_text("keep")
+        out = blocker / "report"
+        raw = {"corpus_root": str(corpus_root)}
+        if via == "output_dir":
+            raw["output_dir"] = str(out)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        argv = ["run", str(path), "--quiet"] + (["--out", str(out)] if via == "--out" else [])
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: a parent of the output path is not a directory: {out}\n")
+        assert blocker.read_text() == "keep"
 
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_run_rejects_jobs_below_one(self, minimal_config, capsys, monkeypatch, jobs):
@@ -229,19 +258,17 @@ class TestCli:
         assert "two replications per cell" in err
 
     def test_stats_failure_leaves_no_partial_tables(self, tmp_path, capsys):
-        from eegbench.evaluation import CellResult
         from eegbench.reporting import write_long_csv
 
         # balanced can be analysed (three replications per cell); imbalanced,
         # analysed after it, cannot (one replication per cell)
-        cells = []
+        rows = []
         for i, (extractor, model) in enumerate([("db2", "lda"), ("db2", "nb"),
                                                 ("mfcc", "lda"), ("mfcc", "nb")]):
             acc = [0.80 + 0.03 * i + 0.01 * r * (i % 3 + 1) for r in range(3)]
-            cells.append(CellResult("balanced", extractor, model, "holdout", acc, acc, acc))
-            cells.append(CellResult("imbalanced", extractor, model, "holdout",
-                                    acc[:1], acc[:1], acc[:1]))
-        write_long_csv(cells, tmp_path / "cells.csv")
+            rows += [("balanced", extractor, model, r, a, a, a) for r, a in enumerate(acc)]
+            rows.append(("imbalanced", extractor, model, 0, acc[0], acc[0], acc[0]))
+        write_long_csv(rows, tmp_path / "cells.csv")
         out = tmp_path / "o"
         assert cli.main(["stats", str(tmp_path / "cells.csv"), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -251,6 +278,25 @@ class TestCli:
                 for p in out.glob(pattern)]
         assert left == []
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith("o.tmp-")] == []
+
+    def test_stats_rejects_duplicated_rows(self, tmp_path, capsys):
+        from eegbench.reporting import write_long_csv
+
+        rows = [("balanced", extractor, model, r, 0.8 + 0.05 * i + 0.01 * r * (i + 1), 0.8, 0.9)
+                for i, (extractor, model) in enumerate([("db2", "lda"), ("db2", "nb"),
+                                                        ("mfcc", "lda"), ("mfcc", "nb")])
+                for r in range(3)]
+        path = tmp_path / "cells.csv"
+        write_long_csv(rows, path)
+        assert cli.main(["stats", str(path), "--out", str(tmp_path / "once")]) == 0
+        capsys.readouterr()
+        write_long_csv(rows + rows, path)
+        out = tmp_path / "twice"
+        assert cli.main(["stats", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"data error: {path}: duplicate row for "
+                                           "scheme=balanced extractor=db2 model=lda "
+                                           "replication=0\n")
+        assert not out.exists()
 
     def test_stats_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli.main(["stats", str(tmp_path / "none.csv"),

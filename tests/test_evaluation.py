@@ -113,34 +113,30 @@ class TestMakeSplits:
 
 class TestConfusion:
     def test_all_correct(self):
-        cm = ev.ConfusionMatrix.from_predictions([1, 0, 1, 0], [1, 0, 1, 0])
-        assert ev.confusion_metrics(cm) == (1.0, 1.0, 1.0)
+        assert ev.split_rates([1, 0, 1, 0], [1, 0, 1, 0]) == (1.0, 1.0, 1.0)
 
     def test_hand_computed_metrics(self):
-        cm = ev.ConfusionMatrix(tp=90, fn=10, tn=395, fp=5)
-        acc, sen, spe = ev.confusion_metrics(cm)
+        # tp 90, fn 10, tn 395, fp 5
+        y_true = np.repeat([1, 1, 0, 0], [90, 10, 395, 5])
+        y_pred = np.repeat([1, 0, 0, 1], [90, 10, 395, 5])
+        acc, sen, spe = ev.split_rates(y_true, y_pred)
         assert sen == pytest.approx(0.900)
         assert spe == pytest.approx(0.9875)
         assert acc == pytest.approx(0.970)
-        assert cm.total == 500
+        assert (acc, sen, spe) == (485 / 500, 90 / 100, 395 / 400)
 
     def test_always_negative_predictor_on_imbalanced(self):
         y = imbalanced_labels()
-        cm = ev.ConfusionMatrix.from_predictions(y, np.zeros_like(y))
-        acc, sen, spe = ev.confusion_metrics(cm)
+        acc, sen, spe = ev.split_rates(y, np.zeros_like(y))
         assert acc == pytest.approx(0.8)
         assert sen == 0.0
         assert spe == 1.0
 
     def test_undefined_metric_is_nan_not_zero(self):
-        cm = ev.ConfusionMatrix(tp=0, fn=0, tn=8, fp=2)
-        acc, sen, spe = ev.confusion_metrics(cm)
+        # tp 0, fn 0, tn 8, fp 2
+        acc, sen, spe = ev.split_rates(np.zeros(10, int), np.repeat([0, 1], [8, 2]))
         assert math.isnan(sen)
         assert spe == pytest.approx(0.8)
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ev.ConfusionMatrix(tp=-1, fp=0, tn=0, fn=0)
 
 
 def separable_features(n=80, d=4, seed=0):
@@ -157,9 +153,9 @@ class TestRunCell:
     def test_separable_dataset_perfect_accuracy(self, kind):
         fm = separable_features()
         plan = ev.SplitPlan("holdout", test_fraction=0.25, n_repeats=3)
-        res = ev.run_cell("balanced", "wfe", kind, plan, features=fm)
-        assert res.n_replications == 3
-        assert np.mean(res.accuracy) == 1.0
+        rows = ev.run_cell("balanced", "wfe", kind, plan, features=fm)
+        assert [r[:4] for r in rows] == [("balanced", "wfe", kind, rep) for rep in range(3)]
+        assert np.mean([r[4] for r in rows]) == 1.0
 
     def test_permuted_labels_fall_to_majority_baseline(self):
         rng = np.random.default_rng(9)
@@ -168,8 +164,8 @@ class TestRunCell:
         rng.shuffle(shuffled)
         fm2 = FeatureMatrix(fm.values, fm.feature_names, shuffled)
         plan = ev.SplitPlan("holdout", test_fraction=0.25, n_repeats=20)
-        res = ev.run_cell("balanced", "wfe", "lda", plan, features=fm2)
-        acc = np.mean(res.accuracy)
+        rows = ev.run_cell("balanced", "wfe", "lda", plan, features=fm2)
+        acc = np.mean([r[4] for r in rows])
         # majority baseline is 0.5; 3 sigma for 20 reps of 30 test points
         sigma = math.sqrt(0.5 * 0.5 / (30 * 20))
         assert abs(acc - 0.5) < 3.5 * sigma + 0.05
@@ -179,14 +175,21 @@ class TestRunCell:
         plan = ev.SplitPlan("holdout", n_repeats=4)
         a = ev.run_cell("balanced", "wfe", "rf", plan, features=fm, master_seed=5)
         b = ev.run_cell("balanced", "wfe", "rf", plan, features=fm, master_seed=5)
-        assert a.accuracy == b.accuracy
-        assert a.sensitivity == b.sensitivity
+        assert a == b
 
     def test_kfold_aggregates_folds_per_repeat(self):
         fm = separable_features(n=60)
         plan = ev.SplitPlan("kfold", k=5, n_repeats=2)
-        res = ev.run_cell("balanced", "wfe", "knn", plan, features=fm)
-        assert res.n_replications == 2
+        rows = ev.run_cell("balanced", "wfe", "knn", plan, features=fm)
+        assert [r[3] for r in rows] == [0, 1]
+        # each rate is the mean of its repeat's five folds
+        splits = ev.make_splits(fm.labels, dataclasses.replace(plan, seed=ev.derive_seed(
+            0, "balanced", "kfold", "wfe", "knn", "split")))
+        for rep, row in enumerate(rows):
+            folds = [ev.fit_split(fm.values, fm.labels, *splits[rep * 5 + s], "knn",
+                                  ev.derive_seed(0, "balanced", "kfold", "wfe", "knn",
+                                                 "fit", rep, s))[0] for s in range(5)]
+            assert row[4:] == tuple(float(np.mean(col)) for col in zip(*folds))
 
     def test_failure_carries_cell_context(self, monkeypatch):
         from eegbench.classifiers import KnnClassifier

@@ -234,13 +234,20 @@ class TestTukey:
             for b, mu in shift.items():
                 cells[(a, b)] = (mu + rng.normal(size=20)).tolist()
         obs = make_observations(cells)
-        out = inference.tukey_hsd(obs, factor="b", factor_a="Models", factor_b="feat_extr")
+        table = inference.two_way_anova(obs, "Models", "feat_extr")
+        out = inference.tukey_hsd(obs, table, "feat_extr")
         assert len(out) == 3
         by_pair = {c.comparison: c for c in out}
         assert by_pair["e2-e1"].adj_p < 0.01
         assert by_pair["e3-e1"].adj_p < 0.01
         assert by_pair["e3-e2"].adj_p > 0.05  # close means, not significant
         assert all(c.factor == "feat_extr" for c in out)
+        # the error term is the table's residual row
+        groups = {b: [v for (_, b2), vals in cells.items() if b2 == b for v in vals]
+                  for b in shift}
+        resid = table.residual
+        assert out == inference.tukey_from_groups(groups, resid.mean_sq, resid.df,
+                                                  "feat_extr")
 
     def test_requires_two_levels(self):
         with pytest.raises(ValueError, match="two levels"):
@@ -252,5 +259,7 @@ class TestTukey:
 
     def test_unknown_factor_name(self):
         obs = make_observations(HAND_TABLE)
-        with pytest.raises(ValueError, match="factor"):
-            inference.tukey_hsd(obs, factor="c")
+        table = inference.two_way_anova(obs, "Models", "feat_extr")
+        for factor in ("c", "a", "b"):
+            with pytest.raises(ValueError, match="factor"):
+                inference.tukey_hsd(obs, table, factor)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,6 @@ import eegbench
 from eegbench import cli
 from eegbench.config import build_config
 from eegbench.errors import CellError
-from eegbench.evaluation import CellResult
 from eegbench.reporting import (five_number_summary, read_long_csv,
                                 write_long_csv)
 from eegbench.features import EXTRACTORS, extract_matrix
@@ -168,17 +168,39 @@ class TestDeterminism:
 
 
 class TestDefaultCellBits:
-    """The cells CSVs of a small run of all seven models, pinned bit for bit.
+    """Every file of a small run of all seven models but the manifest, pinned bit for bit.
 
     The run is the session corpus (seed 0), balanced, ``mfcc`` and ``db2``,
     2 folds and 2 hold-outs, at every model's default settings and the
     default master seed. Recorded with numpy 2.4.6 and its bundled OpenBLAS
-    0.3.31 on x86-64; another BLAS build or CPU may round differently.
+    0.3.31 on x86-64; another BLAS build or CPU may round differently. The
+    manifest holds a timestamp and the elapsed time, so it is left out.
     """
 
     EXPECTED = {
-        "cells_kfold.csv": "5a80cf2cf70d732802c63730a92db6506612158e9038c324ea270fcfdb406080",
+        "anova_balanced.csv": "1e25e34822647de2c1cf25e37bbb1dd3c6b58057bf62e389a20ed2804cfd170f",
+        "boxplot_balanced.csv": "d359dbd3ba10db753df5c29e708c211e5636e3c309490db601a09e8288e86bfe",
+        "boxplot_summary_balanced.csv":
+            "97d8d8e3aa2b42cb0a21095a82643bf1dc89d1560fd79febb43e4a350aa9fb77",
         "cells_holdout.csv": "9a5683d17737300e787210b335e1030e8b10549b8df445b24e79ac054d0109cf",
+        "cells_kfold.csv": "5a80cf2cf70d732802c63730a92db6506612158e9038c324ea270fcfdb406080",
+        "dataset_balanced.csv": "a0610523976ad4a8ff4cdde72741dad4dae544f97d3e65d8731ef5b252d468ab",
+        "hsd_balanced_feat_extr.csv":
+            "3b96bf52c1f38ec8b8314489565e1f976989a46708f32c9cff3ff9fd3b37dab2",
+        "hsd_balanced_models.csv": "5cc81816c66be6144e01721c931d73d22a2100439ac6086033482d14f5da4c0b",
+        "inference_balanced.txt": "f71012e509b9208c4a14f467012b757077bb76fca07d8698ace29886c1eea061",
+        "omega_squared_balanced.csv":
+            "bf33431fba909bdd286a29b2d5d334381bbed7691d0b4ea8f55928f231fa2290",
+        "performance_holdout.txt": "1009594257589d59418d14b310ba9232b6ea60669aa9921acff0f34a63f9c734",
+        "performance_holdout_balanced_db2.csv":
+            "5a3f423a3c5c3be2a9701f4407358cd4db58400d419808a72aaaa995d4880c15",
+        "performance_holdout_balanced_mfcc.csv":
+            "a9990313c57d0dea0339fb161d2a33de402c336621fedaf965d2304c6e149edf",
+        "performance_kfold.txt": "78f9a1578fc3ef9da6b64e8effcca4bfbfc8570cd8f974f4f1a4ca96476bfdee",
+        "performance_kfold_balanced_db2.csv":
+            "129e41bfb837bd38c5c81bb9efa958f34dfaec012db6d418234e96f7696a37ce",
+        "performance_kfold_balanced_mfcc.csv":
+            "ef7b62a17fb1ea4adae2c7440d9aeb2e44a907cdace153032f48a2bb19c72900",
     }
 
     def test_cells_hash(self, corpus_root, tmp_path):
@@ -186,8 +208,8 @@ class TestDefaultCellBits:
                            models=["lda", "qda", "knn", "nb", "svm", "rf", "gb"],
                            kfold={"k": 2}, holdout={"n_repeats": 2})
         report = run_experiment(cfg)
-        assert {name: hashlib.sha256((report / name).read_bytes()).hexdigest()
-                for name in self.EXPECTED} == self.EXPECTED
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in report.iterdir() if p.name != "manifest.json"} == self.EXPECTED
 
 
 class TestFailurePath:
@@ -443,14 +465,16 @@ class TestReportingUnits:
         assert outliers == 0
 
     def test_long_csv_round_trip(self, tmp_path):
-        cell = CellResult("balanced", "db4", "svm", "holdout",
-                          [0.95, 0.975], [0.9, 1.0], [1.0, 0.95])
+        rows = [("balanced", "db4", "svm", 0, 0.95, 0.9, 1.0),
+                ("balanced", "db4", "svm", 1, 0.975, 1.0, 0.95),
+                ("balanced", "db4", "svm", 2, 0.5, float("nan"), 0.5)]
         path = tmp_path / "cells.csv"
-        write_long_csv([cell], path)
-        rows = read_long_csv(path)
-        assert len(rows) == 2
-        assert rows[0][:4] == ("balanced", "db4", "svm", 0)
-        assert rows[1][4] == 0.975
+        write_long_csv(rows, path)
+        back = read_long_csv(path)
+        assert back[:2] == rows[:2]
+        assert back[2][:5] == rows[2][:5] and back[2][6] == 0.5
+        assert math.isnan(back[2][5])  # an undefined rate is an empty field
+        assert path.read_text().splitlines()[3] == "balanced,db4,svm,2,0.5,,0.5"
 
     def test_read_long_csv_rejects_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -161,7 +161,13 @@ def _cmd_stats(args) -> int:
 def _cmd_synth(args) -> int:
     from .synthetic import write_corpus
 
-    root = write_corpus(args.out_dir, seed=args.seed)
+    out = Path(args.out_dir)
+    if not _prepare_output(out, is_dir=True):
+        return EXIT_CONFIG
+    if out.exists() and any(out.iterdir()):
+        print(f"error: output directory is not empty: {out}", file=sys.stderr)
+        return EXIT_CONFIG
+    root = write_corpus(out, seed=args.seed)
     print(f"synthetic corpus written to {root} "
           f"(export {ENV_CORPUS_ROOT}={root} to use it as default)")
     return EXIT_OK

@@ -48,7 +48,7 @@ def write_long_csv(rows, path):
 
 def read_long_csv(path):
     """The long rows of a cells CSV; a repeated (scheme, extractor, model,
-    replication) is a ``ValueError``."""
+    replication) or a malformed row is a ``ValueError`` naming its line."""
     out, seen = [], set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -56,13 +56,19 @@ def read_long_csv(path):
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
         for row in reader:
-            key = (row["scheme"], row["extractor"], row["model"], int(row["replication"]))
+            where = f"{path}:{reader.line_num}"
+            if None in row or None in row.values():     # too many or too few fields
+                raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
+            try:
+                key = (row["scheme"], row["extractor"], row["model"], int(row["replication"]))
+                rates = tuple(float(row[c]) if row[c] else float("nan") for c in LONG_HEADER[4:])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             if key in seen:
                 raise ValueError(f"{path}: duplicate row for scheme={key[0]} "
                                  f"extractor={key[1]} model={key[2]} replication={key[3]}")
             seen.add(key)
-            out.append(key + tuple(float(row[c]) if row[c] else float("nan")
-                                   for c in LONG_HEADER[4:]))
+            out.append(key + rates)
     return out
 
 

@@ -11,6 +11,9 @@ strong alpha, low-voltage fast seizures) overlap the classes in both
 amplitude and average spectrum, so the remaining separation lives in
 temporal structure: coherent carriers and sparse spikes versus
 Gaussian-textured noise of the same spectral shape.
+
+Transients are summed into each sample in transient order, and samples
+are written through a table holding the text of every clipped value.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ import numpy as np
 from .corpus import EXPECTED_SAMPLES, SAMPLE_RATE_HZ, SET_TAGS, SIGNALS_PER_SET
 
 _TAG_CODE = {tag: i for i, tag in enumerate(SET_TAGS)}
+SAMPLE_BOUND = 6000     # samples are clipped to +-SAMPLE_BOUND
+# the decimal text of every sample value, indexed by value + SAMPLE_BOUND
+_SAMPLE_TEXT = np.array([str(v) for v in range(-SAMPLE_BOUND, SAMPLE_BOUND + 1)])
 
 
 def _rms(x):
@@ -72,20 +78,34 @@ def _spike_band_noise(rng, n, fs, width_lo, width_hi):
     return _shaped_noise(rng, n, fs, env)
 
 
-def _spike_train(rng, n, fs, count, width_lo, width_hi):
-    """Sparse biphasic transients (derivative-of-Gaussian shape)."""
+def _transients(n, centers, widths, signs):
+    """Biphasic transients (derivative-of-Gaussian shape) summed into one
+    signal. Each counts where ``|z| < 6``; one ordered ``np.add.at`` sums
+    them, so every sample adds its transients in transient order."""
     sig = np.zeros(n)
-    if count <= 0:
+    if centers.size == 0:
         return sig
+    # every sample with |z| < 6 lies within 6 widths of its centre; one more
+    # sample a side absorbs the rounding of the bounds
+    lo = np.maximum(np.floor(centers - 6 * widths).astype(int) - 1, 0)
+    hi = np.minimum(np.ceil(centers + 6 * widths).astype(int) + 1, n - 1)
+    idx = lo[:, None] + np.arange((hi - lo).max() + 1)
+    z = (idx - centers[:, None]) / widths[:, None]
+    mask = (idx <= hi[:, None]) & (np.abs(z) < 6)
+    z = z[mask]
+    s = np.broadcast_to(signs[:, None], mask.shape)[mask]
+    np.add.at(sig, idx[mask], s * (-z) * np.exp(-0.5 * z ** 2))
+    return sig
+
+
+def _spike_train(rng, n, fs, count, width_lo, width_hi):
+    """Sparse biphasic transients at uniform positions."""
+    if count <= 0:
+        return np.zeros(n)
     centers = rng.uniform(0.05, 0.95, count) * n
     widths = rng.uniform(width_lo, width_hi, count) * fs
     signs = rng.choice([-1.0, 1.0], count)
-    idx = np.arange(n)
-    for c, w, s in zip(centers, widths, signs):
-        z = (idx - c) / w
-        mask = np.abs(z) < 6
-        sig[mask] += s * (-z[mask]) * np.exp(-0.5 * z[mask] ** 2)
-    return sig
+    return _transients(n, centers, widths, signs)
 
 
 def _chirp(rng, t, f_start, f_end, harmonic_weights):
@@ -114,14 +134,12 @@ def _locked_spikes(rng, t, freq, prob, width_lo, width_hi, fs):
     period = fs / freq
     centers = np.arange(period / 2, n - period / 2, period)
     keep = rng.uniform(size=centers.size) < prob
-    sig = np.zeros(n)
-    idx = np.arange(n)
-    for c in centers[keep] + rng.normal(0, period * 0.05, keep.sum()):
-        w = rng.uniform(width_lo, width_hi) * fs
-        z = (idx - c) / w
-        mask = np.abs(z) < 6
-        sig[mask] += rng.choice([-1.0, 1.0]) * (-z[mask]) * np.exp(-0.5 * z[mask] ** 2)
-    return sig
+    centers = centers[keep] + rng.normal(0, period * 0.05, keep.sum())
+    widths, signs = np.empty(centers.size), np.empty(centers.size)
+    for i in range(centers.size):   # the generator interleaves each width and sign
+        widths[i] = rng.uniform(width_lo, width_hi) * fs
+        signs[i] = (-1.0, 1.0)[rng.integers(0, 2)]
+    return _transients(n, centers, widths, signs)
 
 
 def synthesize_signal(tag: str, index: int, seed: int = 0) -> np.ndarray:
@@ -214,7 +232,7 @@ def synthesize_signal(tag: str, index: int, seed: int = 0) -> np.ndarray:
         sig = body / _rms(body) + 0.35 * background + 0.05 * white
 
     sig = sig / _rms(sig) * scale
-    return np.clip(np.round(sig), -6000, 6000).astype(int)
+    return np.clip(np.round(sig), -SAMPLE_BOUND, SAMPLE_BOUND).astype(int)
 
 
 def write_corpus(root, seed: int = 0) -> Path:
@@ -226,5 +244,5 @@ def write_corpus(root, seed: int = 0) -> Path:
         for i in range(SIGNALS_PER_SET):
             samples = synthesize_signal(tag, i, seed)
             path = set_dir / f"{tag}{i + 1:03d}.txt"
-            path.write_text("\n".join(str(v) for v in samples) + "\n")
+            path.write_text("\n".join(_SAMPLE_TEXT[samples + SAMPLE_BOUND].tolist()) + "\n")
     return root

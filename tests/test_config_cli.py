@@ -298,6 +298,20 @@ class TestCli:
                                            "replication=0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, bad", [
+        ("balanced,db2", "expected 7 fields"),
+        ("balanced,db2,lda,x,0.9,0.9,0.9", "invalid literal for int() with base 10: 'x'"),
+        ("balanced,db2,lda,1,abc,0.9,0.9", "could not convert string to float: 'abc'"),
+    ], ids=["short_row", "replication_x", "accuracy_abc"])
+    def test_stats_malformed_row_names_file_and_line(self, tmp_path, capsys, line, bad):
+        path = tmp_path / "cells.csv"
+        path.write_text("scheme,extractor,model,replication,accuracy,sensitivity,specificity\n"
+                        "balanced,db2,lda,0,0.9,0.9,0.9\n" + line + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["stats", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {path}:3: {bad}\n"
+        assert not out.exists()
+
     def test_stats_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli.main(["stats", str(tmp_path / "none.csv"),
                          "--out", str(tmp_path / "o")]) == 2
@@ -326,6 +340,37 @@ class TestCli:
             assert sorted(p.name for p in (tmp_path / "corpus" / tag).iterdir()) == \
                 [f"{tag}001.txt", f"{tag}002.txt"]
         assert len((tmp_path / "corpus" / "S" / "S002.txt").read_text().split()) == 4097
+
+    def test_synth_into_existing_empty_directory(self, tmp_path, capsys, monkeypatch):
+        import eegbench.synthetic as synthetic
+
+        monkeypatch.setattr(synthetic, "SIGNALS_PER_SET", 1)
+        out = tmp_path / "corpus"
+        out.mkdir()
+        assert cli.main(["synth", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["F", "N", "O", "S", "Z"]
+
+    def test_synth_rejects_a_regular_file(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        out.write_text("keep")
+        assert cli.main(["synth", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: output path is not a directory: {out}\n"
+        assert out.read_text() == "keep"
+
+    def test_synth_rejects_a_non_empty_directory(self, tmp_path, capsys, monkeypatch):
+        from eegbench import synthetic
+
+        def no_write(*args, **kwargs):
+            raise AssertionError("corpus written into a non-empty directory")
+
+        monkeypatch.setattr(synthetic, "write_corpus", no_write)
+        stray = tmp_path / "corpus" / "Z" / "Z999.txt"
+        stray.parent.mkdir(parents=True)
+        stray.write_text("1\n")
+        out = tmp_path / "corpus"
+        assert cli.main(["synth", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: output directory is not empty: {out}\n"
+        assert [p.name for p in out.rglob("*")] == ["Z", "Z999.txt"]
 
     def test_features_dump(self, tmp_path, corpus_root, capsys):
         cfg = tmp_path / "cfg.json"

@@ -162,6 +162,9 @@ def _cmd_synth(args) -> int:
     from .synthetic import write_corpus
 
     out = Path(args.out_dir)
+    if args.seed < 0:
+        print(f"error: seed must be non-negative: {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
     if not _prepare_output(out, is_dir=True):
         return EXIT_CONFIG
     if out.exists() and any(out.iterdir()):

@@ -120,12 +120,14 @@ def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0):
     """Fit one split end to end; returns ((acc, sen, spe), fitted PcaModel).
 
     All fold statistics (PCA axes, standardization moments) come from the
-    training rows alone.
+    training rows alone. ``X`` is left alone: the training rows are
+    gathered into a new matrix, which ``pca_fit`` centres in place and
+    which is then projected, so the split holds one copy of them.
     """
-    X_train, X_test = X[train_idx], X[test_idx]
-    pca = pca_fit(X_train, PCA_VARIANCE_TARGET)
-    X_train = pca_apply(pca, X_train)
-    X_test = pca_apply(pca, X_test)
+    X_train = np.asarray(X[train_idx], dtype=float)
+    pca = pca_fit(X_train, PCA_VARIANCE_TARGET, center_in_place=True)
+    X_train = X_train @ pca.components.T
+    X_test = pca_apply(pca, X[test_idx])
     if model_kind in STANDARDIZED_KINDS:
         mu = X_train.mean(axis=0)
         sd = X_train.std(axis=0)

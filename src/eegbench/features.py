@@ -10,7 +10,8 @@ The three feature routes mirror the benchmark's extractor menu:
 Extraction works along the last axis: a ``(..., n)`` array is a stack of
 signals and yields a ``(..., width)`` stack of feature rows, each row
 bit-for-bit the one its signal gives alone; a 1-D signal gives one row.
-``extract_matrix`` feeds the extractors ``EXTRACT_BLOCK`` signals at a time.
+``extract_matrix`` stacks the ``wfe`` rows once and feeds the other
+extractors ``EXTRACT_BLOCK`` signals at a time.
 """
 
 from __future__ import annotations
@@ -189,16 +190,18 @@ def extract_matrix(instances, labels, extractor: str) -> FeatureMatrix:
     """Extract one row per instance.
 
     The instances are equal-length recordings (``corpus.load_corpus``
-    admits no other); they are stacked ``EXTRACT_BLOCK`` at a time, so the
-    transients stay one block in size.
+    admits no other). ``wfe`` rows are the samples, stacked once into the
+    matrix. The other extractors get them ``EXTRACT_BLOCK`` at a time, so
+    their transients stay one block in size.
     """
     signals = [np.asarray(inst, dtype=float) for inst in instances]
-    blocks, names = [], None
-    for start in range(0, len(signals), EXTRACT_BLOCK):
-        fv = assemble_features(np.stack(signals[start:start + EXTRACT_BLOCK]), extractor)
-        names = names or fv.names
-        blocks.append(fv.values)
-    return FeatureMatrix(np.vstack(blocks), list(names), np.asarray(labels, dtype=int))
+    if extractor == "wfe":
+        values, names = np.stack(signals), _sample_names(signals[0].size)
+    else:
+        blocks = [assemble_features(np.stack(signals[start:start + EXTRACT_BLOCK]), extractor)
+                  for start in range(0, len(signals), EXTRACT_BLOCK)]
+        values, names = np.vstack([fv.values for fv in blocks]), blocks[0].names
+    return FeatureMatrix(values, list(names), np.asarray(labels, dtype=int))
 
 
 @dataclass
@@ -211,9 +214,16 @@ class PcaModel:
     n_components: int
 
 
-def pca_fit(matrix, variance_target: float = 0.95) -> PcaModel:
+def pca_fit(matrix, variance_target: float = 0.95, *,
+            center_in_place: bool = False) -> PcaModel:
     """Principal axes of the sample covariance, retaining the smallest
     component count whose cumulative explained variance reaches the target.
+
+    ``matrix`` is left alone by default. With ``center_in_place`` it must
+    be a float64 array, and it is overwritten with its centred rows
+    ``matrix - mean``, so a caller that projects the rows it fitted on
+    keeps one copy of them: its ``matrix @ model.components.T`` then
+    equals ``pca_apply(model, original)`` bit for bit.
 
     The spectrum comes from ``eigh`` of the smaller Gram matrix of the
     centred rows. A tall matrix (rows >= columns) uses ``Xcᵀ Xc``, whose
@@ -229,8 +239,10 @@ def pca_fit(matrix, variance_target: float = 0.95) -> PcaModel:
         raise ValueError("need a 2-D matrix with at least two rows")
     if not 0.0 < variance_target <= 1.0:
         raise ValueError("variance_target must be in (0, 1]")
+    if center_in_place and X is not matrix:
+        raise TypeError("center_in_place needs a float64 ndarray")
     mean = X.mean(axis=0)
-    centered = X - mean
+    centered = np.subtract(X, mean, out=X if center_in_place else None)
     wide = X.shape[0] < X.shape[1]
     evals, evecs = np.linalg.eigh(centered @ centered.T if wide else centered.T @ centered)
     evals = np.clip(evals[::-1], 0.0, None)

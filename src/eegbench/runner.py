@@ -4,7 +4,10 @@ A run has two phases, and ``_run_tasks`` runs both: feature extraction in
 contiguous chunks of signals, then the cells (scheme x plan x extractor
 x model). Under ``jobs=1`` the tasks run in order in this process;
 otherwise on forked worker processes. Results are keyed by task, so
-output never depends on completion order. A cell's result is its long
+output never depends on completion order. The raw-sample ``wfe`` matrix
+is no extraction task: it is stacked once in this process. Once the
+features exist, the datasets keep only each recording's provenance, so
+the samples are released before the cells run. A cell's result is its long
 rows (see :mod:`eegbench.reporting`); ``_write_bundle`` joins those of
 the sorted cell keys per plan for every report writer, writes the
 report into a temp dir and renames it into place; after a failure in the
@@ -18,10 +21,12 @@ from __future__ import annotations
 import json
 import os
 import platform
+import resource
 import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -66,29 +71,33 @@ def extract_features(cfg: RunConfig, datasets: dict) -> dict:
     """(scheme, extractor) -> FeatureMatrix; extraction is per-instance pure.
 
     Every scheme's instances are a subset of the largest scheme's, so only
-    those are extracted. Each extractor's signals are cut into about
-    ``CHUNKS_PER_WORKER`` chunks per worker, each a whole number of
-    ``EXTRACT_BLOCK``s; ``_run_tasks`` runs them and the chunks are stacked
-    in order. The largest scheme takes the whole matrix, and the others
-    take their rows from it.
+    those are extracted. ``wfe`` copies the samples, so it is stacked here
+    in one ``extract_matrix`` call, after the pool has gone. Every other
+    extractor's signals are cut into about ``CHUNKS_PER_WORKER`` chunks
+    per worker, each a whole number of ``EXTRACT_BLOCK``s; ``_run_tasks``
+    runs them and the chunks are stacked in order. The largest scheme
+    takes the whole matrix, and the others take their rows from it.
     """
     largest = max(datasets.values(), key=lambda ds: len(ds.instances))
     signals = largest.instances
     per_chunk = -(-len(signals) // (cfg.jobs * CHUNKS_PER_WORKER))
     per_chunk = -(-per_chunk // EXTRACT_BLOCK) * EXTRACT_BLOCK
     chunks = [_Chunk(extractor, start, min(start + per_chunk, len(signals)))
-              for extractor in cfg.extractors
+              for extractor in cfg.extractors if extractor != "wfe"
               for start in range(0, len(signals), per_chunk)]
-    parts = _run_tasks(cfg, signals, chunks)
+    parts = _run_tasks(cfg, signals, chunks) if chunks else {}
     row_of = {id(sig): i for i, sig in enumerate(signals)}
     features = {}
     for extractor in cfg.extractors:
-        fms = [fm for chunk, fm in parts.items() if chunk.extractor == extractor]
-        values = np.vstack([fm.values for fm in fms])
+        if extractor == "wfe":
+            whole = extract_matrix((sig.samples for sig in signals), largest.labels, extractor)
+            values, names = whole.values, whole.feature_names
+        else:
+            fms = [fm for chunk, fm in parts.items() if chunk.extractor == extractor]
+            values, names = np.vstack([fm.values for fm in fms]), fms[0].feature_names
         for scheme, ds in datasets.items():
             own = values if ds is largest else values[[row_of[id(sig)] for sig in ds.instances]]
-            features[(scheme, extractor)] = FeatureMatrix(own, list(fms[0].feature_names),
-                                                          ds.labels)
+            features[(scheme, extractor)] = FeatureMatrix(own, list(names), ds.labels)
     return features
 
 
@@ -174,13 +183,33 @@ def _run_tasks(cfg: RunConfig, inputs, tasks: list, progress=None) -> dict:
     return {task: results[task] for task in tasks}
 
 
-def _manifest(cfg: RunConfig, completed, elapsed_s: float) -> dict:
+class _Provenance(NamedTuple):
+    """A recording without its samples: what ``write_manifest`` reads of it."""
+
+    source_id: str
+    set_tag: str
+
+
+def _usage() -> tuple:
+    """(peak RSS in MB, CPU seconds) of this process and its reaped workers."""
+    usage = [resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    # ru_maxrss is in KiB on Linux
+    return (max(u.ru_maxrss for u in usage) / 1024.0,
+            sum(u.ru_utime + u.ru_stime for u in usage))
+
+
+def _manifest(cfg: RunConfig, completed, started: tuple) -> dict:
+    peak_rss_mb, cpu_s = _usage()
     return {
         "config": cfg.normalized(),
         "config_digest": cfg.digest(),
         "master_seed": cfg.master_seed,
         "completed_cells": ["/".join(key) for key in completed],
-        "elapsed_seconds": round(elapsed_s, 3),
+        "elapsed_seconds": round(time.time() - started[0], 3),
+        "resources": {
+            "peak_rss_mb": round(peak_rss_mb, 1),
+            "cpu_s": round(cpu_s - started[1], 3),
+        },
         "versions": {
             "eegbench": __version__,
             "numpy": np.__version__,
@@ -191,9 +220,14 @@ def _manifest(cfg: RunConfig, completed, elapsed_s: float) -> dict:
     }
 
 
-def _write_bundle(cfg: RunConfig, datasets: dict, results: dict, start: float,
+def _write_bundle(cfg: RunConfig, datasets: dict, results: dict, started: tuple,
                   failure: BaseException | None = None) -> Path:
     """Write a report bundle into a temp dir beside its target, then rename it there.
+
+    ``started`` is the run's (wall clock, ``_usage`` CPU seconds) at its
+    start; the manifest's ``resources`` block holds the peak RSS so far
+    (this process or a reaped worker, whichever is larger) and the CPU
+    seconds since then.
 
     Without ``failure`` the target is ``output_dir`` and the bundle is the
     full report; an earlier run's ``<output>.partial`` is removed once it
@@ -225,7 +259,7 @@ def _write_bundle(cfg: RunConfig, datasets: dict, results: dict, start: float,
                     and cfg.holdout_plan.n_repeats > 1):
                 for scheme in cfg.schemes:
                     write_inference_reports(rows["holdout"], scheme, tmp_dir)
-        manifest = _manifest(cfg, [k for k, _ in ordered], time.time() - start)
+        manifest = _manifest(cfg, [k for k, _ in ordered], started)
         if failure is not None:
             located = isinstance(failure, CellError)
             manifest["failure"] = {
@@ -247,14 +281,18 @@ def run_experiment(cfg: RunConfig, progress=None) -> Path:
     """Execute the full benchmark, write the report bundle atomically and return its directory."""
     if cfg.output_dir.exists():
         raise FileExistsError(f"output directory already exists: {cfg.output_dir}")
-    start = time.time()
+    started = (time.time(), _usage()[1])
     datasets = build_datasets(cfg)
     features = extract_features(cfg, datasets)
+    # the cells read only the features: release the samples before they run
+    datasets = {scheme: replace(ds, instances=[_Provenance(sig.source_id, sig.set_tag)
+                                               for sig in ds.instances])
+                for scheme, ds in datasets.items()}
     try:
         results = execute_cells(cfg, features, progress)
     except BaseException as exc:
         completed = getattr(exc, "completed", {})
         if completed or isinstance(exc, CellError):
-            _write_bundle(cfg, datasets, completed, start, failure=exc)
+            _write_bundle(cfg, datasets, completed, started, failure=exc)
         raise
-    return _write_bundle(cfg, datasets, results, start)
+    return _write_bundle(cfg, datasets, results, started)

@@ -237,6 +237,8 @@ def synthesize_signal(tag: str, index: int, seed: int = 0) -> np.ndarray:
 
 def write_corpus(root, seed: int = 0) -> Path:
     """Write the surrogate tree under ``root``; returns the root path."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     root = Path(root)
     for tag in SET_TAGS:
         set_dir = root / tag

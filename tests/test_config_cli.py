@@ -350,6 +350,18 @@ class TestCli:
         assert cli.main(["synth", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["F", "N", "O", "S", "Z"]
 
+    def test_synth_rejects_a_negative_seed(self, tmp_path, capsys, monkeypatch):
+        import eegbench.synthetic as synthetic
+
+        out = tmp_path / "parent" / "corpus"
+        assert cli.main(["synth", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative: -1\n"
+        assert list(tmp_path.iterdir()) == []
+        # nothing was left behind to refuse a retry with a valid seed
+        monkeypatch.setattr(synthetic, "SIGNALS_PER_SET", 1)
+        assert cli.main(["synth", str(out), "--seed", "1"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["F", "N", "O", "S", "Z"]
+
     def test_synth_rejects_a_regular_file(self, tmp_path, capsys):
         out = tmp_path / "corpus"
         out.write_text("keep")

@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eegbench import evaluation as ev
+from eegbench.classifiers import STANDARDIZED_KINDS
+from eegbench.corpus import SET_TAGS, load_corpus
 from eegbench.errors import CellError, ConfigError
-from eegbench.features import FeatureMatrix, pca_fit
+from eegbench.features import FeatureMatrix, pca_apply, pca_fit
 
 
 def same_pca(a, b) -> bool:
@@ -227,6 +230,80 @@ class TestLeakage:
         _, pca_inner = ev.fit_split(fm.values, fm.labels, train_idx, test_idx, "nb")
         direct = pca_fit(fm.values[train_idx], ev.PCA_VARIANCE_TARGET)
         assert same_pca(pca_inner, direct)
+
+
+def reference_fit_split(X, y, train_idx, test_idx, model_kind, seed=0):
+    """The split fit that centres copies: ``pca_fit``, then ``pca_apply`` on both sides."""
+    X_train, X_test = X[train_idx], X[test_idx]
+    pca = pca_fit(X_train, ev.PCA_VARIANCE_TARGET)
+    X_train = pca_apply(pca, X_train)
+    X_test = pca_apply(pca, X_test)
+    if model_kind in STANDARDIZED_KINDS:
+        mu = X_train.mean(axis=0)
+        sd = X_train.std(axis=0)
+        sd[sd == 0] = 1.0
+        X_train = (X_train - mu) / sd
+        X_test = (X_test - mu) / sd
+    model = ev.make_model(model_kind, seed=seed)
+    model.fit(X_train, y[train_idx])
+    return ev.split_rates(y[test_idx], model.predict(X_test)), pca
+
+
+@pytest.fixture()
+def handed_to_model(monkeypatch):
+    """Copies of the matrices each split fit hands its model, fit then predict."""
+    seen = []
+    make_model = ev.make_model
+
+    def recording(kind, seed=None):
+        model = make_model(kind, seed=seed)
+        fit, predict = model.fit, model.predict
+        model.fit = lambda X, y: seen.append(X.copy()) or fit(X, y)
+        model.predict = lambda X: seen.append(X.copy()) or predict(X)
+        return model
+
+    monkeypatch.setattr(ev, "make_model", recording)
+    return seen
+
+
+class TestInPlaceCentring:
+    @pytest.mark.parametrize("kind", ["lda", "knn"])
+    @pytest.mark.parametrize("n_train, d", [(333, 4097), (400, 75)], ids=["wide", "tall"])
+    def test_split_equals_reference_bit_for_bit(self, handed_to_model, n_train, d, kind):
+        rng = np.random.default_rng(d)
+        # 20 latent factors, noise and a mean far from 0, so centring matters
+        X = (rng.normal(size=(500, 20)) @ rng.normal(size=(20, d))
+             + 0.3 * rng.normal(size=(500, d)) + rng.normal(size=d) * 50.0)
+        y = (X[:, 0] + rng.normal(size=500) * 5.0 > np.median(X[:, 0])).astype(int)
+        order = rng.permutation(500)
+        train_idx, test_idx = np.sort(order[:n_train]), np.sort(order[n_train:])
+        before = X.copy()
+        rates, pca = ev.fit_split(X, y, train_idx, test_idx, kind, seed=3)
+        assert X.tobytes() == before.tobytes()
+        ref_rates, ref_pca = reference_fit_split(X, y, train_idx, test_idx, kind, seed=3)
+        assert 0 < pca.n_components < min(n_train, d)
+        assert same_pca(pca, ref_pca)
+        assert np.array_equal(rates, ref_rates, equal_nan=True)
+        train, test, ref_train, ref_test = handed_to_model
+        assert train.shape == (n_train, pca.n_components)
+        assert train.tobytes() == ref_train.tobytes()
+        assert test.tobytes() == ref_test.tobytes()
+
+    def test_split_memory_is_bounded(self, corpus_root):
+        # one copy of the training rows plus the axes: 27.1 MB measured
+        # (2.07x the rows); centring a copy of them took it to 43.5 MB (3.32x)
+        corpus = load_corpus(corpus_root)
+        X = np.stack([sig.samples for tag in SET_TAGS for sig in corpus[tag]])
+        y = np.array([int(tag == "S") for tag in SET_TAGS for _ in corpus[tag]])
+        train_idx, test_idx = ev.make_splits(y, ev.SplitPlan("holdout", seed=1))[0]
+        assert (len(train_idx), X.shape[1]) == (400, 4097)
+        tracemalloc.start()
+        try:
+            ev.fit_split(X, y, train_idx, test_idx, "lda")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(train_idx) * X.shape[1] * X.itemsize
 
 
 class TestSeedDerivation:

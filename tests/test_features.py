@@ -159,7 +159,7 @@ def rows_one_at_a_time(signals, extractor):
 
 
 class TestBatchedExtraction:
-    @pytest.mark.parametrize("extractor", ["db2", "db4", "coif1", "mfcc"])
+    @pytest.mark.parametrize("extractor", ["wfe", "db2", "db4", "coif1", "mfcc"])
     def test_blocks_equal_one_row_calls(self, signals, extractor):
         assert len(signals) > 2 * ft.EXTRACT_BLOCK
         assert len(signals) % ft.EXTRACT_BLOCK
@@ -301,6 +301,31 @@ class TestPca:
         model = ft.pca_fit(X)
         assert model.n_components == 0
         assert ft.pca_apply(model, X).shape == (5, 0)
+
+    @pytest.mark.parametrize("shape", [(40, 300), (300, 40)], ids=["wide", "tall"])
+    def test_fit_leaves_input_alone_by_default(self, shape):
+        X = np.random.default_rng(22).normal(size=shape) + 5.0
+        before = X.copy()
+        ft.pca_fit(X, variance_target=0.95)
+        assert X.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("shape", [(40, 300), (300, 40)], ids=["wide", "tall"])
+    def test_center_in_place_leaves_centred_rows(self, shape):
+        X = np.random.default_rng(23).normal(size=shape) * np.arange(1, shape[1] + 1) + 5.0
+        model = ft.pca_fit(X, variance_target=0.95)
+        centred = X.copy()
+        in_place = ft.pca_fit(centred, variance_target=0.95, center_in_place=True)
+        assert centred.tobytes() == (X - model.mean).tobytes()
+        for field in ("mean", "components", "explained_variance_ratio", "n_components"):
+            assert np.array_equal(getattr(in_place, field), getattr(model, field))
+        assert (centred @ in_place.components.T).tobytes() == ft.pca_apply(model, X).tobytes()
+
+    @pytest.mark.parametrize("matrix", [np.ones((4, 3), dtype=np.float32),
+                                        np.arange(12).reshape(4, 3), [[1.0, 2.0], [3.0, 5.0]]],
+                             ids=["float32", "int", "list"])
+    def test_center_in_place_needs_a_float64_array(self, matrix):
+        with pytest.raises(TypeError, match="float64"):
+            ft.pca_fit(matrix, center_in_place=True)
 
     def test_apply_never_mutates_model(self):
         X = np.random.default_rng(12).normal(size=(25, 4))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -79,6 +80,16 @@ class TestRunExperiment:
         for name in names:
             assert (out / name).read_bytes() == (report / name).read_bytes()
 
+    def test_manifest_resources(self, bundle):
+        cfg, report = bundle
+        resources = json.loads((report / "manifest.json").read_text())["resources"]
+        assert sorted(resources) == ["cpu_s", "peak_rss_mb"]
+        usage = [resource.getrusage(who)
+                 for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+        # the manifest rounds to 0.1 MB
+        assert 0 < resources["peak_rss_mb"] <= max(u.ru_maxrss for u in usage) / 1024.0 + 0.05
+        assert 0 < resources["cpu_s"] <= sum(u.ru_utime + u.ru_stime for u in usage)
+
     def test_performance_tables_exist(self, bundle):
         cfg, report = bundle
         for ext in ("mfcc", "db2"):
@@ -130,6 +141,61 @@ def test_extraction_independent_of_jobs(corpus_root, tmp_path):
         assert np.array_equal(fm.values, features[2][key].values)
         assert fm.feature_names == features[2][key].feature_names
         assert np.array_equal(fm.labels, features[2][key].labels)
+
+
+def test_wfe_is_stacked_in_the_parent(corpus_root, tmp_path, monkeypatch):
+    from eegbench import runner
+
+    tasks = []
+    run_tasks = runner._run_tasks
+
+    def recording(cfg, inputs, task_list, progress=None):
+        tasks.extend(task_list)
+        return run_tasks(cfg, inputs, task_list, progress)
+
+    monkeypatch.setattr(runner, "_run_tasks", recording)
+    cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
+                       extractors=["wfe", "mfcc"], jobs=2)
+    datasets = build_datasets(cfg)
+    features = extract_features(cfg, datasets)
+    assert tasks and {task.extractor for task in tasks} == {"mfcc"}
+    for scheme, ds in datasets.items():
+        assert features[(scheme, "wfe")].values.tobytes() == \
+            np.stack([sig.samples for sig in ds.instances]).tobytes()
+    tasks.clear()
+    cfg.extractors = ["wfe"]
+    extract_features(cfg, datasets)
+    assert tasks == []
+
+
+def test_samples_are_released_before_the_cells_run(corpus_root, tmp_path, monkeypatch):
+    import weakref
+
+    from eegbench import runner
+
+    samples, alive = [], []
+    build, execute = runner.build_datasets, runner.execute_cells
+
+    def recording_build(cfg):
+        datasets = build(cfg)
+        samples.extend(weakref.ref(sig.samples) for ds in datasets.values()
+                       for sig in ds.instances)
+        return datasets
+
+    def counting_execute(cfg, features, progress=None):
+        alive.append(sum(ref() is not None for ref in samples))
+        return execute(cfg, features, progress)
+
+    monkeypatch.setattr(runner, "build_datasets", recording_build)
+    monkeypatch.setattr(runner, "execute_cells", counting_execute)
+    cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
+                       extractors=["wfe", "mfcc"], models=["lda"])
+    report = run_experiment(cfg)
+    assert len(samples) == 500 + 200 and alive == [0]
+    # the dataset manifests still name every recording
+    for scheme in cfg.schemes:
+        lines = (report / f"dataset_{scheme}.csv").read_text().splitlines()
+        assert len(lines) == 1 + (500 if scheme == "imbalanced" else 200)
 
 
 def test_runner_import_loads_no_heavy_scipy_module():

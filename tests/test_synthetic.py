@@ -117,3 +117,10 @@ def test_sign_draw_matches_choice():
             assert by_choice.uniform(0.004, 0.007) == by_integers.uniform(0.004, 0.007)
             assert by_choice.choice([-1.0, 1.0]) == (-1.0, 1.0)[by_integers.integers(0, 2)]
         assert by_choice.bit_generator.state == by_integers.bit_generator.state
+
+
+def test_write_corpus_rejects_a_negative_seed(tmp_path):
+    root = tmp_path / "corpus"
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        synthetic.write_corpus(root, seed=-1)
+    assert not root.exists()

@@ -9,7 +9,10 @@ order or worker count.
 Leakage rule: PCA and standardization statistics are fitted on the
 training rows of each split only, then applied to both sides. PCA keeps
 the fewest axes that explain ``PCA_VARIANCE_TARGET`` of the training
-variance, as in the paper.
+variance, as in the paper. A wide matrix's split PCA works from its Gram
+matrix ``X Xᵀ``: each entry is the product of two rows alone, so the
+training block ``G[train, train]`` depends on the training rows only,
+and the test rows enter only through ``G[test, train]``, to be projected.
 
 Results: ``run_cell`` gives one long row per replication, ``(scheme,
 extractor, model, replication, accuracy, sensitivity, specificity)``,
@@ -25,7 +28,7 @@ import numpy as np
 
 from .classifiers import STANDARDIZED_KINDS, make_model
 from .errors import CellError
-from .features import FeatureMatrix, pca_apply, pca_fit
+from .features import FeatureMatrix, gram_pca_split, pca_apply, pca_fit
 
 PLAN_KINDS = ("kfold", "holdout")
 PCA_VARIANCE_TARGET = 0.95
@@ -116,18 +119,22 @@ def split_rates(y_true, y_pred):
     return acc, sen, spe
 
 
-def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0):
-    """Fit one split end to end; returns ((acc, sen, spe), fitted PcaModel).
+def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0, gram=None):
+    """Fit one split end to end; returns (acc, sen, spe).
 
     All fold statistics (PCA axes, standardization moments) come from the
-    training rows alone. ``X`` is left alone: the training rows are
-    gathered into a new matrix, which ``pca_fit`` centres in place and
-    which is then projected, so the split holds one copy of them.
+    training rows alone, and ``X`` is left alone. A wide ``X`` (fewer rows
+    than columns) is projected by ``gram_pca_split`` from ``gram``, its
+    ``X @ X.T``, which is computed here when not given; a tall one by
+    ``pca_fit`` on the gathered training rows and ``pca_apply``.
     """
-    X_train = np.asarray(X[train_idx], dtype=float)
-    pca = pca_fit(X_train, PCA_VARIANCE_TARGET, center_in_place=True)
-    X_train = X_train @ pca.components.T
-    X_test = pca_apply(pca, X[test_idx])
+    if X.shape[0] < X.shape[1]:
+        gram = X @ X.T if gram is None else gram
+        X_train, X_test = gram_pca_split(X, gram, train_idx, test_idx, PCA_VARIANCE_TARGET)
+    else:
+        X_train = X[train_idx]
+        pca = pca_fit(X_train, PCA_VARIANCE_TARGET)
+        X_train, X_test = pca_apply(pca, X_train), pca_apply(pca, X[test_idx])
     if model_kind in STANDARDIZED_KINDS:
         mu = X_train.mean(axis=0)
         sd = X_train.std(axis=0)
@@ -136,7 +143,7 @@ def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0):
         X_test = (X_test - mu) / sd
     model = make_model(model_kind, seed=seed)
     model.fit(X_train, y[train_idx])
-    return split_rates(y[test_idx], model.predict(X_test)), pca
+    return split_rates(y[test_idx], model.predict(X_test))
 
 
 def run_cell(scheme: str, extractor: str, model_kind: str, plan: SplitPlan,
@@ -146,8 +153,9 @@ def run_cell(scheme: str, extractor: str, model_kind: str, plan: SplitPlan,
     Returns a long row per replication, each rate the mean over its
     splits. ``features`` is the scheme's matrix under ``extractor``
     (extraction is per-instance pure, so the runner does it once per
-    scheme and extractor). Failures abort the cell and carry (scheme,
-    extractor, model, replication).
+    scheme and extractor); every split reads its Gram matrix, if it has
+    one. Failures abort the cell and carry (scheme, extractor, model,
+    replication).
     """
     X, y = features.values, features.labels
     split_seed = derive_seed(master_seed, scheme, plan.kind, extractor, model_kind, "split")
@@ -161,7 +169,8 @@ def run_cell(scheme: str, extractor: str, model_kind: str, plan: SplitPlan,
             fit_seed = derive_seed(master_seed, scheme, plan.kind, extractor,
                                    model_kind, "fit", rep, s)
             try:
-                rates.append(fit_split(X, y, train_idx, test_idx, model_kind, fit_seed)[0])
+                rates.append(fit_split(X, y, train_idx, test_idx, model_kind, fit_seed,
+                                       features.gram))
             except Exception as exc:
                 raise CellError(
                     f"cell failed: scheme={scheme} extractor={extractor} "

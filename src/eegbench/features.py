@@ -158,11 +158,16 @@ def assemble_features(samples, extractor: str) -> FeatureVector:
 
 @dataclass
 class FeatureMatrix:
-    """Instances as rows, named features as columns, labels aligned by row."""
+    """Instances as rows, named features as columns, labels aligned by row.
+
+    ``gram``, when set, is ``values @ values.T``; a wide matrix's split PCA
+    works from it (``gram_pca_split``).
+    """
 
     values: np.ndarray
     feature_names: list
     labels: np.ndarray
+    gram: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.feature_names) != len(set(self.feature_names)):
@@ -214,16 +219,25 @@ class PcaModel:
     n_components: int
 
 
-def pca_fit(matrix, variance_target: float = 0.95, *,
-            center_in_place: bool = False) -> PcaModel:
+def _spectrum(centred_gram, n_rows: int, variance_target: float):
+    """(eigenvalues clipped at 0, eigenvectors, explained-variance ratios,
+    kept count k) of the centred Gram matrix of ``n_rows`` rows, largest
+    first: the one PCA spectrum rule. A zero spectrum keeps nothing."""
+    evals, evecs = np.linalg.eigh(centred_gram)
+    evals = np.clip(evals[::-1], 0.0, None)
+    evecs = evecs[:, ::-1]
+    variances = evals / (n_rows - 1)
+    total = variances.sum()
+    if total <= 0.0:
+        return evals, evecs, np.zeros(0), 0
+    ratios = variances / total
+    k = int(np.searchsorted(np.cumsum(ratios), variance_target - 1e-12) + 1)
+    return evals, evecs, ratios, k
+
+
+def pca_fit(matrix, variance_target: float = 0.95) -> PcaModel:
     """Principal axes of the sample covariance, retaining the smallest
     component count whose cumulative explained variance reaches the target.
-
-    ``matrix`` is left alone by default. With ``center_in_place`` it must
-    be a float64 array, and it is overwritten with its centred rows
-    ``matrix - mean``, so a caller that projects the rows it fitted on
-    keeps one copy of them: its ``matrix @ model.components.T`` then
-    equals ``pca_apply(model, original)`` bit for bit.
 
     The spectrum comes from ``eigh`` of the smaller Gram matrix of the
     centred rows. A tall matrix (rows >= columns) uses ``Xcᵀ Xc``, whose
@@ -232,28 +246,20 @@ def pca_fit(matrix, variance_target: float = 0.95, *,
     row-space eigenvector ``u`` to the axis ``Xcᵀ u / √λ``; one Cholesky-QR
     pass then re-orthonormalises those axes, so the components are
     orthonormal for any target, however far apart the kept eigenvalues lie.
-    A zero-variance input keeps no component.
+    A zero-variance input keeps no component. ``matrix`` is left alone.
     """
     X = np.asarray(matrix, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least two rows")
     if not 0.0 < variance_target <= 1.0:
         raise ValueError("variance_target must be in (0, 1]")
-    if center_in_place and X is not matrix:
-        raise TypeError("center_in_place needs a float64 ndarray")
     mean = X.mean(axis=0)
-    centered = np.subtract(X, mean, out=X if center_in_place else None)
+    centered = X - mean
     wide = X.shape[0] < X.shape[1]
-    evals, evecs = np.linalg.eigh(centered @ centered.T if wide else centered.T @ centered)
-    evals = np.clip(evals[::-1], 0.0, None)
-    evecs = evecs[:, ::-1]
-    variances = evals / (X.shape[0] - 1)
-    total = variances.sum()
-    if total <= 0.0:
-        return PcaModel(mean, np.empty((0, X.shape[1])), np.zeros(0), 0)
-    ratios = variances / total
-    cum = np.cumsum(ratios)
-    k = int(np.searchsorted(cum, variance_target - 1e-12) + 1)
+    evals, evecs, ratios, k = _spectrum(centered @ centered.T if wide else centered.T @ centered,
+                                        X.shape[0], variance_target)
+    if k == 0:
+        return PcaModel(mean, np.empty((0, X.shape[1])), ratios, 0)
     if wide:
         # Cholesky-QR (axes R⁻¹, RᵀR = axesᵀ axes): mapped axes whose λ is
         # many orders below λ₁ drift from orthonormal without it
@@ -268,6 +274,48 @@ def pca_fit(matrix, variance_target: float = 0.95, *,
         if row[pivot] < 0:
             row *= -1.0
     return PcaModel(mean, comps, ratios, k)
+
+
+# training-row columns read per step when signing the axes of a Gram split
+SIGN_BLOCK = 256
+
+
+def gram_pca_split(X, gram, train_idx, test_idx, variance_target: float):
+    """(training, test) rows of a wide ``X`` projected on the principal
+    axes of its training rows, from ``gram = X Xᵀ``.
+
+    The blocks of ``gram`` are centred with the training means alone:
+    ``K = Xc Xcᵀ`` and, for the test rows, kernel PCA's centred test
+    kernel ``Kt`` (Schölkopf, Smola & Müller, Neural Computation 10,
+    1998). The kept eigenpairs (u, λ) of ``K``, ``k`` by ``pca_fit``'s
+    rule, project the training rows to ``u √λ`` and the test rows to
+    ``Kt u / √λ``: what ``pca_apply`` of ``pca_fit(X[train_idx])`` gives,
+    up to rounding. Each axis takes ``pca_fit``'s sign, its first
+    largest-magnitude loading in ``Xcᵀ u`` positive, computed
+    ``SIGN_BLOCK`` columns at a time, so the split never holds the
+    training rows or the axes whole.
+    """
+    K = gram[np.ix_(train_idx, train_idx)]
+    cross = gram[np.ix_(test_idx, train_idx)]
+    row_mean = K.mean(axis=1)
+    K -= row_mean[:, None] + row_mean - row_mean.mean()
+    cross -= cross.mean(axis=1)[:, None] + row_mean - row_mean.mean()
+    evals, evecs, _, k = _spectrum(K, len(train_idx), variance_target)
+    U = evecs[:, :k].copy()
+    kept = np.arange(k)
+    best = np.zeros(k)
+    negative = np.zeros(k, dtype=bool)
+    for start in range(0, X.shape[1], SIGN_BLOCK):
+        block = X[train_idx, start:start + SIGN_BLOCK]
+        block -= block.mean(axis=0)
+        loads = block.T @ U
+        top = loads[np.abs(loads).argmax(axis=0), kept]
+        ahead = np.abs(top) > best
+        best[ahead] = np.abs(top[ahead])
+        negative[ahead] = top[ahead] < 0
+    U[:, negative] *= -1.0
+    root = np.sqrt(evals[:k])
+    return U * root, (cross @ U) / root
 
 
 def pca_apply(model: PcaModel, matrix) -> np.ndarray:

@@ -5,9 +5,10 @@ contiguous chunks of signals, then the cells (scheme x plan x extractor
 x model). Under ``jobs=1`` the tasks run in order in this process;
 otherwise on forked worker processes. Results are keyed by task, so
 output never depends on completion order. The raw-sample ``wfe`` matrix
-is no extraction task: it is stacked once in this process. Once the
-features exist, the datasets keep only each recording's provenance, so
-the samples are released before the cells run. A cell's result is its long
+is no extraction task: it is stacked once in this process, which also
+computes its Gram matrix for the cells' split PCA. Once the features
+exist, the datasets keep only each recording's provenance, so the
+samples are released before the cells run. A cell's result is its long
 rows (see :mod:`eegbench.reporting`); ``_write_bundle`` joins those of
 the sorted cell keys per plan for every report writer, writes the
 report into a temp dir and renames it into place; after a failure in the
@@ -71,12 +72,14 @@ def extract_features(cfg: RunConfig, datasets: dict) -> dict:
     """(scheme, extractor) -> FeatureMatrix; extraction is per-instance pure.
 
     Every scheme's instances are a subset of the largest scheme's, so only
-    those are extracted. ``wfe`` copies the samples, so it is stacked here
+    those are extracted. ``wfe`` is the samples themselves, stacked here
     in one ``extract_matrix`` call, after the pool has gone. Every other
     extractor's signals are cut into about ``CHUNKS_PER_WORKER`` chunks
     per worker, each a whole number of ``EXTRACT_BLOCK``s; ``_run_tasks``
     runs them and the chunks are stacked in order. The largest scheme
     takes the whole matrix, and the others take their rows from it.
+    Each wide matrix (``wfe``) also gets its Gram matrix here, once, so
+    forked cell workers inherit it.
     """
     largest = max(datasets.values(), key=lambda ds: len(ds.instances))
     signals = largest.instances
@@ -97,7 +100,8 @@ def extract_features(cfg: RunConfig, datasets: dict) -> dict:
             values, names = np.vstack([fm.values for fm in fms]), fms[0].feature_names
         for scheme, ds in datasets.items():
             own = values if ds is largest else values[[row_of[id(sig)] for sig in ds.instances]]
-            features[(scheme, extractor)] = FeatureMatrix(own, list(names), ds.labels)
+            gram = own @ own.T if own.shape[0] < own.shape[1] else None
+            features[(scheme, extractor)] = FeatureMatrix(own, list(names), ds.labels, gram)
     return features
 
 

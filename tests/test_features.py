@@ -309,24 +309,6 @@ class TestPca:
         ft.pca_fit(X, variance_target=0.95)
         assert X.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("shape", [(40, 300), (300, 40)], ids=["wide", "tall"])
-    def test_center_in_place_leaves_centred_rows(self, shape):
-        X = np.random.default_rng(23).normal(size=shape) * np.arange(1, shape[1] + 1) + 5.0
-        model = ft.pca_fit(X, variance_target=0.95)
-        centred = X.copy()
-        in_place = ft.pca_fit(centred, variance_target=0.95, center_in_place=True)
-        assert centred.tobytes() == (X - model.mean).tobytes()
-        for field in ("mean", "components", "explained_variance_ratio", "n_components"):
-            assert np.array_equal(getattr(in_place, field), getattr(model, field))
-        assert (centred @ in_place.components.T).tobytes() == ft.pca_apply(model, X).tobytes()
-
-    @pytest.mark.parametrize("matrix", [np.ones((4, 3), dtype=np.float32),
-                                        np.arange(12).reshape(4, 3), [[1.0, 2.0], [3.0, 5.0]]],
-                             ids=["float32", "int", "list"])
-    def test_center_in_place_needs_a_float64_array(self, matrix):
-        with pytest.raises(TypeError, match="float64"):
-            ft.pca_fit(matrix, center_in_place=True)
-
     def test_apply_never_mutates_model(self):
         X = np.random.default_rng(12).normal(size=(25, 4))
         model = ft.pca_fit(X)
@@ -346,6 +328,83 @@ class TestPca:
             ft.pca_fit(X, variance_target=0.0)
         with pytest.raises(ValueError):
             ft.pca_fit(X, variance_target=1.5)
+
+
+def factor_case(n_train, offset):
+    """500 x 4 097: 20 latent factors and noise, around a column offset of
+    ``offset`` standard normals; a random split with ``n_train`` training rows."""
+    rng = np.random.default_rng(31)
+    X = (rng.normal(size=(500, 20)) @ rng.normal(size=(20, 4097))
+         + 0.3 * rng.normal(size=(500, 4097)) + rng.normal(size=4097) * offset)
+    order = rng.permutation(500)
+    return X, np.sort(order[:n_train]), np.sort(order[n_train:]), 0.95
+
+
+def gram_case(name):
+    """(X, training rows, test rows, variance target) for ``TestGramPcaSplit``."""
+    rng = np.random.default_rng(31)
+    if name == "rank_deficient":
+        X = rng.normal(size=(30, 5)) @ rng.normal(size=(5, 100)) + 7.0
+        train = np.arange(0, 30, 3)
+        return X, train, np.setdiff1d(np.arange(30), train), 0.99
+    if name == "ill_conditioned":
+        # column scales 0.7^i: the kept eigenvalues span about 12 decades
+        X = rng.normal(size=(80, 300)) * 0.7 ** np.arange(300)
+        return X, np.arange(60), np.arange(60, 80), 1.0
+    if name == "zero_variance":
+        return np.full((30, 100), 3.0), np.arange(20), np.arange(20, 30), 0.95
+    n_train, offset = name.split("_offset")
+    return factor_case(int(n_train[len("factor"):]), float(offset))
+
+
+class TestGramPcaSplit:
+    """The Gram split against ``pca_fit`` + ``pca_apply`` on the training rows."""
+
+    # The largest error over the largest training projection. The Gram
+    # matrix is not centred, so its rounding grows with r², r the rms
+    # column mean over the rms column spread of the training rows: measured
+    # 0.8e-15 to 1.7e-15 times (1 + r²) for r from 4 to 2 200 (the session
+    # corpus has r = 0.05). The ill-conditioned case keeps eigenvalues 12
+    # decades below the first and measured 1.1e-10.
+    BASE_RTOL = {"factor333_offset50": 1e-14, "factor400_offset50": 1e-14,
+                 "factor400_offset1000": 1e-14, "rank_deficient": 1e-14,
+                 "ill_conditioned": 1e-9, "zero_variance": 0.0}
+
+    @pytest.mark.parametrize("name", list(BASE_RTOL))
+    def test_matches_primal_fit(self, name):
+        X, train, test, target = gram_case(name)
+        before = X.copy()
+        train_proj, test_proj = ft.gram_pca_split(X, X @ X.T, train, test, target)
+        assert X.tobytes() == before.tobytes()
+        model = ft.pca_fit(X[train], target)
+        ref_train, ref_test = ft.pca_apply(model, X[train]), ft.pca_apply(model, X[test])
+        assert train_proj.shape == ref_train.shape == (len(train), model.n_components)
+        assert test_proj.shape == ref_test.shape == (len(test), model.n_components)
+        if name == "zero_variance":
+            assert model.n_components == 0
+            return
+        assert model.n_components > 1
+        r2 = np.mean(model.mean ** 2) / np.mean(X[train].var(axis=0))
+        bound = self.BASE_RTOL[name] * (1.0 + r2) * np.abs(ref_train).max()
+        assert np.abs(train_proj - ref_train).max() <= bound
+        assert np.abs(test_proj - ref_test).max() <= bound
+
+    def test_sign_tie_across_column_blocks_takes_the_first(self):
+        # column 300 (second block) is column 10 negated and both dominate the
+        # first axis: its two largest loadings tie, and the first is positive
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(60, 600))
+        X[:, 10] *= 100.0
+        X[:, 300] = -X[:, 10]
+        train, test = np.arange(40), np.arange(40, 60)
+        assert ft.SIGN_BLOCK <= 300 < 2 * ft.SIGN_BLOCK
+        model = ft.pca_fit(X[train], 0.95)
+        assert model.components[0, 10] == -model.components[0, 300] > 0
+        train_proj, test_proj = ft.gram_pca_split(X, X @ X.T, train, test, 0.95)
+        ref_train = ft.pca_apply(model, X[train])
+        scale = np.abs(ref_train).max()
+        assert np.abs(train_proj - ref_train).max() <= 1e-12 * scale
+        assert np.abs(test_proj - ft.pca_apply(model, X[test])).max() <= 1e-12 * scale
 
 
 class TestDefaultExtractionBits:

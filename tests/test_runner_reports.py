@@ -14,6 +14,7 @@ import scipy
 
 import eegbench
 from eegbench import cli
+from eegbench.classifiers import MODEL_KINDS
 from eegbench.config import build_config
 from eegbench.errors import CellError
 from eegbench.reporting import (five_number_summary, read_long_csv,
@@ -222,15 +223,48 @@ class TestDeterminism:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_jobs_one_and_two_byte_identical_long_csv(self, corpus_root, tmp_path):
-        outs = []
-        for jobs in (1, 2):
-            out = tmp_path / f"jobs_{jobs}"
-            cfg = small_config(corpus_root, out, extractors=["mfcc"], models=["knn", "gb"],
-                               kfold={"k": 3}, holdout={"n_repeats": 2}, jobs=jobs)
-            run_experiment(cfg)
-            outs.append(out)
-        for fname in ("cells_holdout.csv", "cells_kfold.csv"):
-            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        # wfe too: its Gram matrix is computed in the parent and inherited by
+        # the forked workers
+        for extractor in ("mfcc", "wfe"):
+            outs = []
+            for jobs in (1, 2):
+                out = tmp_path / f"{extractor}_jobs_{jobs}"
+                cfg = small_config(corpus_root, out, extractors=[extractor],
+                                   models=["knn", "gb"], kfold={"k": 3},
+                                   holdout={"n_repeats": 2}, jobs=jobs)
+                run_experiment(cfg)
+                outs.append(out)
+            for fname in ("cells_holdout.csv", "cells_kfold.csv"):
+                assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+PINNED = Path(__file__).parent / "pinned"
+CELLS_CSVS = ("cells_kfold.csv", "cells_holdout.csv")
+
+
+def moved_cells(report, pinned) -> list:
+    """One line per cell row of ``report``'s cells CSVs that differs from
+    the copy pinned in ``pinned``, naming the cell and each rate's change."""
+    moved = []
+    for name in CELLS_CSVS:
+        got = {row[:4]: row[4:] for row in read_long_csv(report / name)}
+        want = {row[:4]: row[4:] for row in read_long_csv(pinned / name)}
+        for key in sorted(set(got) | set(want)):
+            cell = f"{name} {'/'.join(map(str, key))}"
+            if key not in got or key not in want:
+                moved.append(f"{cell}: only in the {'run' if key in got else 'pinned copy'}")
+            elif not np.array_equal(got[key], want[key], equal_nan=True):
+                moved.append(cell + ": " + ", ".join(
+                    f"{rate} {w!r} -> {g!r} ({g - w:+.3g})"
+                    for rate, g, w in zip(("accuracy", "sensitivity", "specificity"),
+                                          got[key], want[key]) if g != w))
+    return moved
+
+
+def assert_cells_pinned(report, pinned):
+    assert moved_cells(report, pinned) == []
+    for name in CELLS_CSVS:
+        assert (report / name).read_bytes() == (pinned / name).read_bytes()
 
 
 class TestDefaultCellBits:
@@ -240,7 +274,9 @@ class TestDefaultCellBits:
     2 folds and 2 hold-outs, at every model's default settings and the
     default master seed. Recorded with numpy 2.4.6 and its bundled OpenBLAS
     0.3.31 on x86-64; another BLAS build or CPU may round differently. The
-    manifest holds a timestamp and the elapsed time, so it is left out.
+    cells CSVs are pinned as files under ``tests/pinned/db2_mfcc`` and
+    compared row by row, the derived reports by hash. The manifest holds a
+    timestamp and the elapsed time, so it is left out.
     """
 
     EXPECTED = {
@@ -248,8 +284,6 @@ class TestDefaultCellBits:
         "boxplot_balanced.csv": "d359dbd3ba10db753df5c29e708c211e5636e3c309490db601a09e8288e86bfe",
         "boxplot_summary_balanced.csv":
             "97d8d8e3aa2b42cb0a21095a82643bf1dc89d1560fd79febb43e4a350aa9fb77",
-        "cells_holdout.csv": "9a5683d17737300e787210b335e1030e8b10549b8df445b24e79ac054d0109cf",
-        "cells_kfold.csv": "5a80cf2cf70d732802c63730a92db6506612158e9038c324ea270fcfdb406080",
         "dataset_balanced.csv": "a0610523976ad4a8ff4cdde72741dad4dae544f97d3e65d8731ef5b252d468ab",
         "hsd_balanced_feat_extr.csv":
             "3b96bf52c1f38ec8b8314489565e1f976989a46708f32c9cff3ff9fd3b37dab2",
@@ -270,12 +304,27 @@ class TestDefaultCellBits:
     }
 
     def test_cells_hash(self, corpus_root, tmp_path):
-        cfg = small_config(corpus_root, tmp_path / "report",
-                           models=["lda", "qda", "knn", "nb", "svm", "rf", "gb"],
+        cfg = small_config(corpus_root, tmp_path / "report", models=list(MODEL_KINDS),
                            kfold={"k": 2}, holdout={"n_repeats": 2})
         report = run_experiment(cfg)
-        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in report.iterdir() if p.name != "manifest.json"} == self.EXPECTED
+        assert_cells_pinned(report, PINNED / "db2_mfcc")
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in report.iterdir()
+                if p.name != "manifest.json" and p.name not in CELLS_CSVS} == self.EXPECTED
+
+
+class TestWfeCellBits:
+    """The cells of a small ``wfe`` run of all seven models, pinned row by row.
+
+    The run is ``TestDefaultCellBits``'s with ``wfe`` as its one extractor,
+    so it covers the wide split PCA and the tree models on its components.
+    The expected files under ``tests/pinned/wfe`` were recorded with the
+    same numpy and OpenBLAS, at one thread and at two alike.
+    """
+
+    def test_cells_match_pinned(self, corpus_root, tmp_path):
+        cfg = small_config(corpus_root, tmp_path / "report", extractors=["wfe"],
+                           models=list(MODEL_KINDS), kfold={"k": 2}, holdout={"n_repeats": 2})
+        assert_cells_pinned(run_experiment(cfg), PINNED / "wfe")
 
 
 class TestFailurePath:

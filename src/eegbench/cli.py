@@ -120,7 +120,7 @@ def _cmd_features(args) -> int:
     if not _prepare_output(Path(args.out), is_dir=False):
         return EXIT_CONFIG
     cfg.schemes, cfg.extractors = [scheme], [args.extractor]
-    fm = extract_features(cfg, build_datasets(cfg))[(scheme, args.extractor)]
+    fm = extract_features(cfg, *build_datasets(cfg))[args.extractor]
     fm.to_csv(args.out)
     print(f"{fm.n_instances} x {len(fm.feature_names)} matrix written to {args.out}")
     return EXIT_OK

@@ -1,11 +1,13 @@
-"""Load Bonn-layout EEG recordings and assemble the two labeled datasets.
+"""Load the Bonn-layout EEG corpus as one matrix, and pick each scheme's rows of it.
 
 The one accepted corpus is the Bonn one: five directories named Z, O, N,
 F, S, each holding exactly 100 ASCII files of exactly 4 097 integer
 samples, one per line, recorded at 173.61 Hz. ``load_corpus`` enforces
 that shape and raises ``DataError`` on any other, so everything after it
-may assume it. Set S is the seizure class; everything else is
-non-seizure.
+may assume it: set ``SET_TAGS[i]``'s files, in name order, are rows
+``100 i`` to ``100 i + 99`` of one 500 x 4 097 float64 matrix. Set S is
+the seizure class; everything else is non-seizure. A class-balance
+scheme is a sorted array of row indices (``LabeledDataset``).
 """
 
 from __future__ import annotations
@@ -26,23 +28,6 @@ EXPECTED_SAMPLES = 4097
 SIGNALS_PER_SET = 100
 SCHEMES = ("imbalanced", "balanced")
 BALANCED_PER_NEGATIVE_SET = 25
-
-
-@dataclass(frozen=True)
-class EegSignal:
-    """One single-channel recording with its provenance."""
-
-    samples: np.ndarray
-    set_tag: str
-    source_id: str
-
-    def __post_init__(self):
-        if self.set_tag not in SET_TAGS:
-            raise ValueError(f"set tag {self.set_tag!r} not one of {SET_TAGS}")
-
-    @property
-    def is_seizure(self) -> bool:
-        return self.set_tag == "S"
 
 
 def _one_integer(text: str) -> bool:
@@ -72,39 +57,56 @@ def _read_integers(path: Path) -> np.ndarray:
     raise DataError(f"{path}: not one integer per line")
 
 
-def load_signal(path, set_tag: str) -> EegSignal:
-    """Parse one Bonn file of the given set: one decimal integer per non-empty line."""
+def load_signal(path) -> np.ndarray:
+    """The integer samples of one Bonn file: one decimal integer per non-empty line."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
     values = _read_integers(path)
     if values.size != EXPECTED_SAMPLES:
         raise DataError(f"{path}: expected {EXPECTED_SAMPLES} samples, found {values.size}")
-    return EegSignal(values.astype(float), set_tag, path.stem)
+    return values
 
 
-def load_corpus(root) -> dict:
-    """Read all five sets; returns {tag: [EegSignal, ...]} sorted by file name."""
+class Corpus(dict):
+    """{set tag: that set's 100 rows of ``samples``, as a view}.
+
+    ``samples`` is the C-contiguous (500, 4 097) float64 matrix of every
+    recording, and ``source_ids`` holds the file stem of each row.
+    """
+
+    def __init__(self, samples: np.ndarray, source_ids: np.ndarray):
+        super().__init__((tag, samples[i * SIGNALS_PER_SET:(i + 1) * SIGNALS_PER_SET])
+                         for i, tag in enumerate(SET_TAGS))
+        self.samples, self.source_ids = samples, source_ids
+
+
+def load_corpus(root) -> Corpus:
+    """Read all five sets, each sorted by file name, into one matrix."""
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"corpus root is not a directory: {root}")
     missing = [tag for tag in SET_TAGS if not (root / tag).is_dir()]
     if missing:
         raise DataError(f"missing set directories under {root}: {', '.join(missing)}")
-    corpus = {}
+    samples = np.empty((len(SET_TAGS) * SIGNALS_PER_SET, EXPECTED_SAMPLES))
+    source_ids = []
     for tag in SET_TAGS:
         files = sorted(p for p in (root / tag).iterdir() if p.is_file())
         if len(files) != SIGNALS_PER_SET:
             raise DataError(f"set {tag}: expected {SIGNALS_PER_SET} files, found {len(files)}")
-        corpus[tag] = [load_signal(p, tag) for p in files]
-    return corpus
+        for path in files:
+            samples[len(source_ids)] = load_signal(path)
+            source_ids.append(path.stem)
+    return Corpus(samples, np.array(source_ids))
 
 
 @dataclass
 class LabeledDataset:
-    """Instances plus binary labels (1 = seizure set S) under one scheme."""
+    """One scheme: sorted corpus rows, their file stems and binary labels (1 = set S)."""
 
-    instances: list
+    rows: np.ndarray
+    source_ids: np.ndarray
     labels: np.ndarray
     scheme: str
     seed: int | None = None
@@ -112,31 +114,26 @@ class LabeledDataset:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme {self.scheme!r} not one of {SCHEMES}")
-        if len(self.instances) != self.labels.shape[0]:
-            raise ValueError("label count does not match instance count")
 
 
-def build_dataset(corpus: dict, scheme: str, seed: int = 0) -> LabeledDataset:
-    """Assemble one evaluation dataset from a corpus.
+def build_dataset(corpus: Corpus, scheme: str, seed: int = 0) -> LabeledDataset:
+    """Pick one evaluation dataset's rows of a corpus.
 
-    imbalanced: every signal (100 positives / 400 negatives).
-    balanced: all of S plus 25 signals drawn without replacement from
-    each of Z, O, N, F under the given seed.
+    imbalanced: every row (100 positives / 400 negatives).
+    balanced: all of S plus 25 rows drawn without replacement from each
+    of Z, O, N, F under the given seed.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme {scheme!r} not one of {SCHEMES}")
-    if scheme == "imbalanced":
-        instances = [s for tag in NEGATIVE_TAGS for s in corpus[tag]] + list(corpus["S"])
-    else:
-        rng = np.random.default_rng(seed)
-        instances = []
-        for tag in NEGATIVE_TAGS:
-            pool = corpus[tag]
-            picks = sorted(rng.choice(len(pool), size=BALANCED_PER_NEGATIVE_SET, replace=False))
-            instances.extend(pool[i] for i in picks)
-        instances.extend(corpus["S"])
-    labels = np.array([1 if s.is_seizure else 0 for s in instances], dtype=int)
-    return LabeledDataset(instances, labels, scheme, seed)
+    rng = np.random.default_rng(seed)
+    parts = []
+    for i, tag in enumerate(SET_TAGS):
+        picks = np.arange(SIGNALS_PER_SET)
+        if scheme == "balanced" and tag in NEGATIVE_TAGS:
+            picks = np.sort(rng.choice(SIGNALS_PER_SET, size=BALANCED_PER_NEGATIVE_SET,
+                                       replace=False))
+        parts.append(i * SIGNALS_PER_SET + picks)
+    rows = np.concatenate(parts)
+    labels = (rows // SIGNALS_PER_SET == SET_TAGS.index("S")).astype(int)
+    return LabeledDataset(rows, corpus.source_ids[rows], labels, scheme, seed)
 
 
 def write_manifest(dataset: LabeledDataset, path):
@@ -144,6 +141,7 @@ def write_manifest(dataset: LabeledDataset, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source_id", "set_tag", "label", "scheme", "seed"])
-        for sig, label in zip(dataset.instances, dataset.labels):
-            writer.writerow([sig.source_id, sig.set_tag, int(label),
+        for row, source_id, label in zip(dataset.rows.tolist(), dataset.source_ids.tolist(),
+                                         dataset.labels.tolist()):
+            writer.writerow([source_id, SET_TAGS[row // SIGNALS_PER_SET], label,
                              dataset.scheme, dataset.seed])

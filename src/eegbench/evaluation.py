@@ -147,21 +147,22 @@ def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0, gram=None):
 
 
 def run_cell(scheme: str, extractor: str, model_kind: str, plan: SplitPlan,
-             *, features: FeatureMatrix, master_seed: int = 0) -> list:
+             *, features: FeatureMatrix, rows=None, master_seed: int = 0) -> list:
     """Evaluate one benchmark cell under a replicated resampling plan.
 
     Returns a long row per replication, each rate the mean over its
-    splits. ``features`` is the scheme's matrix under ``extractor``
-    (extraction is per-instance pure, so the runner does it once per
-    scheme and extractor); every split reads its Gram matrix, if it has
-    one. Failures abort the cell and carry (scheme, extractor, model,
-    replication).
+    splits. ``features`` is ``extractor``'s matrix, shared by every
+    scheme, and ``rows`` the scheme's sorted rows of it (default: all).
+    Splits are drawn on the scheme's labels and mapped through ``rows``,
+    so each reads ``features`` and its Gram matrix, if any, in place.
+    Failures abort the cell and carry (scheme, extractor, model, replication).
     """
-    X, y = features.values, features.labels
+    X, labels = features.values, features.labels
+    rows = np.arange(features.n_instances) if rows is None else rows
     split_seed = derive_seed(master_seed, scheme, plan.kind, extractor, model_kind, "split")
-    splits = make_splits(y, replace(plan, seed=split_seed))
+    splits = make_splits(labels[rows], replace(plan, seed=split_seed))
     per_rep = plan.splits_per_repeat
-    rows = []
+    result = []
     for rep in range(plan.n_repeats):
         rates = []
         for s in range(per_rep):
@@ -169,8 +170,8 @@ def run_cell(scheme: str, extractor: str, model_kind: str, plan: SplitPlan,
             fit_seed = derive_seed(master_seed, scheme, plan.kind, extractor,
                                    model_kind, "fit", rep, s)
             try:
-                rates.append(fit_split(X, y, train_idx, test_idx, model_kind, fit_seed,
-                                       features.gram))
+                rates.append(fit_split(X, labels, rows[train_idx], rows[test_idx], model_kind,
+                                       fit_seed, features.gram))
             except Exception as exc:
                 raise CellError(
                     f"cell failed: scheme={scheme} extractor={extractor} "
@@ -178,6 +179,6 @@ def run_cell(scheme: str, extractor: str, model_kind: str, plan: SplitPlan,
                     scheme=scheme, extractor=extractor,
                     model=model_kind, replication=rep,
                 ) from exc
-        rows.append((scheme, extractor, model_kind, rep,
-                     *(float(np.mean(parts)) for parts in zip(*rates))))
-    return rows
+        result.append((scheme, extractor, model_kind, rep,
+                       *(float(np.mean(parts)) for parts in zip(*rates))))
+    return result

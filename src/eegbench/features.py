@@ -5,13 +5,13 @@ The three feature routes mirror the benchmark's extractor menu:
 * ``db2`` / ``db4`` / ``coif1`` -- denoise, ``wavelet.LEVELS``-level
   decomposition, then 15 statistics per band (75 features),
 * ``mfcc`` -- the aggregated cepstral vector from :mod:`eegbench.mfcc`,
-* ``wfe`` -- no extraction at all, raw samples straight into the matrix.
+* ``wfe`` -- no extraction at all: the samples matrix itself, not copied.
 
 Extraction works along the last axis: a ``(..., n)`` array is a stack of
 signals and yields a ``(..., width)`` stack of feature rows, each row
 bit-for-bit the one its signal gives alone; a 1-D signal gives one row.
-``extract_matrix`` stacks the ``wfe`` rows once and feeds the other
-extractors ``EXTRACT_BLOCK`` signals at a time.
+``extract_matrix`` feeds the other extractors ``EXTRACT_BLOCK`` rows of
+the samples at a time.
 """
 
 from __future__ import annotations
@@ -191,20 +191,19 @@ class FeatureMatrix:
                 writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def extract_matrix(instances, labels, extractor: str) -> FeatureMatrix:
-    """Extract one row per instance.
+def extract_matrix(samples, labels, extractor: str) -> FeatureMatrix:
+    """One feature row per row of ``samples``, a (recordings, samples) matrix.
 
-    The instances are equal-length recordings (``corpus.load_corpus``
-    admits no other). ``wfe`` rows are the samples, stacked once into the
-    matrix. The other extractors get them ``EXTRACT_BLOCK`` at a time, so
-    their transients stay one block in size.
+    ``wfe``'s values are ``samples`` itself, a float64 matrix without a
+    copy. The other extractors get its rows ``EXTRACT_BLOCK`` at a time,
+    so their transients stay one block in size.
     """
-    signals = [np.asarray(inst, dtype=float) for inst in instances]
+    x = np.asarray(samples, dtype=float)
     if extractor == "wfe":
-        values, names = np.stack(signals), _sample_names(signals[0].size)
+        values, names = x, _sample_names(x.shape[1])
     else:
-        blocks = [assemble_features(np.stack(signals[start:start + EXTRACT_BLOCK]), extractor)
-                  for start in range(0, len(signals), EXTRACT_BLOCK)]
+        blocks = [assemble_features(x[start:start + EXTRACT_BLOCK], extractor)
+                  for start in range(0, len(x), EXTRACT_BLOCK)]
         values, names = np.vstack([fv.values for fv in blocks]), blocks[0].names
     return FeatureMatrix(values, list(names), np.asarray(labels, dtype=int))
 

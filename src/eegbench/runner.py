@@ -1,25 +1,28 @@
 """Experiment orchestration: corpus to finished report bundle.
 
 A run has two phases, and ``_run_tasks`` runs both: feature extraction in
-contiguous chunks of signals, then the cells (scheme x plan x extractor
+row ranges of the corpus matrix, then the cells (scheme x plan x extractor
 x model). Under ``jobs=1`` the tasks run in order in this process;
-otherwise on forked worker processes. Results are keyed by task, so
-output never depends on completion order. The raw-sample ``wfe`` matrix
-is no extraction task: it is stacked once in this process, which also
-computes its Gram matrix for the cells' split PCA. Once the features
-exist, the datasets keep only each recording's provenance, so the
-samples are released before the cells run. A cell's result is its long
-rows (see :mod:`eegbench.reporting`); ``_write_bundle`` joins those of
-the sorted cell keys per plan for every report writer, writes the
-report into a temp dir and renames it into place; after a failure in the
-cells phase (a ``CellError``, or any other exception once a cell has
-finished) it writes ``<output>.partial`` the same way, with the manifest
-and cells CSVs of every completed cell.
+otherwise on workers forked from it, which inherit the samples and the
+features. Results are keyed by task, so output never depends on
+completion order. Every scheme's rows are a subset of the largest
+scheme's, so each extractor has one feature matrix of those rows, which
+every scheme's cells index. ``wfe`` is no extraction task: it is the
+samples themselves, whose Gram matrix this process computes once for the
+cells' split PCA. A run without ``wfe`` releases the samples before the
+cells run. A cell's result is its long rows (see
+:mod:`eegbench.reporting`); ``_write_bundle`` joins those of the sorted
+cell keys per plan for every report writer, writes the report into a
+temp dir and renames it into place; after a failure in the cells phase
+(a ``CellError``, or any other exception once a cell has finished) it
+writes ``<output>.partial`` the same way, with the manifest and cells
+CSVs of every completed cell.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import platform
 import resource
@@ -27,7 +30,6 @@ import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,13 +48,16 @@ from .reporting import (write_boxplot_data, write_inference_reports, write_long_
 BALANCED_SAMPLING_TAG = "balanced-dataset"
 
 
-def build_datasets(cfg: RunConfig) -> dict:
+def build_datasets(cfg: RunConfig) -> tuple:
+    """(the corpus, {scheme: LabeledDataset}) of a run."""
     corpus = load_corpus(cfg.corpus_root)
-    datasets = {}
-    for scheme in cfg.schemes:
-        seed = derive_seed(cfg.master_seed, BALANCED_SAMPLING_TAG)
-        datasets[scheme] = build_dataset(corpus, scheme, seed=seed)
-    return datasets
+    seed = derive_seed(cfg.master_seed, BALANCED_SAMPLING_TAG)
+    return corpus, {scheme: build_dataset(corpus, scheme, seed=seed) for scheme in cfg.schemes}
+
+
+def _largest(datasets: dict):
+    """The scheme whose rows hold every other's: all rows, or the one scheme's."""
+    return max(datasets.values(), key=lambda ds: ds.rows.size)
 
 
 # extraction chunks per worker and extractor: more than one, so the pool's
@@ -61,47 +66,44 @@ CHUNKS_PER_WORKER = 2
 
 
 class _Chunk(NamedTuple):
-    """One extraction task: ``extractor`` on signals[start:stop]."""
+    """One extraction task: ``extractor`` on rows[start:stop] of the samples."""
 
     extractor: str
     start: int
     stop: int
 
 
-def extract_features(cfg: RunConfig, datasets: dict) -> dict:
-    """(scheme, extractor) -> FeatureMatrix; extraction is per-instance pure.
+def extract_features(cfg: RunConfig, corpus, datasets: dict) -> dict:
+    """extractor -> FeatureMatrix of the largest scheme's rows; extraction is per-row pure.
 
-    Every scheme's instances are a subset of the largest scheme's, so only
-    those are extracted. ``wfe`` is the samples themselves, stacked here
-    in one ``extract_matrix`` call, after the pool has gone. Every other
-    extractor's signals are cut into about ``CHUNKS_PER_WORKER`` chunks
-    per worker, each a whole number of ``EXTRACT_BLOCK``s; ``_run_tasks``
-    runs them and the chunks are stacked in order. The largest scheme
-    takes the whole matrix, and the others take their rows from it.
-    Each wide matrix (``wfe``) also gets its Gram matrix here, once, so
-    forked cell workers inherit it.
+    Those rows are the corpus matrix itself when they are all of it, and
+    a gathered copy otherwise. ``wfe`` is those samples, passed through
+    one ``extract_matrix`` call in this process, which does not copy
+    them. Every other extractor's rows are cut into about
+    ``CHUNKS_PER_WORKER`` row ranges per worker, each a whole number of
+    ``EXTRACT_BLOCK``s; ``_run_tasks`` runs them, and the chunks are
+    stacked in order. Each wide matrix (``wfe``) also gets its Gram matrix
+    here, once for every scheme, so forked cell workers inherit it.
     """
-    largest = max(datasets.values(), key=lambda ds: len(ds.instances))
-    signals = largest.instances
-    per_chunk = -(-len(signals) // (cfg.jobs * CHUNKS_PER_WORKER))
+    largest = _largest(datasets)
+    rows, labels = largest.rows, largest.labels
+    samples = corpus.samples if rows.size == len(corpus.samples) else corpus.samples[rows]
+    per_chunk = -(-rows.size // (cfg.jobs * CHUNKS_PER_WORKER))
     per_chunk = -(-per_chunk // EXTRACT_BLOCK) * EXTRACT_BLOCK
-    chunks = [_Chunk(extractor, start, min(start + per_chunk, len(signals)))
+    chunks = [_Chunk(extractor, start, min(start + per_chunk, rows.size))
               for extractor in cfg.extractors if extractor != "wfe"
-              for start in range(0, len(signals), per_chunk)]
-    parts = _run_tasks(cfg, signals, chunks) if chunks else {}
-    row_of = {id(sig): i for i, sig in enumerate(signals)}
+              for start in range(0, rows.size, per_chunk)]
+    parts = _run_tasks(cfg, (samples, labels), chunks) if chunks else {}
     features = {}
     for extractor in cfg.extractors:
         if extractor == "wfe":
-            whole = extract_matrix((sig.samples for sig in signals), largest.labels, extractor)
-            values, names = whole.values, whole.feature_names
+            fm = extract_matrix(samples, labels, extractor)
         else:
-            fms = [fm for chunk, fm in parts.items() if chunk.extractor == extractor]
-            values, names = np.vstack([fm.values for fm in fms]), fms[0].feature_names
-        for scheme, ds in datasets.items():
-            own = values if ds is largest else values[[row_of[id(sig)] for sig in ds.instances]]
-            gram = own @ own.T if own.shape[0] < own.shape[1] else None
-            features[(scheme, extractor)] = FeatureMatrix(own, list(names), ds.labels, gram)
+            fms = [part for chunk, part in parts.items() if chunk.extractor == extractor]
+            fm = FeatureMatrix(np.vstack([p.values for p in fms]), fms[0].feature_names, labels)
+        if fm.values.shape[0] < fm.values.shape[1]:
+            fm.gram = fm.values @ fm.values.T
+        features[extractor] = fm
     return features
 
 
@@ -113,26 +115,30 @@ def enumerate_cells(cfg: RunConfig):
                     yield (scheme, plan_name, extractor, model)
 
 
-def execute_cells(cfg: RunConfig, features: dict, progress=None):
+def execute_cells(cfg: RunConfig, datasets: dict, features: dict, progress=None):
     """Run every configured cell through ``_run_tasks``; returns {key: long rows} in cell order.
 
+    Each cell reads its extractor's matrix at its scheme's rows of it.
     Any exception, a failing cell's ``CellError`` or an interrupt, leaves
     with the results of every cell that finished in ``completed``.
     """
-    return _run_tasks(cfg, features, list(enumerate_cells(cfg)), progress)
+    extracted = _largest(datasets).rows
+    rows = {scheme: np.searchsorted(extracted, ds.rows) for scheme, ds in datasets.items()}
+    return _run_tasks(cfg, (features, rows), list(enumerate_cells(cfg)), progress)
 
 
 def _run_task(cfg: RunConfig, inputs, task):
-    """One task's result: an extraction ``_Chunk`` of the signal list ``inputs``,
-    or a cell key over the features ``inputs``."""
+    """One task's result: a ``_Chunk`` of the (samples, labels) ``inputs``,
+    or a cell key over the (features, rows by scheme) ``inputs``."""
     if isinstance(task, _Chunk):
-        signals = inputs[task.start:task.stop]
-        return extract_matrix((sig.samples for sig in signals),
-                              [sig.is_seizure for sig in signals], task.extractor)
+        samples, labels = inputs
+        return extract_matrix(samples[task.start:task.stop], labels[task.start:task.stop],
+                              task.extractor)
     scheme, plan_name, extractor, model = task
+    features, rows = inputs
     plan = cfg.kfold_plan if plan_name == "kfold" else cfg.holdout_plan
-    return run_cell(scheme, extractor, model, plan,
-                    features=inputs[(scheme, extractor)], master_seed=cfg.master_seed)
+    return run_cell(scheme, extractor, model, plan, features=features[extractor],
+                    rows=rows[scheme], master_seed=cfg.master_seed)
 
 
 _WORKER_STATE: dict = {}
@@ -152,10 +158,12 @@ def _run_tasks(cfg: RunConfig, inputs, tasks: list, progress=None) -> dict:
     """{task: result} for every task, in task order.
 
     Under ``jobs=1`` the tasks run in order in this process. Otherwise
-    they run on ``min(jobs, len(tasks))`` forked workers, which get
-    ``inputs`` at fork. Any exception cancels the tasks not yet started
-    and lets the running ones finish; it leaves with the result of every
-    finished task in ``completed``.
+    they run on ``min(jobs, len(tasks))`` workers forked from this
+    process, whatever the platform's default start method, so they
+    inherit ``inputs`` at fork rather than unpickle a copy each. Any
+    exception cancels the tasks not yet started and lets the running ones
+    finish; it leaves with the result of every finished task in
+    ``completed``.
     """
     results = {}
     try:
@@ -166,6 +174,7 @@ def _run_tasks(cfg: RunConfig, inputs, tasks: list, progress=None) -> dict:
                     progress(task, len(results), len(tasks))
         else:
             with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks)),
+                                     mp_context=multiprocessing.get_context("fork"),
                                      initializer=_init_worker, initargs=(cfg, inputs)) as pool:
                 futures = [pool.submit(_run_one, task) for task in tasks]
                 try:
@@ -185,13 +194,6 @@ def _run_tasks(cfg: RunConfig, inputs, tasks: list, progress=None) -> dict:
         exc.completed = {task: results[task] for task in tasks if task in results}
         raise
     return {task: results[task] for task in tasks}
-
-
-class _Provenance(NamedTuple):
-    """A recording without its samples: what ``write_manifest`` reads of it."""
-
-    source_id: str
-    set_tag: str
 
 
 def _usage() -> tuple:
@@ -286,14 +288,13 @@ def run_experiment(cfg: RunConfig, progress=None) -> Path:
     if cfg.output_dir.exists():
         raise FileExistsError(f"output directory already exists: {cfg.output_dir}")
     started = (time.time(), _usage()[1])
-    datasets = build_datasets(cfg)
-    features = extract_features(cfg, datasets)
-    # the cells read only the features: release the samples before they run
-    datasets = {scheme: replace(ds, instances=[_Provenance(sig.source_id, sig.set_tag)
-                                               for sig in ds.instances])
-                for scheme, ds in datasets.items()}
+    corpus, datasets = build_datasets(cfg)
+    features = extract_features(cfg, corpus, datasets)
+    # the cells read only the features: unless they are the samples
+    # (wfe), this releases the samples before the cells run
+    del corpus
     try:
-        results = execute_cells(cfg, features, progress)
+        results = execute_cells(cfg, datasets, features, progress)
     except BaseException as exc:
         completed = getattr(exc, "completed", {})
         if completed or isinstance(exc, CellError):

@@ -327,7 +327,7 @@ class TestInPlaceCentring:
         # rows: 5.5 MB measured (0.42x the rows); gathering the rows and
         # forming 4 097-long axes took 27.1 MB (2.07x)
         corpus = load_corpus(corpus_root)
-        X = np.stack([sig.samples for tag in SET_TAGS for sig in corpus[tag]])
+        X = corpus.samples
         y = np.array([int(tag == "S") for tag in SET_TAGS for _ in corpus[tag]])
         train_idx, test_idx = ev.make_splits(y, ev.SplitPlan("holdout", seed=1))[0]
         assert (len(train_idx), X.shape[1]) == (400, 4097)

@@ -128,11 +128,12 @@ class TestAssemble:
 
 @pytest.fixture(scope="module")
 def signals(corpus_root):
-    """Recordings from three sets: two whole blocks and three signals more."""
+    """Recordings from three sets, two whole blocks and three signals more,
+    as the float64 rows of one matrix, the way the corpus holds them."""
     count = 2 * ft.EXTRACT_BLOCK + 3
     paths = [p for tag in ("Z", "F", "S")
              for p in sorted((corpus_root / tag).iterdir())[:-(-count // 3)]]
-    return [load_signal(p, p.parent.name).samples for p in paths[:count]]
+    return np.array([load_signal(p) for p in paths[:count]], dtype=float)
 
 
 def reference_band_statistics(x):

@@ -3,7 +3,10 @@
 ``tracing._wrap_function`` skips a name the module no longer has, so a
 rename would read as a zero per-layer metric rather than a failure; and
 pool workers ship their spans only from ``runner._run_one``, so work that
-reaches the pool another way would read as zero too. The in-process
+reaches the pool another way would read as zero too. Its counts read the
+results of wrapped calls (the sets of ``load_corpus``'s mapping, the rows
+of ``extract_matrix``'s matrix), so a change of their shape would also
+read as a wrong metric, not a failure. The in-process
 path of a ``jobs=1`` run must not go through those two worker functions:
 their wrappers reset and flush the process's spans. The checks run in a
 child process because ``install`` rebinds module attributes for the whole
@@ -54,9 +57,10 @@ def test_install_wraps_every_named_function(tmp_path):
     assert unwrapped - GONE == set()
 
 
-# a tiny traced run at jobs sys.argv[5]; prints the per-layer metrics of the
-# merged trace, the tracer's SVM check counts and the split fits the config asks for
-POOLED_RUN = """
+# a tiny traced run of the config sys.argv[5] overrides; prints the per-layer
+# metrics of the merged trace, the tracer's SVM check counts and the split
+# fits the config asks for
+TRACED_RUN = """
 import json, sys
 from pathlib import Path
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -67,10 +71,7 @@ from eegbench.config import build_config
 trace_dir = Path(sys.argv[4])
 trace_dir.mkdir()
 cfg = build_config({"corpus_root": sys.argv[3], "output_dir": str(trace_dir.parent / "report"),
-                    "schemes": ["balanced"], "extractors": ["db2", "mfcc"],
-                    "models": ["lda", "knn", "svm", "rf", "gb"],
-                    "kfold": {"k": 2}, "holdout": {"n_repeats": 2},
-                    "jobs": int(sys.argv[5])})
+                    "kfold": {"k": 2}, "holdout": {"n_repeats": 2}, **json.loads(sys.argv[5])})
 tracer = tracing.Tracer()
 tracing.install(tracer, trace_dir)
 runner.run_experiment(cfg)
@@ -84,18 +85,23 @@ print(json.dumps({"metrics": tracing.layer_metrics(tracer, cfg.jobs), "checks": 
 """
 
 
+def traced_run(corpus_root, tmp_path, **config) -> dict:
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "perfbench"), str(ROOT / "src"),
+         str(corpus_root), str(tmp_path / "trace"), json.dumps(config)],
+        capture_output=True, text=True, check=True, cwd=tmp_path)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_pooled_extraction_is_traced(corpus_root, tmp_path, jobs):
-    from eegbench.corpus import build_dataset, load_corpus
-
-    out = subprocess.run(
-        [sys.executable, "-c", POOLED_RUN, str(ROOT / "perfbench"), str(ROOT / "src"),
-         str(corpus_root), str(tmp_path / "trace"), str(jobs)],
-        capture_output=True, text=True, check=True, cwd=tmp_path)
-    run = json.loads(out.stdout.strip().splitlines()[-1])
+    run = traced_run(corpus_root, tmp_path, schemes=["balanced"], extractors=["db2", "mfcc"],
+                     models=["lda", "knn", "svm", "rf", "gb"], jobs=jobs)
     metrics = run["metrics"]
-    signals = len(build_dataset(load_corpus(corpus_root), "balanced").instances)
-    assert metrics["features.rows"] == 2 * signals
+    # the tracer counts the recordings load_corpus returns, and the rows
+    # extract_matrix returns: the balanced pick's, once per extractor
+    assert metrics["corpus.signals"] == 500
+    assert metrics["features.rows"] == 2 * 200
     assert metrics["features.extract_s.db2"] > 0
     assert metrics["features.extract_s.mfcc"] > 0
     assert metrics["evaluation.split_fits"] == run["split_fits"]
@@ -107,3 +113,14 @@ def test_pooled_extraction_is_traced(corpus_root, tmp_path, jobs):
     assert metrics["classifiers.svm.sweeps"] > 0
     assert run["checks"]["check.svm_fits"] == metrics["classifiers.svm.fits"] > 0
     assert run["checks"]["check.svm_kkt_failures"] == 0
+
+
+def test_wfe_extraction_is_traced(corpus_root, tmp_path):
+    # wfe is the corpus matrix, yet it must still pass through extract_matrix
+    run = traced_run(corpus_root, tmp_path, schemes=["imbalanced"], extractors=["wfe"],
+                     models=["lda"])
+    metrics = run["metrics"]
+    assert metrics["corpus.signals"] == 500
+    assert metrics["features.rows"] == 500
+    assert metrics["features.extract_s.wfe"] > 0
+    assert metrics["evaluation.split_fits"] == run["split_fits"]

@@ -118,14 +118,15 @@ class TestRunExperiment:
 def test_extraction_shared_across_schemes(corpus_root, tmp_path):
     cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
                        extractors=["db4", "mfcc"])
-    datasets = build_datasets(cfg)
-    features = extract_features(cfg, datasets)
-    for extractor in cfg.extractors:
-        for scheme, ds in datasets.items():
-            fm = features[(scheme, extractor)]
-            assert np.array_equal(fm.labels, ds.labels)
-            alone = extract_matrix([s.samples for s in ds.instances], ds.labels, extractor)
-            assert fm.values.tobytes() == alone.values.tobytes()
+    corpus, datasets = build_datasets(cfg)
+    features = extract_features(cfg, corpus, datasets)
+    assert sorted(features) == ["db4", "mfcc"]
+    for extractor, fm in features.items():
+        # one matrix for both schemes, over every corpus row
+        assert np.array_equal(fm.labels, datasets["imbalanced"].labels)
+        for ds in datasets.values():
+            alone = extract_matrix(corpus.samples[ds.rows], ds.labels, extractor)
+            assert fm.values[ds.rows].tobytes() == alone.values.tobytes()
 
 
 def test_extraction_independent_of_jobs(corpus_root, tmp_path):
@@ -135,16 +136,20 @@ def test_extraction_independent_of_jobs(corpus_root, tmp_path):
     for jobs in (1, 2):
         cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
                            extractors=list(EXTRACTORS), jobs=jobs)
-        features[jobs] = extract_features(cfg, build_datasets(cfg))
-    assert features[1].keys() == features[2].keys()
-    assert len(features[1]) == 2 * len(EXTRACTORS)
+        features[jobs] = extract_features(cfg, *build_datasets(cfg))
+    assert sorted(features[1]) == sorted(features[2]) == sorted(EXTRACTORS)
     for key, fm in features[1].items():
         assert np.array_equal(fm.values, features[2][key].values)
         assert fm.feature_names == features[2][key].feature_names
         assert np.array_equal(fm.labels, features[2][key].labels)
 
 
-def test_wfe_is_stacked_in_the_parent(corpus_root, tmp_path, monkeypatch):
+def test_wfe_is_the_corpus_matrix(corpus_root, tmp_path, monkeypatch):
+    # a wfe run holds the samples once: wfe is no extraction task, its
+    # matrix is the corpus matrix, and loading and extraction together
+    # stay under one and a half times that matrix
+    import tracemalloc
+
     from eegbench import runner
 
     tasks = []
@@ -156,17 +161,25 @@ def test_wfe_is_stacked_in_the_parent(corpus_root, tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "_run_tasks", recording)
     cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
-                       extractors=["wfe", "mfcc"], jobs=2)
-    datasets = build_datasets(cfg)
-    features = extract_features(cfg, datasets)
-    assert tasks and {task.extractor for task in tasks} == {"mfcc"}
-    for scheme, ds in datasets.items():
-        assert features[(scheme, "wfe")].values.tobytes() == \
-            np.stack([sig.samples for sig in ds.instances]).tobytes()
-    tasks.clear()
-    cfg.extractors = ["wfe"]
-    extract_features(cfg, datasets)
+                       extractors=["wfe"])
+    tracemalloc.start()
+    try:
+        corpus, datasets = build_datasets(cfg)
+        features = extract_features(cfg, corpus, datasets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert tasks == []
+    wfe = features["wfe"]
+    assert np.shares_memory(wfe.values, corpus.samples)
+    assert np.array_equal(wfe.gram, corpus.samples @ corpus.samples.T)
+    assert peak < 1.5 * corpus.samples.nbytes
+
+    cfg.extractors = ["wfe", "mfcc"]
+    cfg.jobs = 2
+    features = extract_features(cfg, corpus, datasets)
+    assert tasks and {task.extractor for task in tasks} == {"mfcc"}
+    assert np.shares_memory(features["wfe"].values, corpus.samples)
 
 
 def test_samples_are_released_before_the_cells_run(corpus_root, tmp_path, monkeypatch):
@@ -178,21 +191,22 @@ def test_samples_are_released_before_the_cells_run(corpus_root, tmp_path, monkey
     build, execute = runner.build_datasets, runner.execute_cells
 
     def recording_build(cfg):
-        datasets = build(cfg)
-        samples.extend(weakref.ref(sig.samples) for ds in datasets.values()
-                       for sig in ds.instances)
-        return datasets
+        corpus, datasets = build(cfg)
+        samples.append(weakref.ref(corpus.samples))
+        return corpus, datasets
 
-    def counting_execute(cfg, features, progress=None):
-        alive.append(sum(ref() is not None for ref in samples))
-        return execute(cfg, features, progress)
+    def checking_execute(cfg, datasets, features, progress=None):
+        alive.append(samples[0]() is not None)
+        return execute(cfg, datasets, features, progress)
 
     monkeypatch.setattr(runner, "build_datasets", recording_build)
-    monkeypatch.setattr(runner, "execute_cells", counting_execute)
+    monkeypatch.setattr(runner, "execute_cells", checking_execute)
+    # no wfe, so the cells read nothing of the samples; pooled extraction
+    # must not keep them either
     cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
-                       extractors=["wfe", "mfcc"], models=["lda"])
+                       extractors=["mfcc"], models=["lda"], jobs=2)
     report = run_experiment(cfg)
-    assert len(samples) == 500 + 200 and alive == [0]
+    assert alive == [False]
     # the dataset manifests still name every recording
     for scheme in cfg.schemes:
         lines = (report / f"dataset_{scheme}.csv").read_text().splitlines()
@@ -318,13 +332,28 @@ class TestWfeCellBits:
     The run is ``TestDefaultCellBits``'s with ``wfe`` as its one extractor,
     so it covers the wide split PCA and the tree models on its components.
     The expected files under ``tests/pinned/wfe`` were recorded with the
-    same numpy and OpenBLAS, at one thread and at two alike.
+    same numpy and OpenBLAS, at one thread and at two alike. The same run
+    on both schemes is pinned under ``tests/pinned/wfe_schemes``, recorded
+    alike at one and two jobs, when each scheme still had its own copy of
+    the matrix and its own Gram matrix.
     """
 
     def test_cells_match_pinned(self, corpus_root, tmp_path):
         cfg = small_config(corpus_root, tmp_path / "report", extractors=["wfe"],
                            models=list(MODEL_KINDS), kfold={"k": 2}, holdout={"n_repeats": 2})
         assert_cells_pinned(run_experiment(cfg), PINNED / "wfe")
+
+    def test_both_schemes_match_pinned(self, corpus_root, tmp_path):
+        # both schemes' cells read one feature matrix and one Gram matrix,
+        # so the balanced cells must not differ from a balanced-only run's
+        cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
+                           extractors=["wfe"], models=list(MODEL_KINDS), kfold={"k": 2},
+                           holdout={"n_repeats": 2})
+        report = run_experiment(cfg)
+        assert_cells_pinned(report, PINNED / "wfe_schemes")
+        for name in CELLS_CSVS:
+            balanced = [row for row in read_long_csv(report / name) if row[0] == "balanced"]
+            assert balanced == read_long_csv(PINNED / "wfe" / name)
 
 
 class TestFailurePath:
@@ -439,8 +468,9 @@ class TestTaskRunner:
         class InlineExecutor:
             """Records its worker count and runs each task at submit."""
 
-            def __init__(self, max_workers, initializer, initargs):
-                pools.append({"workers": max_workers, "tasks": 0})
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                pools.append({"workers": max_workers, "tasks": 0,
+                              "start": mp_context.get_start_method()})
                 initializer(*initargs)
 
             def __enter__(self):
@@ -464,7 +494,9 @@ class TestTaskRunner:
                            models=["lda"], jobs=8)
         run_experiment(cfg)
         assert len(pools) == 2  # extraction chunks, then the cells
-        assert pools[1] == {"workers": 2, "tasks": 2}
+        assert pools[1] == {"workers": 2, "tasks": 2, "start": "fork"}
+        # the workers inherit the samples and the features at fork
+        assert all(pool["start"] == "fork" for pool in pools)
         assert all(pool["workers"] == min(8, pool["tasks"]) for pool in pools)
 
     def test_failing_chunk_cancels_queued_chunks(self, corpus_root, tmp_path, monkeypatch):
@@ -472,11 +504,11 @@ class TestTaskRunner:
         from eegbench.features import FeatureMatrix
 
         cfg = small_config(corpus_root, tmp_path / "report", jobs=2)
-        first = build_datasets(cfg)["balanced"].instances[0].samples
+        corpus, datasets = build_datasets(cfg)
+        first = corpus.samples[datasets["balanced"].rows[0]]
         ran = tmp_path / "ran.txt"
 
-        def extract(instances, labels, extractor):
-            samples = list(instances)
+        def extract(samples, labels, extractor):
             if extractor == cfg.extractors[0] and np.array_equal(samples[0], first):
                 raise RuntimeError("first chunk failed")
             time.sleep(0.5)
@@ -485,7 +517,7 @@ class TestTaskRunner:
             return FeatureMatrix(np.zeros((len(samples), 1)), ["x"], np.asarray(labels))
 
         monkeypatch.setattr(runner, "extract_matrix", extract)
-        signals = len(build_datasets(cfg)["balanced"].instances)
+        signals = len(datasets["balanced"].rows)
         per_chunk = -(-signals // (cfg.jobs * runner.CHUNKS_PER_WORKER))
         per_chunk = -(-per_chunk // runner.EXTRACT_BLOCK) * runner.EXTRACT_BLOCK
         chunks = len(cfg.extractors) * -(-signals // per_chunk)

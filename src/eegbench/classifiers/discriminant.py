@@ -5,12 +5,16 @@ to shared constants, then take the argmax. LDA pools one covariance
 across classes (linear boundaries); QDA keeps one per class (quadratic
 boundaries). Covariances use the population (1/N) convention and a ridge
 term epsilon * trace/d on the diagonal for invertibility.
+
+Both solve with numpy alone, so a run never imports ``scipy.linalg``:
+LDA its pooled system, and QDA ``L z = x - mu`` for each class's
+Cholesky factor ``L`` through ``np.linalg.solve``, numpy's LU solve,
+which agrees with triangular substitution up to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 def _check_two_per_class(y, classes, counts):
@@ -93,7 +97,7 @@ class QdaClassifier:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         scores = np.empty((X.shape[0], self.classes_.size))
         for k, (mu, chol, logdet) in enumerate(zip(self.means_, self._chols, self._log_dets)):
-            z = solve_triangular(chol, (X - mu).T, lower=True)
+            z = np.linalg.solve(chol, (X - mu).T)
             maha = np.sum(z * z, axis=0)
             scores[:, k] = -0.5 * logdet - 0.5 * maha + np.log(self.priors_[k])
         return scores

@@ -21,7 +21,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import mfcc as mfcc_mod
 from . import wavelet as wv
@@ -245,6 +244,8 @@ def pca_fit(matrix, variance_target: float = 0.95) -> PcaModel:
     row-space eigenvector ``u`` to the axis ``Xcᵀ u / √λ``; one Cholesky-QR
     pass then re-orthonormalises those axes, so the components are
     orthonormal for any target, however far apart the kept eigenvalues lie.
+    Its solve with the Cholesky factor is numpy's LU solve, so this module
+    never imports ``scipy.linalg``.
     A zero-variance input keeps no component. ``matrix`` is left alone.
     """
     X = np.asarray(matrix, dtype=float)
@@ -264,7 +265,7 @@ def pca_fit(matrix, variance_target: float = 0.95) -> PcaModel:
         # many orders below λ₁ drift from orthonormal without it
         axes = centered.T @ (evecs[:, :k] / np.sqrt(evals[:k]))
         chol = np.linalg.cholesky(axes.T @ axes)
-        comps = solve_triangular(chol, axes.T, lower=True)
+        comps = np.linalg.solve(chol, axes.T)
     else:
         comps = evecs[:, :k].T.copy()
     # sign convention: largest-magnitude loading of each axis is positive

@@ -7,6 +7,10 @@ one cell, as ``run_cell`` returns it, ``write_long_csv`` writes it and
 ``read_long_csv`` reads it back. The writers keep the order of the rows
 they are given within each table, so rows joined from the sorted cell
 keys give the same bytes at every ``jobs``.
+
+``run_inference`` imports :mod:`eegbench.inference`, and with it
+``scipy.special``, when it is first called, so a run that writes no
+inference tables never loads them.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-
-from .inference import omega_squared, tukey_hsd, two_way_anova
 
 LONG_HEADER = ["scheme", "extractor", "model", "replication",
                "accuracy", "sensitivity", "specificity"]
@@ -126,6 +128,8 @@ def write_boxplot_data(rows, out_dir: Path):
 def run_inference(rows, scheme: str):
     """ANOVA table, effect sizes, and both HSD factor tables for one scheme,
     all read from the one two-way ANOVA of its accuracies (in points)."""
+    from .inference import omega_squared, tukey_hsd, two_way_anova
+
     obs = [(model, extractor, 100.0 * acc) for s, extractor, model, _, acc, _, _ in rows
            if s == scheme and not math.isnan(acc)]
     table = two_way_anova(obs, factor_a="Models", factor_b="feat_extr")

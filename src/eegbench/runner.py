@@ -17,6 +17,13 @@ temp dir and renames it into place; after a failure in the cells phase
 (a ``CellError``, or any other exception once a cell has finished) it
 writes ``<output>.partial`` the same way, with the manifest and cells
 CSVs of every completed cell.
+
+Of scipy, a run loads the package itself, for the manifest's version
+entry, and ``scipy.special`` only when the bundle's ANOVA and Tukey
+tables are written (more than one model and extractor, and more than
+one hold-out repeat): the report stage, after any pool has exited.
+Nothing a run reaches imports ``scipy.linalg``; the classifiers and PCA
+solve with numpy.
 """
 
 from __future__ import annotations

@@ -1,9 +1,14 @@
 """The studentized-range distribution behind Tukey HSD.
 
 The CDF is a nested Gauss-Legendre quadrature (outer integral over the
-pooled-variance scale, inner over the range of standard normals). It is
-kept here rather than taken from ``scipy.stats.studentized_range``:
-importing ``scipy.stats`` alone adds tens of megabytes to every run.
+pooled-variance scale, inner over the range of standard normals). Its
+one library function is ``scipy.special.ndtr``, the standard normal CDF;
+:mod:`eegbench.inference` adds ``fdtrc`` for the ANOVA p-values. These
+two modules are where eegbench loads ``scipy.special``, and only
+``reporting.run_inference`` imports them, when a run or ``eegbench
+stats`` writes ANOVA and Tukey tables. The distribution is not taken
+from ``scipy.stats.studentized_range``, because importing
+``scipy.stats`` costs tens of megabytes more.
 """
 
 from __future__ import annotations

@@ -121,6 +121,30 @@ class TestQda:
                             + math.log(prior))
                 assert got[i, k] == pytest.approx(expected, abs=1e-8)
 
+    def test_scores_match_triangular_solve(self):
+        # an imbalanced hold-out split of wfe after PCA: 320 + 80 training
+        # rows of 185 decaying components, so the positive class's covariance
+        # is singular but for the ridge
+        from scipy.linalg import solve_triangular
+
+        rng = np.random.default_rng(17)
+        d, scales = 185, 0.97 ** np.arange(185)
+        y = np.repeat([0, 1], [320, 80])
+        X = rng.normal(size=(400, d)) * scales + 0.3 * y[:, None]
+        probe = rng.normal(size=(100, d)) * scales + 0.3 * np.repeat([0, 1], 50)[:, None]
+        m = QdaClassifier(ridge=1e-6).fit(X, y)
+        ref = np.empty((100, 2))
+        for k in (0, 1):
+            rows = X[y == k]
+            mu = rows.mean(axis=0)
+            cov = (rows - mu).T @ (rows - mu) / len(rows)
+            chol = np.linalg.cholesky(cov + 1e-6 * np.trace(cov) / d * np.eye(d))
+            z = solve_triangular(chol, (probe - mu).T, lower=True)
+            ref[:, k] = (-np.sum(np.log(np.diag(chol))) - 0.5 * np.sum(z * z, axis=0)
+                         + math.log(len(rows) / len(X)))
+        np.testing.assert_allclose(m.decision_scores(probe), ref, rtol=1e-12, atol=0)
+        assert (m.predict(probe) == ref.argmax(axis=1)).all()
+
 
 class TestNaiveBayes:
     def test_symmetric_case_boundary_at_zero(self):

@@ -254,6 +254,31 @@ class TestPca:
         assert max_orthonormality_error(model.components) < 1e-10
 
     @pytest.mark.parametrize("target", [0.95, 1.0])
+    @pytest.mark.parametrize("case", ["wide", "ill_conditioned", "factor400"])
+    def test_wide_axes_match_triangular_cholesky_qr(self, case, target):
+        # the Cholesky-QR step with scipy's triangular solve, which pca_fit
+        # replaces by numpy's LU solve
+        from scipy.linalg import solve_triangular
+
+        if case == "factor400":
+            X, train, _, _ = factor_case(400, 50.0)
+            X = X[train]
+        elif case == "ill_conditioned":
+            X = np.random.default_rng(3).normal(size=(60, 300)) * 0.7 ** np.arange(300)
+        else:
+            X = np.random.default_rng(21).normal(size=(40, 300))
+        centred = X - X.mean(axis=0)
+        evals, evecs = np.linalg.eigh(centred @ centred.T)
+        evals, evecs = np.clip(evals[::-1], 0.0, None), evecs[:, ::-1]
+        model = ft.pca_fit(X, target)
+        k = model.n_components
+        axes = centred.T @ (evecs[:, :k] / np.sqrt(evals[:k]))
+        ref = solve_triangular(np.linalg.cholesky(axes.T @ axes), axes.T, lower=True)
+        ref *= np.where(ref[np.arange(k), np.abs(ref).argmax(axis=1)] < 0, -1.0, 1.0)[:, None]
+        assert k > 1
+        assert np.abs(model.components - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("target", [0.95, 1.0])
     def test_rank_deficient_wide(self, target):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(20, 5)) @ rng.normal(size=(5, 100))

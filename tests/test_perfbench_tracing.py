@@ -124,3 +124,15 @@ def test_wfe_extraction_is_traced(corpus_root, tmp_path):
     assert metrics["features.rows"] == 500
     assert metrics["features.extract_s.wfe"] > 0
     assert metrics["evaluation.split_fits"] == run["split_fits"]
+
+
+def test_inference_is_traced(corpus_root, tmp_path):
+    # reporting imports inference only when a run writes its tables, so the
+    # names it calls must be the ones install rebound to wrappers; 2 hold-out
+    # repeats of 2 extractors x 2 models write them
+    run = traced_run(corpus_root, tmp_path, schemes=["balanced"], extractors=["db2", "mfcc"],
+                     models=["lda", "nb"])
+    metrics = run["metrics"]
+    assert metrics["inference.anova_s"] > 0
+    assert metrics["inference.tukey_s"] > 0
+    assert metrics["special.calls"] > 0

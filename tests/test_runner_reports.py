@@ -213,15 +213,50 @@ def test_samples_are_released_before_the_cells_run(corpus_root, tmp_path, monkey
         assert len(lines) == 1 + (500 if scheme == "imbalanced" else 200)
 
 
-def test_runner_import_loads_no_heavy_scipy_module():
-    # scipy.stats alone adds tens of megabytes to a run's peak RSS
-    heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
-    code = ("import sys, eegbench.runner; "
-            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+# scipy.stats alone adds tens of megabytes to a run's peak RSS, and
+# scipy.linalg with scipy.special about 33 MB: a run loads scipy.special only
+# to write inference tables, and scipy.linalg never
+HEAVY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.linalg",
+               "scipy.special")
+
+
+def heavy_scipy_loaded(code, *args) -> list:
+    """The ``HEAVY_SCIPY`` modules in ``sys.modules`` after a fresh
+    interpreter runs ``code`` with ``args`` as ``sys.argv[1:]``."""
+    code += f"\nimport sys\nprint(' '.join(m for m in {HEAVY_SCIPY!r} if m in sys.modules))"
     src = str(Path(eegbench.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == ""
+    return done.stdout.split()
+
+
+def test_runner_import_loads_no_heavy_scipy_module():
+    for module in ("eegbench.runner", "eegbench.cli"):
+        assert heavy_scipy_loaded(f"import {module}") == [], module
+
+
+RUN_CONFIG = """
+import json, sys
+from eegbench.config import build_config
+from eegbench.runner import run_experiment
+run_experiment(build_config(json.loads(sys.argv[1])))
+"""
+
+
+@pytest.mark.parametrize("extractors, loaded", [
+    (["wfe"], []),
+    (["db2", "mfcc"], ["scipy.special"]),
+], ids=["wfe_only", "inference"])
+def test_run_loads_scipy_special_only_for_inference(corpus_root, tmp_path, extractors, loaded):
+    # qda and lda solve with numpy; two extractors and hold-out repeats write
+    # the inference tables
+    out = tmp_path / "report"
+    raw = {"corpus_root": str(corpus_root), "output_dir": str(out), "schemes": ["balanced"],
+           "extractors": extractors, "models": ["lda", "qda"], "kfold": {"k": 2},
+           "holdout": {"n_repeats": 2}}
+    assert heavy_scipy_loaded(RUN_CONFIG, json.dumps(raw)) == loaded
+    assert (out / "manifest.json").is_file()
+    assert (out / "anova_balanced.csv").is_file() == bool(loaded)
 
 
 class TestDeterminism:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .discriminant import _check_two_per_class
+
 
 class GaussianNaiveBayes:
     def __init__(self, var_floor_ratio: float = 1e-9):
@@ -13,10 +15,7 @@ class GaussianNaiveBayes:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         self.classes_, counts = np.unique(y, return_counts=True)
-        if len(self.classes_) < 2:
-            raise ValueError("need at least two distinct labels")
-        if counts.min() < 2:
-            raise ValueError("every class needs at least two samples")
+        _check_two_per_class(y, self.classes_, counts)
         self.priors_ = counts / X.shape[0]
         self.means_ = np.vstack([X[y == c].mean(axis=0) for c in self.classes_])
         variances = np.vstack([X[y == c].var(axis=0) for c in self.classes_])

@@ -10,6 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 
+def squared_distances(A, B) -> np.ndarray:
+    """|a_i - b_j|^2 for every row pair of ``A`` and ``B``, clipped at 0 against rounding."""
+    d2 = ((A ** 2).sum(axis=1)[:, None] + (B ** 2).sum(axis=1)[None, :] - 2.0 * A @ B.T)
+    np.clip(d2, 0.0, None, out=d2)
+    return d2
+
+
 class KnnClassifier:
     def __init__(self, k: int = 5):
         if k < 1:
@@ -30,9 +37,7 @@ class KnnClassifier:
 
     def predict(self, X) -> np.ndarray:
         Q = np.atleast_2d(np.asarray(X, dtype=float))
-        d2 = ((Q ** 2).sum(axis=1)[:, None] + (self._X ** 2).sum(axis=1)[None, :]
-              - 2.0 * Q @ self._X.T)
-        np.clip(d2, 0.0, None, out=d2)
+        d2 = squared_distances(Q, self._X)
         order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         neighbor_labels = self._y[order]
         votes = np.stack(

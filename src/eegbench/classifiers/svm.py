@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConvergenceError
+from .neighbors import squared_distances
 
 TAU = 1e-12
 TOL = 1e-3
@@ -32,9 +33,7 @@ MAX_UPDATES = 1_000_000
 
 
 def _kernel_matrix(A, B, gamma):
-    d2 = ((A ** 2).sum(1)[:, None] + (B ** 2).sum(1)[None, :] - 2.0 * A @ B.T)
-    np.clip(d2, 0.0, None, out=d2)
-    return np.exp(-gamma * d2)
+    return np.exp(-gamma * squared_distances(A, B))
 
 
 class SvmClassifier:

@@ -9,7 +9,9 @@ Accepted top-level keys (any other is a ``ConfigError``):
   for feature extraction and cells
 * ``kfold``, ``holdout`` -- the two resampling plans, ``{"k", "n_repeats"}`` and
   ``{"test_fraction", "n_repeats"}``
-* ``profile`` -- ``reproduction`` or ``custom``, recorded in the manifest
+* ``profile`` -- ``reproduction`` or ``custom``; it changes nothing but the
+  manifest, which records it, and is kept because the benchmark's workloads
+  in ``perfbench/workloads.py`` set it
 
 That is 12 settable values. The paper's other settings are constants,
 not keys: extraction in :mod:`eegbench.wavelet` (``LEVELS``, periodized

@@ -73,36 +73,29 @@ def make_splits(labels, plan: SplitPlan) -> list:
     y = np.asarray(labels)
     rng = np.random.default_rng(plan.seed)
     values, counts = np.unique(y, return_counts=True)
-    out = []
     if plan.kind == "kfold":
         if counts.min() < plan.k:
             raise ValueError(
                 f"stratification impossible: a label has {counts.min()} instances "
                 f"for {plan.k} folds")
-        for _ in range(plan.n_repeats):
-            folds = [[] for _ in range(plan.k)]
-            for v in values:
-                idx = np.flatnonzero(y == v)
-                rng.shuffle(idx)
-                for i, ix in enumerate(idx):
-                    folds[i % plan.k].append(int(ix))
-            for f in range(plan.k):
-                test = np.array(sorted(folds[f]), dtype=int)
-                train = np.setdiff1d(np.arange(y.size), test)
-                out.append((train, test))
     else:
-        n_test = {v: int(round(plan.test_fraction * c)) for v, c in zip(values, counts)}
-        if any(t < 1 or t >= c for (v, c), t in zip(zip(values, counts), n_test.values())):
+        n_test = [int(round(plan.test_fraction * c)) for c in counts]
+        if any(t < 1 or t >= c for c, t in zip(counts, n_test)):
             raise ValueError("stratification impossible: empty train or test side for a label")
-        for _ in range(plan.n_repeats):
-            test_parts = []
-            for v in values:
-                idx = np.flatnonzero(y == v)
-                rng.shuffle(idx)
-                test_parts.append(idx[: n_test[v]])
-            test = np.array(sorted(np.concatenate(test_parts)), dtype=int)
-            train = np.setdiff1d(np.arange(y.size), test)
-            out.append((train, test))
+    out = []
+    for _ in range(plan.n_repeats):
+        shuffled = []
+        for v in values:
+            idx = np.flatnonzero(y == v)
+            rng.shuffle(idx)
+            shuffled.append(idx)
+        if plan.kind == "kfold":
+            tests = [[idx[f::plan.k] for idx in shuffled] for f in range(plan.k)]
+        else:
+            tests = [[idx[:t] for idx, t in zip(shuffled, n_test)]]
+        for parts in tests:
+            test = np.sort(np.concatenate(parts))
+            out.append((np.setdiff1d(np.arange(y.size), test), test))
     return out
 
 

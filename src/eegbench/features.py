@@ -7,17 +7,16 @@ The three feature routes mirror the benchmark's extractor menu:
 * ``mfcc`` -- the aggregated cepstral vector from :mod:`eegbench.mfcc`,
 * ``wfe`` -- no extraction at all: the samples matrix itself, not copied.
 
-Extraction works along the last axis: a ``(..., n)`` array is a stack of
-signals and yields a ``(..., width)`` stack of feature rows, each row
-bit-for-bit the one its signal gives alone; a 1-D signal gives one row.
-``extract_matrix`` feeds the other extractors ``EXTRACT_BLOCK`` rows of
-the samples at a time.
+``extract_matrix`` is the one entry: it alone dispatches on the extractor
+name, and it feeds ``mfcc`` and the wavelet families ``EXTRACT_BLOCK``
+rows of the samples at a time. Those work along the last axis: a
+``(..., n)`` stack of signals yields a ``(..., width)`` stack of feature
+rows, each row bit-for-bit the one its signal gives in a one-row stack.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,15 +108,8 @@ def band_statistics(coeffs, psd=None) -> dict:
     return stats
 
 
-@dataclass
-class FeatureVector:
-    """Feature values (one row, or a stack of rows along the leading axes) and their names."""
-
-    values: np.ndarray
-    names: list
-
-
-def wavelet_band_features(samples, family: str) -> FeatureVector:
+def wavelet_band_features(samples, family: str) -> tuple:
+    """(values, names): the 75 band statistics of each signal along the last axis."""
     filt = wv.filter_for(family)
     sb = wv.wavedec(wv.denoise(samples, filt), filt)
     raw_powers = np.stack([np.sum(b * b, axis=-1) for b in sb.bands], axis=-1)
@@ -134,25 +126,7 @@ def wavelet_band_features(samples, family: str) -> FeatureVector:
         for key, val in stats.items():
             names.append(f"{name}_{key}")
             columns.append(val)
-    return FeatureVector(np.stack(columns, axis=-1), names)
-
-
-@functools.lru_cache(maxsize=4)
-def _sample_names(n_samples: int) -> tuple:
-    # formatted once per signal length, not once per signal
-    return tuple(f"sample_{i:04d}" for i in range(n_samples))
-
-
-def assemble_features(samples, extractor: str) -> FeatureVector:
-    """Feature values for any of the benchmark extractors, along the last axis."""
-    if extractor not in EXTRACTORS:
-        raise ValueError(f"unknown extractor {extractor!r}; expected one of {EXTRACTORS}")
-    x = np.asarray(samples, dtype=float)
-    if extractor == "wfe":
-        return FeatureVector(x.copy(), list(_sample_names(x.shape[-1])))
-    if extractor == "mfcc":
-        return FeatureVector(mfcc_mod.mfcc_features(x), mfcc_mod.mfcc_feature_names())
-    return wavelet_band_features(x, extractor)
+    return np.stack(columns, axis=-1), names
 
 
 @dataclass
@@ -194,16 +168,22 @@ def extract_matrix(samples, labels, extractor: str) -> FeatureMatrix:
     """One feature row per row of ``samples``, a (recordings, samples) matrix.
 
     ``wfe``'s values are ``samples`` itself, a float64 matrix without a
-    copy. The other extractors get its rows ``EXTRACT_BLOCK`` at a time,
-    so their transients stay one block in size.
+    copy. ``mfcc`` and the wavelet families get its rows ``EXTRACT_BLOCK``
+    at a time, so their transients stay one block in size.
     """
+    if extractor not in EXTRACTORS:
+        raise ValueError(f"unknown extractor {extractor!r}; expected one of {EXTRACTORS}")
     x = np.asarray(samples, dtype=float)
     if extractor == "wfe":
-        values, names = x, _sample_names(x.shape[1])
+        values, names = x, [f"sample_{i:04d}" for i in range(x.shape[1])]
+    elif extractor == "mfcc":
+        values = np.vstack([mfcc_mod.mfcc_features(x[start:start + EXTRACT_BLOCK])
+                            for start in range(0, len(x), EXTRACT_BLOCK)])
+        names = mfcc_mod.mfcc_feature_names()
     else:
-        blocks = [assemble_features(x[start:start + EXTRACT_BLOCK], extractor)
+        blocks = [wavelet_band_features(x[start:start + EXTRACT_BLOCK], extractor)
                   for start in range(0, len(x), EXTRACT_BLOCK)]
-        values, names = np.vstack([fv.values for fv in blocks]), blocks[0].names
+        values, names = np.vstack([v for v, _ in blocks]), blocks[0][1]
     return FeatureMatrix(values, list(names), np.asarray(labels, dtype=int))
 
 

@@ -1,13 +1,13 @@
 """Experiment orchestration: corpus to finished report bundle.
 
-A run has two phases, and ``_run_tasks`` runs both: feature extraction in
-row ranges of the corpus matrix, then the cells (scheme x plan x extractor
-x model). Under ``jobs=1`` the tasks run in order in this process;
-otherwise on workers forked from it, which inherit the samples and the
-features. Results are keyed by task, so output never depends on
-completion order. Every scheme's rows are a subset of the largest
-scheme's, so each extractor has one feature matrix of those rows, which
-every scheme's cells index. ``wfe`` is no extraction task: it is the
+A run has two phases, and ``_run_tasks`` runs both: feature extraction,
+one task per ``EXTRACT_BLOCK`` rows of the corpus matrix and extractor,
+then the cells (scheme x plan x extractor x model). Under ``jobs=1`` the
+tasks run in order in this process; otherwise on workers forked from it,
+which inherit the samples and the features. Results are keyed by task,
+so output never depends on completion order. Every scheme's rows are a
+subset of the largest scheme's, so each extractor has one feature matrix
+of those rows, which every scheme's cells index. ``wfe`` is no extraction task: it is the
 samples themselves, whose Gram matrix this process computes once for the
 cells' split PCA. A run without ``wfe`` releases the samples before the
 cells run. A cell's result is its long rows (see
@@ -67,17 +67,11 @@ def _largest(datasets: dict):
     return max(datasets.values(), key=lambda ds: ds.rows.size)
 
 
-# extraction chunks per worker and extractor: more than one, so the pool's
-# last tasks are short and no worker idles long while another finishes
-CHUNKS_PER_WORKER = 2
-
-
 class _Chunk(NamedTuple):
-    """One extraction task: ``extractor`` on rows[start:stop] of the samples."""
+    """One extraction task: ``extractor`` on the ``EXTRACT_BLOCK`` samples rows from ``start``."""
 
     extractor: str
     start: int
-    stop: int
 
 
 def extract_features(cfg: RunConfig, corpus, datasets: dict) -> dict:
@@ -86,20 +80,17 @@ def extract_features(cfg: RunConfig, corpus, datasets: dict) -> dict:
     Those rows are the corpus matrix itself when they are all of it, and
     a gathered copy otherwise. ``wfe`` is those samples, passed through
     one ``extract_matrix`` call in this process, which does not copy
-    them. Every other extractor's rows are cut into about
-    ``CHUNKS_PER_WORKER`` row ranges per worker, each a whole number of
-    ``EXTRACT_BLOCK``s; ``_run_tasks`` runs them, and the chunks are
-    stacked in order. Each wide matrix (``wfe``) also gets its Gram matrix
-    here, once for every scheme, so forked cell workers inherit it.
+    them. Every other extractor is one ``_Chunk`` task per
+    ``EXTRACT_BLOCK`` rows, the same tasks at any ``jobs``;
+    ``_run_tasks`` runs them, and the blocks are stacked in order. Each
+    wide matrix (``wfe``) also gets its Gram matrix here, once for every
+    scheme, so forked cell workers inherit it.
     """
     largest = _largest(datasets)
     rows, labels = largest.rows, largest.labels
     samples = corpus.samples if rows.size == len(corpus.samples) else corpus.samples[rows]
-    per_chunk = -(-rows.size // (cfg.jobs * CHUNKS_PER_WORKER))
-    per_chunk = -(-per_chunk // EXTRACT_BLOCK) * EXTRACT_BLOCK
-    chunks = [_Chunk(extractor, start, min(start + per_chunk, rows.size))
-              for extractor in cfg.extractors if extractor != "wfe"
-              for start in range(0, rows.size, per_chunk)]
+    chunks = [_Chunk(extractor, start) for extractor in cfg.extractors if extractor != "wfe"
+              for start in range(0, rows.size, EXTRACT_BLOCK)]
     parts = _run_tasks(cfg, (samples, labels), chunks) if chunks else {}
     features = {}
     for extractor in cfg.extractors:
@@ -139,8 +130,8 @@ def _run_task(cfg: RunConfig, inputs, task):
     or a cell key over the (features, rows by scheme) ``inputs``."""
     if isinstance(task, _Chunk):
         samples, labels = inputs
-        return extract_matrix(samples[task.start:task.stop], labels[task.start:task.stop],
-                              task.extractor)
+        block = slice(task.start, task.start + EXTRACT_BLOCK)
+        return extract_matrix(samples[block], labels[block], task.extractor)
     scheme, plan_name, extractor, model = task
     features, rows = inputs
     plan = cfg.kfold_plan if plan_name == "kfold" else cfg.holdout_plan

@@ -78,21 +78,22 @@ class TestAssemble:
     def test_relative_powers_sum_to_one(self):
         rng = np.random.default_rng(0)
         for family in ("db2", "db4", "coif1"):
-            fv = ft.assemble_features(rng.normal(size=512), family)
-            rel = [v for v, n in zip(fv.values, fv.names) if n.endswith("relative_power")]
+            fm = ft.extract_matrix([rng.normal(size=512)], [0], family)
+            rel = [v for v, n in zip(fm.values[0], fm.feature_names)
+                   if n.endswith("relative_power")]
             assert len(rel) == 5
             assert sum(rel) == pytest.approx(1.0, abs=1e-10)
 
     def test_constant_signal_zero_detail_energy(self):
-        fv = ft.assemble_features(np.full(256, 4.0), "db4")
-        details = [v for v, n in zip(fv.values, fv.names)
+        fm = ft.extract_matrix([np.full(256, 4.0)], [0], "db4")
+        details = [v for v, n in zip(fm.values[0], fm.feature_names)
                    if n.startswith("d") and n.endswith("_energy")]
         assert len(details) == 4
         assert max(details) < 1e-20
 
     def test_wavelet_feature_count(self):
-        fv = ft.assemble_features(np.random.default_rng(1).normal(size=512), "db2")
-        assert len(fv.values) == 75     # 5 bands x 15 statistics
+        fm = ft.extract_matrix([np.random.default_rng(1).normal(size=512)], [0], "db2")
+        assert len(fm.values[0]) == 75     # 5 bands x 15 statistics
 
     def test_one_spectrum_per_band_stack(self, monkeypatch):
         # psd_max/psd_min and spectral_entropy share one rfft per band stack
@@ -100,23 +101,23 @@ class TestAssemble:
         psd = ft._psd_positive_bins
         monkeypatch.setattr(ft, "_psd_positive_bins", lambda x: calls.append(x.shape) or psd(x))
         stack = np.random.default_rng(3).normal(size=(3, 512))
-        fv = ft.wavelet_band_features(stack, "db4")
-        assert fv.values.shape == (3, 75)
+        values, names = ft.wavelet_band_features(stack, "db4")
+        assert values.shape == (3, 75) and len(names) == 75
         assert len(calls) == 5
 
     def test_wfe_is_identity(self):
         x = np.arange(16.0)
-        fv = ft.assemble_features(x, "wfe")
-        assert np.array_equal(fv.values, x)
-        assert fv.names[0] == "sample_0000"
+        fm = ft.extract_matrix([x], [0], "wfe")
+        assert np.array_equal(fm.values, [x])
+        assert fm.feature_names[0] == "sample_0000"
 
     def test_mfcc_route(self):
-        fv = ft.assemble_features(np.random.default_rng(3).normal(size=4097), "mfcc")
-        assert len(fv.values) == 28
+        fm = ft.extract_matrix([np.random.default_rng(3).normal(size=4097)], [0], "mfcc")
+        assert len(fm.values[0]) == 28
 
     def test_unknown_extractor(self):
         with pytest.raises(ValueError, match="unknown extractor"):
-            ft.assemble_features(np.zeros(64), "fft")
+            ft.extract_matrix(np.zeros((1, 64)), [0], "fft")
 
     def test_fixed_width_across_instances(self):
         rng = np.random.default_rng(5)
@@ -156,7 +157,7 @@ def reference_band_statistics(x):
 
 
 def rows_one_at_a_time(signals, extractor):
-    return np.vstack([ft.assemble_features(x, extractor).values for x in signals])
+    return np.vstack([ft.extract_matrix(x[None], [0], extractor).values for x in signals])
 
 
 class TestBatchedExtraction:

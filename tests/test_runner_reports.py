@@ -129,19 +129,36 @@ def test_extraction_shared_across_schemes(corpus_root, tmp_path):
             assert fm.values[ds.rows].tobytes() == alone.values.tobytes()
 
 
-def test_extraction_independent_of_jobs(corpus_root, tmp_path):
-    # 500 distinct signals: not a multiple of the jobs=2 chunk size, and
-    # the balanced rows are not a prefix of them
+def test_extraction_independent_of_jobs(corpus_root, tmp_path, monkeypatch):
+    # 500 distinct signals: not a multiple of EXTRACT_BLOCK, and the
+    # balanced rows are not a prefix of them. Every jobs hands _run_tasks
+    # the same extraction tasks, one per block and extractor but wfe
+    from eegbench import runner
+
+    tasks = {}
+    run_tasks = runner._run_tasks
+
+    def recording(cfg, inputs, task_list, progress=None):
+        tasks[cfg.jobs] = list(task_list)
+        return run_tasks(cfg, inputs, task_list, progress)
+
+    monkeypatch.setattr(runner, "_run_tasks", recording)
     features = {}
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
                            extractors=list(EXTRACTORS), jobs=jobs)
-        features[jobs] = extract_features(cfg, *build_datasets(cfg))
-    assert sorted(features[1]) == sorted(features[2]) == sorted(EXTRACTORS)
-    for key, fm in features[1].items():
-        assert np.array_equal(fm.values, features[2][key].values)
-        assert fm.feature_names == features[2][key].feature_names
-        assert np.array_equal(fm.labels, features[2][key].labels)
+        corpus, datasets = build_datasets(cfg)
+        features[jobs] = extract_features(cfg, corpus, datasets)
+    signals = len(corpus.samples)
+    assert signals % runner.EXTRACT_BLOCK
+    assert tasks[1] == tasks[2] == tasks[3]
+    assert len(tasks[1]) == (len(EXTRACTORS) - 1) * -(-signals // runner.EXTRACT_BLOCK)
+    for jobs in (2, 3):
+        assert sorted(features[1]) == sorted(features[jobs]) == sorted(EXTRACTORS)
+        for key, fm in features[1].items():
+            assert np.array_equal(fm.values, features[jobs][key].values)
+            assert fm.feature_names == features[jobs][key].feature_names
+            assert np.array_equal(fm.labels, features[jobs][key].labels)
 
 
 def test_wfe_is_the_corpus_matrix(corpus_root, tmp_path, monkeypatch):
@@ -553,9 +570,7 @@ class TestTaskRunner:
 
         monkeypatch.setattr(runner, "extract_matrix", extract)
         signals = len(datasets["balanced"].rows)
-        per_chunk = -(-signals // (cfg.jobs * runner.CHUNKS_PER_WORKER))
-        per_chunk = -(-per_chunk // runner.EXTRACT_BLOCK) * runner.EXTRACT_BLOCK
-        chunks = len(cfg.extractors) * -(-signals // per_chunk)
+        chunks = len(cfg.extractors) * -(-signals // runner.EXTRACT_BLOCK)
         with pytest.raises(RuntimeError, match="first chunk failed"):
             run_experiment(cfg)
         # every chunk but the failing one sleeps and records itself

@@ -6,6 +6,7 @@ the training label set. The random forest takes an explicit seed; the
 rest are deterministic without one. The evaluation's stratified splits
 give every training side both labels: boosting, the SVM, LDA, QDA and
 naive Bayes reject fewer, while the forest and kNN fit one label as it is.
+The forest rejects more than two labels; its trees are two-class.
 
 ``make_model`` builds each model at the paper's one setting, the
 constructor defaults: LDA and QDA with ridge 1e-6, naive Bayes with a

@@ -7,6 +7,9 @@ tree draws features, and ``grow_gini_forest`` grows all trees together,
 one pass per tree level. Otherwise each tree grows depth first, so its
 feature draws come in the same node order as always; the two growers give
 equal trees, so the choice moves no prediction.
+
+The forest fits one label as it is and rejects more than two; it predicts
+the second label iff more than half its trees vote for it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ class RandomForestClassifier:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         self.classes_, encoded = np.unique(y, return_inverse=True)
+        if self.classes_.size > 2:
+            raise ValueError("binary classifier: need at most two labels")
         n, d = X.shape
         mf = min(d, math.ceil(math.sqrt(d)))
         rngs = [np.random.default_rng(child)
@@ -43,7 +48,5 @@ class RandomForestClassifier:
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        n, k = X.shape[0], self.classes_.size
-        votes = predict_trees(self.trees_, X).astype(np.int64)      # (trees, rows) classes
-        counts = np.bincount((np.arange(n) * k + votes).ravel(), minlength=n * k).reshape(n, k)
-        return self.classes_[np.argmax(counts, axis=1)]
+        ones = predict_trees(self.trees_, X).sum(axis=0)          # class-1 votes per row
+        return self.classes_[(2 * ones > len(self.trees_)).astype(np.int64)]

@@ -1,7 +1,8 @@
 """CART decision trees shared by the forest and boosting ensembles.
 
-Classification nodes minimize Gini impurity; regression nodes minimize
-within-node variance. Three growers build the same trees:
+Classification trees are two-class, on labels 0 and 1: their nodes minimize
+Gini impurity, computed from each side's class-1 count. Regression nodes
+minimize within-node variance. Three growers build the same trees:
 
 - ``DecisionTree.grow`` from a ``presort`` grows one tree depth first from
   columns argsorted once, stably (SLIQ's presorted attribute lists; Mehta,
@@ -24,7 +25,7 @@ within-node variance. Three growers build the same trees:
 - ``grow_gini_forest`` grows many Gini trees on all columns together, one
   pass per tree level. Each column is sorted once per tree and partitioned
   stably at each split, and the cuts of every open node of every tree are
-  scored at once. Class counts are integer cumsums, so every score,
+  scored at once. Class-1 counts are integer cumsums, so every score,
   threshold and tie-break is computed exactly as ``_best_split`` computes
   it, and the trees are equal node for node; only node ids differ, being
   numbered level by level instead of depth first.
@@ -41,9 +42,9 @@ import numpy as np
 _LEAF = -1
 
 # Layout entries (rows x columns) that ``grow_gini_forest`` grows at once.
-# All 100 trees of a 400 x 2 fit in one pass peak at 15 MB of traced
-# allocations, against 0.7 MB tree by tree; 16 384 entries (20 such trees
-# a pass) keep the peak near 4 MB.
+# A forest fit of 100 trees on 400 x 2 peaks at 13.4 MB of traced
+# allocations when all trees grow in one pass, against 1.7 MB tree by tree;
+# 16 384 entries (20 such trees a pass) keep the peak near 4 MB.
 GROW_BLOCK = 16_384
 
 
@@ -83,17 +84,11 @@ class DecisionTree:
         self.left: list = []
         self.right: list = []
         self.value: list = []
-        self.n_classes = 0
 
     def fit(self, X, targets):
         """Grow depth first and set every leaf's value (majority class or mean)."""
         X = np.asarray(X, dtype=float)
-        t = np.asarray(targets)
-        if self.criterion == "gini":
-            t = t.astype(np.int64)
-            self.n_classes = int(t.max()) + 1 if t.size else 0
-        else:
-            t = t.astype(float)
+        t = np.asarray(targets).astype(np.int64 if self.criterion == "gini" else float)
         draws = self.max_features is not None and self.max_features < X.shape[1]
         self.grow(X, t, None if draws else presort(X))
         for leaf, rows in self.leaf_rows_:
@@ -121,8 +116,7 @@ class DecisionTree:
 
     def _leaf_value(self, t):
         if self.criterion == "gini":
-            counts = np.bincount(t, minlength=self.n_classes)
-            return int(np.argmax(counts))  # smallest class index wins ties
+            return int(2 * t.sum() > t.size)  # class 0 wins ties
         return float(t.mean())
 
     def _leaf(self, node, idx) -> int:
@@ -137,28 +131,24 @@ class DecisionTree:
         n = idx.size
         sub_t = t[idx]
         # both children of a split are nonempty, and a one-row node is pure
+        total = sub_t.sum(keepdims=True)             # gini: the class-1 count
         if self.criterion == "gini":
-            total = None
-            pure = (sub_t == sub_t[0]).all()
+            pure = total[0] in (0, n)
         else:
-            total = sub_t.sum(keepdims=True)
             dev = sub_t - total / n                  # sub_t.var(), term for term
             pure = (dev * dev).sum() / n <= 1e-14
         if pure:
             return self._leaf(node, idx)
         if sorted_cols is None:
             feats = np.sort(self.rng.choice(X.shape[1], size=self.max_features, replace=False))
-            cols = X[np.ix_(idx, feats)]
-            order = np.argsort(cols, axis=0, kind="stable")
-            sorted_x = np.take_along_axis(cols, order, axis=0)
-            valid = sorted_x[:-1] < sorted_x[1:]
+            order, sorted_x, valid = presort(X[np.ix_(idx, feats)])
             sorted_t = sub_t[order]
         else:
             rows, sorted_x, valid = sorted_cols
             if valid is None:
                 valid = sorted_x[:-1] < sorted_x[1:]
             sorted_t = t[rows]
-        split = self._best_split(sorted_x, sorted_t, valid, sub_t, total)
+        split = self._best_split(sorted_x, sorted_t, valid, total)
         if split is None:
             return self._leaf(node, idx)
         pos, col = split
@@ -184,20 +174,20 @@ class DecisionTree:
         self.right[node] = self._grow(X, t, idx[~go_left], depth + 1, right)
         return node
 
-    def _best_split(self, sorted_x, sorted_t, valid, sub_t, total):
+    def _best_split(self, sorted_x, sorted_t, valid, total):
         """(position, column) of the best cut of the node's sorted columns, or None."""
         n = sorted_t.shape[0]
         left_n = np.arange(1, n, dtype=float)[:, None]
         right_n = n - left_n
+        cum = np.cumsum(sorted_t, axis=0)              # cum[-1] is each column's total
+        left, right = cum[:-1], cum[-1] - cum[:-1]
         if self.criterion == "gini":
-            onehot = sorted_t[:, :, None] == np.arange(self.n_classes)[None, None, :]
-            cum = np.cumsum(onehot, axis=0)[:-1].astype(float)   # (n-1, f, K)
-            score = (cum ** 2).sum(axis=2) / left_n
-            score += ((cum[-1:] + onehot[-1][None] - cum) ** 2).sum(axis=2) / right_n
-            parent = float((np.bincount(sub_t, minlength=self.n_classes).astype(float) ** 2).sum() / n)
+            # sums of squared class counts: integers, so exact in float
+            score = ((left_n - left) ** 2 + left ** 2) / left_n
+            score += ((right_n - right) ** 2 + right ** 2) / right_n
+            parent = float(((n - total[0]) ** 2 + total[0] ** 2) / n)
         else:
-            cum = np.cumsum(sorted_t, axis=0)          # cum[-1] is each column's total
-            score = cum[:-1] ** 2 / left_n + (cum[-1] - cum[:-1]) ** 2 / right_n
+            score = left ** 2 / left_n + right ** 2 / right_n
             parent = float(total[0] ** 2 / n)
         score = np.where(valid, score, -np.inf)        # cut between t-1 and t
         flat = int(np.argmax(score))
@@ -253,26 +243,25 @@ def grow_gini_forest(X, y, samples) -> list[DecisionTree]:
     """One Gini tree on all columns of ``X`` per row of ``samples``, grown level-wise.
 
     ``samples`` is an (n_trees, n) array of row indices into ``X`` and the
-    integer labels ``y``. Tree ``b`` equals, node for node,
+    0/1 labels ``y``. Tree ``b`` equals, node for node,
     ``DecisionTree("gini").fit(X[samples[b]], y[samples[b]])``
     with its nodes numbered in level order.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     samples = np.asarray(samples)
-    n_classes = int(y.max()) + 1
     per_batch = max(1, GROW_BLOCK // (samples.shape[1] * X.shape[1]))
     trees = []
     for first in range(0, samples.shape[0], per_batch):
-        trees += _grow_batch(X, y, samples[first:first + per_batch], n_classes)
+        trees += _grow_batch(X, y, samples[first:first + per_batch])
     return trees
 
 
-def _grow_batch(X, y, samples, n_classes) -> list[DecisionTree]:
+def _grow_batch(X, y, samples) -> list[DecisionTree]:
     n_trees, n = samples.shape
     d = X.shape[1]
     V, Y = X[samples.ravel()], y[samples.ravel()]     # tree b owns rows [b*n, (b+1)*n)
-    cols, classes = np.arange(d), np.arange(n_classes)
+    cols = np.arange(d)
     # Layout: column j of P holds the rows of every open node as one contiguous
     # segment sorted by V[:, j]; ties keep row order, as a stable sort per node does.
     # (np.take and np.compress gather much faster here than fancy indexing.)
@@ -281,33 +270,33 @@ def _grow_batch(X, y, samples, n_classes) -> list[DecisionTree]:
     # the open nodes of the current level, in layout order
     owner = np.arange(n_trees)
     size = np.full(n_trees, n)
-    counts = np.bincount(np.repeat(owner * n_classes, n) + Y,
-                         minlength=n_trees * n_classes).reshape(n_trees, n_classes)
+    ones = Y.reshape(n_trees, n).sum(axis=1)          # each node's class-1 count
     n_nodes = n_trees
     go_left = np.zeros(V.shape[0], dtype=bool)
     levels = []
     while size.size:
         # split search, as in _best_split, on the impure nodes
-        grow = (counts < size[:, None]).all(axis=1)
+        grow = (ones > 0) & (ones < size)
         P = np.compress(np.repeat(grow, size), P, axis=0)
-        g_node, g_size, g_counts = np.flatnonzero(grow), size[grow], counts[grow]
+        g_node, g_size, g_ones = np.flatnonzero(grow), size[grow], ones[grow]
         g_start = np.cumsum(g_size) - g_size
         seg = np.repeat(np.arange(g_node.size), g_size)
         Vs = np.take(V, P * d + cols)
-        cum = np.zeros((P.shape[0] + 1, d, n_classes), dtype=np.int64)
-        np.equal(np.take(Y, P)[:, :, None], classes, out=cum[1:], casting="unsafe")
+        cum = np.zeros((P.shape[0] + 1, d), dtype=np.int64)
+        np.take(Y, P, out=cum[1:])
         np.cumsum(cum, axis=0, out=cum)
-        cum = cum.reshape(-1, n_classes)              # row p*d + j: column j's counts before p
+        cum = cum.ravel()                 # entry p*d + j: column j's class-1 count before p
         # every cut between distinct values inside a segment, in (position, column) order
         at = np.flatnonzero((Vs[:-1] < Vs[1:]) & (seg[1:] == seg[:-1])[:, None])
         pos, col = np.divmod(at, d)
         k = seg[pos]
-        cut_left = np.take(cum, at + d, axis=0) - np.take(cum, g_start[k] * d + col, axis=0)
-        cut_right = g_counts[k] - cut_left
+        cut_left = np.take(cum, at + d) - np.take(cum, g_start[k] * d + col)
+        cut_right = g_ones[k] - cut_left
         left_n = pos - g_start[k] + 1
+        right_n = g_size[k] - left_n
         # integer sums of squared counts are exact, so these equal _best_split's floats
-        score = np.einsum("ij,ij->i", cut_left, cut_left) / left_n
-        score += np.einsum("ij,ij->i", cut_right, cut_right) / (g_size[k] - left_n)
+        score = ((left_n - cut_left) ** 2 + cut_left ** 2) / left_n
+        score += ((right_n - cut_right) ** 2 + cut_right ** 2) / right_n
         # the first best cut of each node that has a cut
         first = np.ones(k.size, dtype=bool)
         first[1:] = k[1:] != k[:-1]
@@ -316,7 +305,7 @@ def _grow_batch(X, y, samples, n_classes) -> list[DecisionTree]:
         hit = np.where(score == best[np.cumsum(first) - 1], np.arange(k.size), k.size)
         pick = np.minimum.reduceat(hit, group)
         s = k[pick]
-        parent = (g_counts[s].astype(float) ** 2).sum(axis=1) / g_size[s]
+        parent = ((g_size[s] - g_ones[s]) ** 2 + g_ones[s] ** 2) / g_size[s]
         gain = best > parent + 1e-10 * np.maximum(1.0, parent)
         pick, s = pick[gain], s[gain]
         lo, hi = Vs.ravel()[at[pick]], Vs.ravel()[at[pick] + d]
@@ -327,7 +316,7 @@ def _grow_batch(X, y, samples, n_classes) -> list[DecisionTree]:
         feature = np.full(size.size, _LEAF)
         threshold = np.zeros(size.size)
         left = np.full(size.size, _LEAF)
-        value = np.argmax(counts, axis=1).astype(float)   # smallest class index wins ties
+        value = (2 * ones > size).astype(float)           # class 0 wins ties
         feature[split], threshold[split], value[split] = col[pick], thr, 0.0
         left[split] = n_nodes + 2 * np.arange(split.size)
         levels.append((owner, feature, threshold, left, value))
@@ -354,12 +343,12 @@ def _grow_batch(X, y, samples, n_classes) -> list[DecisionTree]:
         P = P_next
         owner = np.repeat(owner[split], 2)
         size = np.column_stack([n_left, s_size - n_left]).ravel()
-        counts = np.stack([cut_left[pick], cut_right[pick]], axis=1).reshape(-1, n_classes)
+        ones = np.column_stack([cut_left[pick], cut_right[pick]]).ravel()
         n_nodes += size.size
-    return _batch_trees(levels, n_trees, n_classes)
+    return _batch_trees(levels, n_trees)
 
 
-def _batch_trees(levels, n_trees, n_classes) -> list[DecisionTree]:
+def _batch_trees(levels, n_trees) -> list[DecisionTree]:
     """Split a batch's node records, numbered level by level, into one tree each."""
     owner, feature, threshold, left, value = (np.concatenate(a) for a in zip(*levels))
     order = np.argsort(owner, kind="stable")
@@ -372,7 +361,6 @@ def _batch_trees(levels, n_trees, n_classes) -> list[DecisionTree]:
     for b in range(n_trees):
         nodes = order[bounds[b]:bounds[b + 1]]
         tree = DecisionTree("gini")
-        tree.n_classes = n_classes
         tree.feature = feature[nodes].tolist()
         tree.threshold = threshold[nodes].tolist()
         tree.left = left[nodes].tolist()

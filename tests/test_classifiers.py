@@ -409,6 +409,23 @@ class TestForest:
         assert all(t.n_nodes == 1 for t in m.trees_)
         assert (m.predict(X) == 1).all()
 
+    def test_more_than_two_labels_rejected(self):
+        X = np.random.default_rng(0).normal(size=(30, 2))
+        with pytest.raises(ValueError, match="two labels"):
+            RandomForestClassifier(n_trees=3).fit(X, np.arange(30) % 3)
+
+    def test_tied_counts_go_to_the_first_label(self):
+        # the only cut leaves both sides as mixed as the parent: one leaf, counts 2 and 2
+        X, y = np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([5, 2, 5, 2])
+        classes, encoded = np.unique(y, return_inverse=True)
+        for tree in (DecisionTree("gini").fit(X, encoded),
+                     grow_gini_forest(X, encoded, [[0, 1, 2, 3]])[0]):
+            assert tree.n_nodes == 1 and classes[int(tree.value[0])] == 2
+        # two trees, one vote each way
+        m = RandomForestClassifier(n_trees=2).fit(X, y)
+        m.trees_ = [DecisionTree("gini").fit(X, np.full(4, label)) for label in (1, 0)]
+        assert (m.predict(X) == 2).all()
+
     def test_same_seed_identical_forest(self):
         rng = np.random.default_rng(1)
         X, y = two_blobs(rng, n=50, d=4, sep=1.0)
@@ -435,20 +452,20 @@ class TestForest:
         m = RandomForestClassifier(n_trees=25, seed=3).fit(X, y)
         assert (m.predict(X) == y).mean() == 1.0
 
-    @pytest.mark.parametrize("n, d, n_classes, ties", [
-        (80, 1, 2, False),
-        (80, 2, 2, False),
-        (60, 2, 2, True),
-        (90, 2, 3, True),
-        (3, 1, 2, False),
-        (2, 2, 2, True),
-    ], ids=["d1", "d2", "tied_values", "three_classes", "tiny_n", "two_rows"])
-    def test_level_wise_trees_equal_depth_first(self, n, d, n_classes, ties):
+    @pytest.mark.parametrize("n, d, ties", [
+        (80, 1, False),
+        (80, 2, False),
+        (60, 2, True),
+        (90, 2, True),
+        (3, 1, False),
+        (2, 2, True),
+    ], ids=["d1", "d2", "tied_values", "tied_values_n90", "tiny_n", "two_rows"])
+    def test_level_wise_trees_equal_depth_first(self, n, d, ties):
         rng = np.random.default_rng(n + d)
         X = rng.normal(size=(n, d))
         if ties:
             X = np.round(X * 2.0) / 2.0
-        y = rng.integers(0, n_classes, size=n)
+        y = rng.integers(0, 2, size=n)
         m = RandomForestClassifier(n_trees=30, seed=5).fit(X, y)
         _, samples = _forest_samples(5, 30, n)
         for tree, rows in zip(m.trees_, samples):
@@ -487,7 +504,7 @@ class TestForest:
             assert (tree.feature, tree.threshold, tree.left) == (ref.feature, ref.threshold, ref.left)
 
     def test_level_wise_fit_memory_is_bounded(self):
-        # all 100 trees of a 400 x 2 fit grown in one batch peak near 15 MB
+        # all 100 trees of a 400 x 2 fit grown in one batch peak near 13 MB
         rng = np.random.default_rng(10)
         X = rng.normal(size=(400, 2))
         y = (X[:, 0] + 0.5 * rng.normal(size=400) > 0).astype(int)
@@ -742,7 +759,7 @@ class TestPresortedGrowth:
         rng = np.random.default_rng(len(case) + (criterion == "gini"))
         X, depth = _tree_case(case, rng)
         t = (rng.normal(size=X.shape[0]) if criterion == "mse"
-             else rng.integers(0, 3, size=X.shape[0]))
+             else rng.integers(0, 2, size=X.shape[0]))
         if case == "two_rows" and criterion == "gini":
             t = np.array([0, 1])
         tree = DecisionTree(criterion, max_depth=depth).fit(X, t)

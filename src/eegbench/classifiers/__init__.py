@@ -13,7 +13,10 @@ constructor defaults: LDA and QDA with ridge 1e-6, naive Bayes with a
 variance floor of 1e-9 of the largest feature variance, kNN with k = 5,
 an rbf SVM with C = 1 and gamma = 1 / (d var X), a random forest of 100
 Gini trees drawing ceil(sqrt(d)) candidate features per node, and 100
-boosting stages of depth-3 regression trees at learning rate 0.1.
+boosting stages of depth-3 regression trees at learning rate 0.1. The
+two tree models share ``tree``'s node lists and walk, not a grower: the
+forest grows all its Gini trees in one lockstep pass, and boosting grows
+each stage's regression tree from one presort of its training matrix.
 """
 
 from .boosting import GradientBoostingClassifier

@@ -50,7 +50,7 @@ class GradientBoostingClassifier:
         for _ in range(self.n_stages):
             prob = _sigmoid(scores)
             residual = y01 - prob
-            tree = DecisionTree("mse", max_depth=MAX_DEPTH).grow(X, residual, root)
+            tree = DecisionTree(max_depth=MAX_DEPTH).grow(residual, root)
             hess = prob * (1.0 - prob)
             for leaf, idx in tree.leaf_rows_:
                 tree.value[leaf] = float(residual[idx].sum() / (hess[idx].sum() + 1e-16))

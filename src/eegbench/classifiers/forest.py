@@ -2,11 +2,10 @@
 
 Each tree has its own generator, spawned from the forest's seed, which
 draws the tree's bootstrap rows and then its nodes' candidate features:
-ceil(sqrt(d)) of the d columns. When that is every column (d <= 2) no
-tree draws features, and ``grow_gini_forest`` grows all trees together,
-one pass per tree level. Otherwise each tree grows depth first, so its
-feature draws come in the same node order as always; the two growers give
-equal trees, so the choice moves no prediction.
+ceil(sqrt(d)) of the d columns, or every column when that is all of them
+(d <= 2). ``grow_forest`` grows all the trees together, depth first in
+lockstep, so each tree draws its features in its own depth-first node
+order.
 
 The forest fits one label as it is and rejects more than two; it predicts
 the second label iff more than half its trees vote for it.
@@ -18,7 +17,7 @@ import math
 
 import numpy as np
 
-from .tree import DecisionTree, grow_gini_forest, predict_trees
+from .tree import grow_forest, predict_trees
 
 
 class RandomForestClassifier:
@@ -35,15 +34,10 @@ class RandomForestClassifier:
         if self.classes_.size > 2:
             raise ValueError("binary classifier: need at most two labels")
         n, d = X.shape
-        mf = min(d, math.ceil(math.sqrt(d)))
         rngs = [np.random.default_rng(child)
                 for child in np.random.SeedSequence(self.seed).spawn(self.n_trees)]
         samples = [rng.integers(0, n, size=n) for rng in rngs]
-        if mf == d:
-            self.trees_ = grow_gini_forest(X, encoded, samples)
-            return self
-        self.trees_ = [DecisionTree("gini", max_features=mf, rng=rng).fit(X[rows], encoded[rows])
-                       for rng, rows in zip(rngs, samples)]
+        self.trees_ = grow_forest(X, encoded, samples, math.ceil(math.sqrt(d)), rngs)
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -8,9 +8,9 @@ which inherit the samples and the features. Results are keyed by task,
 so output never depends on completion order. Every scheme's rows are a
 subset of the largest scheme's, so each extractor has one feature matrix
 of those rows, which every scheme's cells index. ``wfe`` is no extraction task: it is the
-samples themselves, whose Gram matrix this process computes once for the
-cells' split PCA. A run without ``wfe`` releases the samples before the
-cells run. A cell's result is its long rows (see
+samples themselves, whose Gram matrix this process computes once, just
+before the cells, for their split PCA. A run without ``wfe`` releases the
+samples before the cells run. A cell's result is its long rows (see
 :mod:`eegbench.reporting`); ``_write_bundle`` joins those of the sorted
 cell keys per plan for every report writer, writes the report into a
 temp dir and renames it into place; after a failure in the cells phase
@@ -82,9 +82,7 @@ def extract_features(cfg: RunConfig, corpus, datasets: dict) -> dict:
     one ``extract_matrix`` call in this process, which does not copy
     them. Every other extractor is one ``_Chunk`` task per
     ``EXTRACT_BLOCK`` rows, the same tasks at any ``jobs``;
-    ``_run_tasks`` runs them, and the blocks are stacked in order. Each
-    wide matrix (``wfe``) also gets its Gram matrix here, once for every
-    scheme, so forked cell workers inherit it.
+    ``_run_tasks`` runs them, and the blocks are stacked in order.
     """
     largest = _largest(datasets)
     rows, labels = largest.rows, largest.labels
@@ -99,8 +97,6 @@ def extract_features(cfg: RunConfig, corpus, datasets: dict) -> dict:
         else:
             fms = [part for chunk, part in parts.items() if chunk.extractor == extractor]
             fm = FeatureMatrix(np.vstack([p.values for p in fms]), fms[0].feature_names, labels)
-        if fm.values.shape[0] < fm.values.shape[1]:
-            fm.gram = fm.values @ fm.values.T
         features[extractor] = fm
     return features
 
@@ -117,9 +113,14 @@ def execute_cells(cfg: RunConfig, datasets: dict, features: dict, progress=None)
     """Run every configured cell through ``_run_tasks``; returns {key: long rows} in cell order.
 
     Each cell reads its extractor's matrix at its scheme's rows of it.
+    Each wide matrix (``wfe``) first gets its Gram matrix, once for every
+    scheme and before any worker is forked, so the workers inherit it.
     Any exception, a failing cell's ``CellError`` or an interrupt, leaves
     with the results of every cell that finished in ``completed``.
     """
+    for fm in features.values():
+        if fm.values.shape[0] < fm.values.shape[1]:
+            fm.gram = fm.values @ fm.values.T
     extracted = _largest(datasets).rows
     rows = {scheme: np.searchsorted(extracted, ds.rows) for scheme, ds in datasets.items()}
     return _run_tasks(cfg, (features, rows), list(enumerate_cells(cfg)), progress)

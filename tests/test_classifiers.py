@@ -16,7 +16,7 @@ from eegbench.classifiers import (
     make_model,
 )
 from eegbench.classifiers.boosting import _sigmoid
-from eegbench.classifiers.tree import DecisionTree, apply_trees, grow_gini_forest, predict_trees
+from eegbench.classifiers.tree import DecisionTree, apply_trees, grow_forest, predict_trees
 
 
 def two_blobs(rng, n=60, d=3, sep=10.0):
@@ -387,18 +387,22 @@ def _naive_cart(X, y, feats_order=None):
     return lambda Q: np.array([predict_one(root, q) for q in np.asarray(Q, float)])
 
 
-def _preorder(tree, node=0):
-    """A tree's splits and leaves depth first, free of how its nodes are numbered."""
-    if tree.feature[node] == -1:
-        return [("leaf", tree.value[node])]
-    return ([(tree.feature[node], tree.threshold[node])]
-            + _preorder(tree, tree.left[node]) + _preorder(tree, tree.right[node]))
-
-
 def _forest_samples(seed, n_trees, n):
-    """The bootstrap rows RandomForestClassifier(seed=seed) draws for each tree."""
+    """The bootstrap rows RandomForestClassifier(seed=seed) draws for each tree,
+    and each tree's generator in the state it leaves them."""
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_trees)]
     return rngs, [rng.integers(0, n, size=n) for rng in rngs]
+
+
+def _splits(tree):
+    """A tree's node lists, numbered in preorder by both growers."""
+    return tree.feature, tree.threshold, tree.left, tree.right, tree.value
+
+
+def _one_tree(X, y, max_features=None, rng=None):
+    """The forest grower's tree on all rows of ``X`` in order."""
+    m = X.shape[1] if max_features is None else max_features
+    return grow_forest(X, y, np.arange(X.shape[0])[None], m, [rng])[0]
 
 
 class TestForest:
@@ -418,12 +422,12 @@ class TestForest:
         # the only cut leaves both sides as mixed as the parent: one leaf, counts 2 and 2
         X, y = np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([5, 2, 5, 2])
         classes, encoded = np.unique(y, return_inverse=True)
-        for tree in (DecisionTree("gini").fit(X, encoded),
-                     grow_gini_forest(X, encoded, [[0, 1, 2, 3]])[0]):
-            assert tree.n_nodes == 1 and classes[int(tree.value[0])] == 2
+        tree = _one_tree(X, encoded)
+        assert tree.n_nodes == 1 and classes[int(tree.value[0])] == 2
         # two trees, one vote each way
         m = RandomForestClassifier(n_trees=2).fit(X, y)
-        m.trees_ = [DecisionTree("gini").fit(X, np.full(4, label)) for label in (1, 0)]
+        m.trees_ = [_one_tree(X, np.full(4, label)) for label in (1, 0)]
+        assert [t.value for t in m.trees_] == [[1.0], [0.0]]
         assert (m.predict(X) == 2).all()
 
     def test_same_seed_identical_forest(self):
@@ -441,7 +445,7 @@ class TestForest:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(20, 3))
         y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
-        tree = grow_gini_forest(X, y, np.arange(X.shape[0])[None])[0]
+        tree = _one_tree(X, y)
         oracle = _naive_cart(X, y)
         q = rng.normal(size=(200, 3))
         assert (predict_trees([tree], X)[0] == oracle(X)).all()
@@ -461,6 +465,8 @@ class TestForest:
         (2, 2, True),
     ], ids=["d1", "d2", "tied_values", "tied_values_n90", "tiny_n", "two_rows"])
     def test_level_wise_trees_equal_depth_first(self, n, d, ties):
+        # forests that draw no feature (d <= 2), which a level-by-level
+        # grower once grew: each tree equals the per-node sort's, node for node
         rng = np.random.default_rng(n + d)
         X = rng.normal(size=(n, d))
         if ties:
@@ -469,9 +475,7 @@ class TestForest:
         m = RandomForestClassifier(n_trees=30, seed=5).fit(X, y)
         _, samples = _forest_samples(5, 30, n)
         for tree, rows in zip(m.trees_, samples):
-            ref = DecisionTree("gini").fit(X[rows], y[rows])
-            assert _preorder(tree) == _preorder(ref)
-            assert tree.n_nodes == ref.n_nodes
+            assert _splits(tree) == _splits(ReferenceTree("gini").fit(X[rows], y[rows]))
 
     def test_level_wise_batches_and_degenerate_samples(self, monkeypatch):
         import eegbench.classifiers.tree as tree_module
@@ -481,16 +485,19 @@ class TestForest:
         y = (X[:, 0] > 0).astype(int)
         samples = rng.integers(0, 40, size=(7, 40))
         samples[3] = np.flatnonzero(y == 0)[rng.integers(0, (y == 0).sum(), size=40)]
-        # three trees to a batch, so the last batch is short
-        monkeypatch.setattr(tree_module, "GROW_BLOCK", 3 * 40 * 2)
-        trees = grow_gini_forest(X, y, samples)
+        # three roots to a step, so the trees start three steps apart, and
+        # later a single node larger than the block takes a step alone
+        monkeypatch.setattr(tree_module, "FOREST_BLOCK", 3 * 40 * 2)
+        trees = grow_forest(X, y, samples, 2)
         assert trees[3].n_nodes == 1 and trees[3].value == [0.0]
         for tree, rows in zip(trees, samples):
-            assert _preorder(tree) == _preorder(DecisionTree("gini").fit(X[rows], y[rows]))
+            assert _splits(tree) == _splits(ReferenceTree("gini").fit(X[rows], y[rows]))
+        monkeypatch.setattr(tree_module, "FOREST_BLOCK", 1)
+        assert [_splits(t) for t in grow_forest(X, y, samples, 2)] == [_splits(t) for t in trees]
         # the only cut leaves both sides as mixed as the parent: no split
         X, y = np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 1, 0, 1])
-        assert grow_gini_forest(X, y, [[0, 1, 2, 3]])[0].n_nodes == 1
-        assert DecisionTree("gini").fit(X, y).n_nodes == 1
+        assert _one_tree(X, y).n_nodes == 1
+        assert len(ReferenceTree("gini").fit(X, y).feature) == 1
 
     def test_feature_draws_stay_depth_first(self):
         # sqrt(3) rounds up to 2 of 3 columns: every node draws from the tree's generator
@@ -500,21 +507,43 @@ class TestForest:
         m = RandomForestClassifier(n_trees=10, seed=4).fit(X, y)
         rngs, samples = _forest_samples(4, 10, 60)
         for tree, tree_rng, rows in zip(m.trees_, rngs, samples):
-            ref = DecisionTree("gini", max_features=2, rng=tree_rng).fit(X[rows], y[rows])
-            assert (tree.feature, tree.threshold, tree.left) == (ref.feature, ref.threshold, ref.left)
+            ref = ReferenceTree("gini", max_features=2, rng=tree_rng).fit(X[rows], y[rows])
+            assert _splits(tree) == _splits(ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 200])
+    def test_trees_equal_reference_grower(self, d):
+        # heavy ties, a constant column, bootstrap rows drawn from 25 of 60
+        # (so most rows repeat), and one tree on a single label
+        rng = np.random.default_rng(40 + d)
+        X = np.round(rng.normal(size=(60, d)) * 2.0) / 2.0
+        if d > 1:
+            X[:, -1] = 3.0
+        y = (X[:, 0] + 0.7 * rng.normal(size=60) > 0).astype(int)
+        samples = rng.choice(25, size=(12, 60))
+        samples[5] = np.flatnonzero(y == 1)[:1].repeat(60)
+        m = math.ceil(math.sqrt(d))
+        trees = grow_forest(X, y, samples, m, [np.random.default_rng(b) for b in range(12)])
+        assert trees[5].n_nodes == 1 and trees[5].value == [1.0]
+        assert sum(t.n_nodes for t in trees) > 12 * 5
+        for b, (tree, rows) in enumerate(zip(trees, samples)):
+            ref = ReferenceTree("gini", max_features=m, rng=np.random.default_rng(b))
+            assert _splits(tree) == _splits(ref.fit(X[rows], y[rows]))
 
     def test_level_wise_fit_memory_is_bounded(self):
-        # all 100 trees of a 400 x 2 fit grown in one batch peak near 13 MB
+        # FOREST_BLOCK bounds the entries a step scores: a 100-tree fit that
+        # grew all its roots in one step would peak near 8 MB at 400 x 2
+        # and 45 MB at 450 x 200, where every node draws 15 columns
         rng = np.random.default_rng(10)
-        X = rng.normal(size=(400, 2))
-        y = (X[:, 0] + 0.5 * rng.normal(size=400) > 0).astype(int)
-        tracemalloc.start()
-        try:
-            RandomForestClassifier(seed=1).fit(X, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        for n, d in ((400, 2), (450, 200)):
+            X = rng.normal(size=(n, d))
+            y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(int)
+            tracemalloc.start()
+            try:
+                RandomForestClassifier(seed=1).fit(X, y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6
 
 
 class TestBoosting:
@@ -567,30 +596,37 @@ class TestDecisionTreeDirect:
     def test_regression_tree_recovers_step_function(self):
         X = np.linspace(0, 1, 50).reshape(-1, 1)
         y = np.where(X[:, 0] < 0.43, 2.0, 5.0)
-        t = DecisionTree("mse", max_depth=2).fit(X, y)
+        t = DecisionTree(max_depth=2).fit(X, y)
         assert np.abs(predict_trees([t], X)[0] - y).max() < 1e-12
 
     @pytest.mark.parametrize("criterion", ["gini", "mse"])
     def test_leaf_rows_are_the_rows_each_leaf_receives(self, criterion):
         rng = np.random.default_rng(7)
         X = np.round(rng.normal(size=(70, 2)), 1)
-        t = (X[:, 0] > 0.2).astype(int) if criterion == "gini" else X[:, 1] ** 2
-        tree = DecisionTree(criterion, max_depth=4).fit(X, t)
+        if criterion == "gini":
+            # a forest tree keeps no rows: each leaf's value is the class
+            # vote of the training rows that reach it, class 0 on a tie
+            t = (X[:, 0] + 0.5 * rng.normal(size=70) > 0.2).astype(int)
+            tree = _one_tree(X, t)
+            leaf_of = apply_trees([tree], X)[0]
+            assert len(set(leaf_of.tolist())) > 3
+            for leaf in set(leaf_of.tolist()):
+                votes = t[leaf_of == leaf]
+                assert tree.value[leaf] == float(2 * votes.sum() > votes.size)
+            return
+        tree = DecisionTree(max_depth=4).fit(X, X[:, 1] ** 2)
         leaf_of = apply_trees([tree], X)[0]
         assert sorted(leaf for leaf, _ in tree.leaf_rows_) == sorted(set(leaf_of.tolist()))
         for leaf, rows in tree.leaf_rows_:
             assert np.array_equal(rows, np.flatnonzero(leaf_of == leaf))
 
-    def test_unknown_criterion(self):
-        with pytest.raises(ValueError):
-            DecisionTree("entropy")
-
 
 class ReferenceTree:
     """CART grown with a stable argsort at every node, walked with a Python stack.
 
-    A copy of the grower and the walk that presorted growth and the flat
-    walk replaced, kept here as the reference they must equal node for node.
+    A copy of the grower and the walk that presorted growth, the lockstep
+    forest grower and the flat walk replaced, kept here as the reference
+    they must equal node for node.
     """
 
     def __init__(self, criterion, max_depth=None, max_features=None, rng=None):
@@ -762,26 +798,35 @@ class TestPresortedGrowth:
              else rng.integers(0, 2, size=X.shape[0]))
         if case == "two_rows" and criterion == "gini":
             t = np.array([0, 1])
-        tree = DecisionTree(criterion, max_depth=depth).fit(X, t)
-        assert _nodes(tree) == _nodes(ReferenceTree(criterion, max_depth=depth).fit(X, t))
+        if criterion == "gini":
+            # forest trees grow fully: no depth cap
+            assert _splits(_one_tree(X, t)) == _splits(ReferenceTree("gini").fit(X, t))
+            return
+        tree = DecisionTree(max_depth=depth).fit(X, t)
+        assert _nodes(tree) == _nodes(ReferenceTree("mse", max_depth=depth).fit(X, t))
 
-    @pytest.mark.parametrize("criterion", ["mse", "gini"])
+    @pytest.mark.parametrize("criterion", ["gini"])
     def test_feature_drawing_trees_keep_per_node_sort(self, criterion):
         rng = np.random.default_rng(27)
         X = np.round(rng.normal(size=(90, 5)), 1)
-        t = rng.normal(size=90) if criterion == "mse" else rng.integers(0, 2, size=90)
-        trees = [cls(criterion, max_features=2, rng=np.random.default_rng(4)).fit(X, t)
-                 for cls in (DecisionTree, ReferenceTree)]
-        assert trees[0].n_nodes > 9
-        assert _nodes(trees[0]) == _nodes(trees[1])
+        t = rng.integers(0, 2, size=90)
+        tree = _one_tree(X, t, 2, np.random.default_rng(4))
+        assert tree.n_nodes > 9
+        ref = ReferenceTree(criterion, max_features=2, rng=np.random.default_rng(4))
+        assert _splits(tree) == _splits(ref.fit(X, t))
 
     @pytest.mark.parametrize("criterion", ["mse", "gini"])
     def test_node_without_gain_stays_a_leaf(self, criterion):
         # the only cut leaves both sides as mixed as the parent
         X, t = np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 1, 0, 1])
-        tree = DecisionTree(criterion).fit(X, t)
+        ref = ReferenceTree(criterion).fit(X, t)
+        if criterion == "gini":
+            tree = _one_tree(X, t)
+            assert tree.n_nodes == 1 and _splits(tree) == _splits(ref)
+            return
+        tree = DecisionTree().fit(X, t)
         assert tree.n_nodes == 1
-        assert _nodes(tree) == _nodes(ReferenceTree(criterion).fit(X, t))
+        assert _nodes(tree) == _nodes(ref)
 
     def test_boosting_equals_reference_grower(self):
         rng = np.random.default_rng(21)
@@ -845,8 +890,8 @@ class TestFlatWalk:
     def test_one_node_tree_and_no_rows(self):
         rng = np.random.default_rng(26)
         X = rng.normal(size=(20, 2))
-        lone = DecisionTree("gini").fit(X, np.ones(20, dtype=int))
-        deep = DecisionTree("mse").fit(X, rng.normal(size=20))
+        lone = _one_tree(X, np.ones(20, dtype=int))
+        deep = DecisionTree().fit(X, rng.normal(size=20))
         assert lone.n_nodes == 1
         self._assert_walk_equals_reference([lone, deep], rng.normal(size=(15, 2)))
         self._assert_walk_equals_reference([lone, deep], np.zeros((0, 2)))

@@ -416,6 +416,32 @@ class TestGramPcaSplit:
         assert np.abs(train_proj - ref_train).max() <= bound
         assert np.abs(test_proj - ref_test).max() <= bound
 
+    def test_large_dc_offset_matches_svd_oracle(self):
+        # column means about 2 000 times the column spread, as a recording
+        # with a large DC offset would give: the uncentred Gram matrix loses
+        # about r² of its relative precision, and a split must still agree
+        # with the SVD of the centred training rows to 1e-14 (1 + r²) of the
+        # largest projection, about 4e-8 here (measured 1.1e-8)
+        rng = np.random.default_rng(32)
+        X = rng.normal(size=(120, 20)) @ rng.normal(size=(20, 1500)) + 0.3 * rng.normal(size=(120, 1500))
+        X += rng.normal(size=1500) * 2000.0 * np.sqrt(np.mean(X.var(axis=0)))
+        order = rng.permutation(120)
+        train, test = np.sort(order[:96]), np.sort(order[96:])
+        train_proj, test_proj = ft.gram_pca_split(X, X @ X.T, train, test, 0.95)
+
+        mean = X[train].mean(axis=0)
+        U, S, Vt = np.linalg.svd(X[train] - mean, full_matrices=False)
+        k = int(np.searchsorted(np.cumsum(S ** 2 / np.sum(S ** 2)), 0.95 - 1e-12) + 1)
+        assert train_proj.shape == (96, k) and test_proj.shape == (24, k) and k > 10
+        sign = np.sign(np.sum(U[:, :k] * train_proj, axis=0))
+        ref_train = U[:, :k] * (S[:k] * sign)
+        ref_test = (X[test] - mean) @ (Vt[:k].T * sign)
+        r2 = np.mean(mean ** 2) / np.mean(X[train].var(axis=0))
+        assert 1500 ** 2 < r2 < 2500 ** 2
+        bound = 1e-14 * (1.0 + r2) * np.abs(ref_train).max()
+        assert np.abs(train_proj - ref_train).max() <= bound
+        assert np.abs(test_proj - ref_test).max() <= bound
+
     def test_sign_tie_across_column_blocks_takes_the_first(self):
         # column 300 (second block) is column 10 negated and both dominate the
         # first axis: its two largest loadings tie, and the first is positive

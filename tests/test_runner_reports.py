@@ -189,7 +189,7 @@ def test_wfe_is_the_corpus_matrix(corpus_root, tmp_path, monkeypatch):
     assert tasks == []
     wfe = features["wfe"]
     assert np.shares_memory(wfe.values, corpus.samples)
-    assert np.array_equal(wfe.gram, corpus.samples @ corpus.samples.T)
+    assert wfe.gram is None          # the cells compute it; extraction alone does not
     assert peak < 1.5 * corpus.samples.nbytes
 
     cfg.extractors = ["wfe", "mfcc"]

@@ -2,11 +2,12 @@
 
 Every model exposes ``fit(X, y) -> self``, ``predict(X) -> labels`` and a
 ``classes_`` attribute after fitting; predictions are always drawn from
-the training label set. The random forest takes an explicit seed; the
-rest are deterministic without one. The evaluation's stratified splits
-give every training side both labels: boosting, the SVM, LDA, QDA and
-naive Bayes reject fewer, while the forest and kNN fit one label as it is.
-The forest rejects more than two labels; its trees are two-class.
+the training label set. The forest takes a seed, the evaluation's per
+split and model; the rest need none. The models of a split share its
+train-fitted PCA inputs, standardized for ``STANDARDIZED_KINDS``, and
+its stratified training side with both labels (boosting, the SVM, LDA,
+QDA and naive Bayes reject fewer; the forest and kNN fit one as it is;
+the forest's trees are two-class).
 
 ``make_model`` builds each model at the paper's one setting, the
 constructor defaults: LDA and QDA with ridge 1e-6, naive Bayes with a

@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from .config import ENV_CORPUS_ROOT, validate_config
@@ -89,12 +90,15 @@ def _cmd_run(args) -> int:
     if not _prepare_output(cfg.output_dir, is_dir=True):
         return EXIT_CONFIG
 
+    started = time.monotonic()
+
     def progress(key, done, total):
-        if not args.quiet:
-            print(f"[{done:3d}/{total}] {'/'.join(key)}", flush=True)
+        elapsed = time.monotonic() - started
+        print(f"[{done:3d}/{total}] {'/'.join(key)}  {elapsed:.0f} s elapsed, "
+              f"ETA {elapsed * (total - done) / done:.0f} s", flush=True)
 
     try:
-        output_dir = runner.run_experiment(cfg, progress=progress)
+        output_dir = runner.run_experiment(cfg, progress=None if args.quiet else progress)
     except FileExistsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

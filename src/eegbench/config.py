@@ -24,7 +24,6 @@ defaults, listed in :mod:`eegbench.classifiers`.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
 import json
 import os
@@ -163,7 +162,7 @@ def build_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         labels = np.repeat([0, 1], [len(NEGATIVE_TAGS) * per_negative, SIGNALS_PER_SET])
         for plan in (kfold_plan, holdout_plan):
             try:
-                make_splits(labels, dataclasses.replace(plan, n_repeats=1))
+                make_splits(labels, plan)
             except ValueError as exc:
                 raise ConfigError(f"{plan.kind} on the {scheme} scheme: {exc}") from None
 

@@ -16,13 +16,13 @@ class DataError(EegBenchError):
 class CellError(EegBenchError):
     """A benchmark cell failed; carries enough context to locate it."""
 
-    def __init__(self, message, *, scheme=None, extractor=None, model=None, replication=None):
-        super().__init__(message)
-        self.scheme = scheme
-        self.extractor = extractor
-        self.model = model
-        self.replication = replication
-        self.completed = {}     # results of the cells finished before this one
+    def __init__(self, scheme, extractor, model, replication, cause):
+        # the args rebuild it when a pool worker's error is unpickled
+        super().__init__(scheme, extractor, model, replication, str(cause))
+        self.scheme, self.extractor, self.model, self.replication = self.args[:4]
+
+    def __str__(self):
+        return "cell failed: scheme={} extractor={} model={} replication={}: {}".format(*self.args)
 
 
 class ConvergenceError(EegBenchError):

@@ -1,10 +1,10 @@
-"""Replicated resampling and per-cell benchmark execution.
+"""Replicated resampling and per-replication benchmark execution.
 
-Seeding: every random decision derives from the master seed through
-``derive_seed(master, scheme, plan kind, extractor, model, purpose,
-replication)`` (SHA-256 of the joined parts), so any cell can be rerun
-in isolation and reproduces bit-identically regardless of execution
-order or worker count.
+Seeding: ``derive_seed`` hashes the master seed with a replication's
+``(scheme, plan kind, "split", replication)`` for its splits, which every
+extractor and model of the scheme share, and with ``(scheme, plan kind,
+extractor, model, "fit", replication, split)`` for a fit (only ``rf``
+draws on it), so any replication reruns bit-identically in isolation.
 
 Leakage rule: PCA and standardization statistics are fitted on the
 training rows of each split only, then applied to both sides. PCA keeps
@@ -14,9 +14,11 @@ matrix ``X Xᵀ``: each entry is the product of two rows alone, so the
 training block ``G[train, train]`` depends on the training rows only,
 and the test rows enter only through ``G[test, train]``, to be projected.
 
-Results: ``run_cell`` gives one long row per replication, ``(scheme,
-extractor, model, replication, accuracy, sensitivity, specificity)``,
-the one format of the runner, the report writers and ``eegbench stats``.
+Task: ``run_cell`` runs one replication of (scheme, plan, extractor),
+computing each split's inputs once for every model, and returns a long
+row per model, ``(scheme, extractor, model, replication, accuracy,
+sensitivity, specificity)``, the one format of the runner, the report
+writers and ``eegbench stats``.
 """
 
 from __future__ import annotations
@@ -58,17 +60,13 @@ class SplitPlan:
         if self.n_repeats < 1:
             raise ValueError("need at least one repetition")
 
-    @property
-    def splits_per_repeat(self) -> int:
-        return self.k if self.kind == "kfold" else 1
-
 
 def make_splits(labels, plan: SplitPlan) -> list:
-    """Stratified (train, test) index pairs, ``n_repeats`` groups in order.
+    """One repetition's stratified (train, test) index pairs, drawn from ``plan.seed``.
 
-    k-fold: within each repeat every index lands in exactly one test
-    fold, with per-label counts balanced across folds within one.
-    holdout: each repetition samples ``test_fraction`` of every label.
+    k-fold: every index lands in exactly one test fold, with per-label
+    counts balanced across folds within one. holdout: one pair, whose test
+    side samples ``test_fraction`` of every label.
     """
     y = np.asarray(labels)
     rng = np.random.default_rng(plan.seed)
@@ -82,21 +80,13 @@ def make_splits(labels, plan: SplitPlan) -> list:
         n_test = [int(round(plan.test_fraction * c)) for c in counts]
         if any(t < 1 or t >= c for c, t in zip(counts, n_test)):
             raise ValueError("stratification impossible: empty train or test side for a label")
-    out = []
-    for _ in range(plan.n_repeats):
-        shuffled = []
-        for v in values:
-            idx = np.flatnonzero(y == v)
-            rng.shuffle(idx)
-            shuffled.append(idx)
-        if plan.kind == "kfold":
-            tests = [[idx[f::plan.k] for idx in shuffled] for f in range(plan.k)]
-        else:
-            tests = [[idx[:t] for idx, t in zip(shuffled, n_test)]]
-        for parts in tests:
-            test = np.sort(np.concatenate(parts))
-            out.append((np.setdiff1d(np.arange(y.size), test), test))
-    return out
+    shuffled = [rng.permutation(np.flatnonzero(y == v)) for v in values]
+    if plan.kind == "kfold":
+        tests = [[idx[f::plan.k] for idx in shuffled] for f in range(plan.k)]
+    else:
+        tests = [[idx[:t] for idx, t in zip(shuffled, n_test)]]
+    tests = [np.sort(np.concatenate(parts)) for parts in tests]
+    return [(np.setdiff1d(np.arange(y.size), test), test) for test in tests]
 
 
 def split_rates(y_true, y_pred):
@@ -112,15 +102,13 @@ def split_rates(y_true, y_pred):
     return acc, sen, spe
 
 
-def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0, gram=None):
-    """Fit one split end to end; returns (acc, sen, spe).
-
-    All fold statistics (PCA axes, standardization moments) come from the
-    training rows alone, and ``X`` is left alone. A wide ``X`` (fewer rows
-    than columns) is projected by ``gram_pca_split`` from ``gram``, its
-    ``X @ X.T``, which is computed here when not given; a tall one by
-    ``pca_fit`` on the gathered training rows and ``pca_apply``.
-    """
+def split_inputs(X, train_idx, test_idx, gram=None) -> tuple:
+    """One split's model inputs, indexed by ``model in STANDARDIZED_KINDS``:
+    (training, test) rows of ``X`` on its training rows' principal axes
+    (for a wide ``X`` by ``gram_pca_split`` from ``gram = X @ X.T``, made
+    here if not given; for a tall one by ``pca_fit`` and ``pca_apply``),
+    then those standardized by the training moments (a constant column by
+    1). ``X`` is left alone."""
     if X.shape[0] < X.shape[1]:
         gram = X @ X.T if gram is None else gram
         X_train, X_test = gram_pca_split(X, gram, train_idx, test_idx, PCA_VARIANCE_TARGET)
@@ -128,50 +116,49 @@ def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0, gram=None):
         X_train = X[train_idx]
         pca = pca_fit(X_train, PCA_VARIANCE_TARGET)
         X_train, X_test = pca_apply(pca, X_train), pca_apply(pca, X[test_idx])
-    if model_kind in STANDARDIZED_KINDS:
-        mu = X_train.mean(axis=0)
-        sd = X_train.std(axis=0)
-        sd[sd == 0] = 1.0
-        X_train = (X_train - mu) / sd
-        X_test = (X_test - mu) / sd
+    mu = X_train.mean(axis=0)
+    sd = X_train.std(axis=0)
+    sd[sd == 0] = 1.0
+    return (X_train, X_test), ((X_train - mu) / sd, (X_test - mu) / sd)
+
+
+def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0, gram=None, inputs=None):
+    """Fit one model on one split; returns (acc, sen, spe). ``inputs`` is
+    the split's ``split_inputs``, computed here when not given."""
+    inputs = split_inputs(X, train_idx, test_idx, gram) if inputs is None else inputs
+    X_train, X_test = inputs[model_kind in STANDARDIZED_KINDS]
     model = make_model(model_kind, seed=seed)
     model.fit(X_train, y[train_idx])
     return split_rates(y[test_idx], model.predict(X_test))
 
 
-def run_cell(scheme: str, extractor: str, model_kind: str, plan: SplitPlan,
-             *, features: FeatureMatrix, rows=None, master_seed: int = 0) -> list:
-    """Evaluate one benchmark cell under a replicated resampling plan.
+def run_cell(scheme: str, extractor: str, models, plan: SplitPlan, replication: int,
+             *, features: FeatureMatrix, rows=None, master_seed: int = 0) -> dict:
+    """One replication of the cells (scheme, plan, extractor, model) of ``models``.
 
-    Returns a long row per replication, each rate the mean over its
-    splits. ``features`` is ``extractor``'s matrix, shared by every
-    scheme, and ``rows`` the scheme's sorted rows of it (default: all).
-    Splits are drawn on the scheme's labels and mapped through ``rows``,
-    so each reads ``features`` and its Gram matrix, if any, in place.
-    Failures abort the cell and carry (scheme, extractor, model, replication).
+    Returns {model: long row}, each rate the mean over the splits.
+    ``features`` is ``extractor``'s matrix and ``rows`` the scheme's sorted
+    rows of it (default: all); splits drawn on their labels read it and
+    its Gram matrix in place. A failure carries (scheme, extractor, model,
+    replication), with the first model if the split's inputs failed.
     """
     X, labels = features.values, features.labels
     rows = np.arange(features.n_instances) if rows is None else rows
-    split_seed = derive_seed(master_seed, scheme, plan.kind, extractor, model_kind, "split")
-    splits = make_splits(labels[rows], replace(plan, seed=split_seed))
-    per_rep = plan.splits_per_repeat
-    result = []
-    for rep in range(plan.n_repeats):
-        rates = []
-        for s in range(per_rep):
-            train_idx, test_idx = splits[rep * per_rep + s]
-            fit_seed = derive_seed(master_seed, scheme, plan.kind, extractor,
-                                   model_kind, "fit", rep, s)
-            try:
-                rates.append(fit_split(X, labels, rows[train_idx], rows[test_idx], model_kind,
-                                       fit_seed, features.gram))
-            except Exception as exc:
-                raise CellError(
-                    f"cell failed: scheme={scheme} extractor={extractor} "
-                    f"model={model_kind} replication={rep}: {exc}",
-                    scheme=scheme, extractor=extractor,
-                    model=model_kind, replication=rep,
-                ) from exc
-        result.append((scheme, extractor, model_kind, rep,
-                       *(float(np.mean(parts)) for parts in zip(*rates))))
-    return result
+    splits = make_splits(labels[rows], replace(plan, seed=derive_seed(
+        master_seed, scheme, plan.kind, "split", replication)))
+    rates = {model: [] for model in models}
+    for s, (train_idx, test_idx) in enumerate(splits):
+        train_idx, test_idx, model = rows[train_idx], rows[test_idx], models[0]
+        try:
+            inputs = split_inputs(X, train_idx, test_idx, features.gram)
+            for model in models:
+                fit_seed = derive_seed(master_seed, scheme, plan.kind, extractor, model, "fit",
+                                       replication, s)
+                rates[model].append(fit_split(X, labels, train_idx, test_idx, model, fit_seed,
+                                              inputs=inputs))
+        except Exception as exc:
+            raise CellError(scheme, extractor, model, replication, exc) from exc
+        del inputs          # one split's inputs at a time
+    return {model: (scheme, extractor, model, replication,
+                    *(float(np.mean(parts)) for parts in zip(*rates[model])))
+            for model in models}

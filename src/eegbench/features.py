@@ -17,6 +17,7 @@ rows, each row bit-for-bit the one its signal gives in a one-row stack.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,13 +144,14 @@ class FeatureMatrix:
     gram: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.feature_names) != len(set(self.feature_names)):
+        # without a set or a matrix-sized temporary: sorting pairs duplicates; min/max carry nan/inf
+        if any(a == b for a, b in itertools.pairwise(sorted(self.feature_names))):
             raise ValueError("duplicate feature names")
         if self.values.shape[1] != len(self.feature_names):
             raise ValueError("column count does not match feature names")
         if self.labels.shape[0] != self.values.shape[0]:
             raise ValueError("label count does not match row count")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite([self.values.min(initial=0.0), self.values.max(initial=0.0)]).all():
             raise ValueError("feature matrix contains non-finite values")
 
     @property
@@ -184,7 +186,7 @@ def extract_matrix(samples, labels, extractor: str) -> FeatureMatrix:
         blocks = [wavelet_band_features(x[start:start + EXTRACT_BLOCK], extractor)
                   for start in range(0, len(x), EXTRACT_BLOCK)]
         values, names = np.vstack([v for v, _ in blocks]), blocks[0][1]
-    return FeatureMatrix(values, list(names), np.asarray(labels, dtype=int))
+    return FeatureMatrix(values, names, np.asarray(labels, dtype=int))
 
 
 @dataclass

@@ -3,7 +3,7 @@ statistics tables (CSV plus aligned text), and boxplot data.
 
 A long row is ``(scheme, extractor, model, replication, accuracy,
 sensitivity, specificity)``, in ``LONG_HEADER`` order: one replication of
-one cell, as ``run_cell`` returns it, ``write_long_csv`` writes it and
+one cell, as ``run_cell`` returns it per model, ``write_long_csv`` writes it and
 ``read_long_csv`` reads it back. The writers keep the order of the rows
 they are given within each table, so rows joined from the sorted cell
 keys give the same bytes at every ``jobs``.
@@ -178,5 +178,8 @@ def write_inference_reports(rows, scheme: str, out_dir: Path):
         for c in comparisons:
             lines.append(f"{c.comparison:<14} {c.estimate:9.2f} {c.conf_low:9.2f} "
                          f"{c.conf_high:10.2f} {c.adj_p:7.3f}")
+    lines += ["", "Hold-out replicates overlap, and every model and extractor shares them: the F",
+              "and Tukey p-values assume an independence that does not hold (Dietterich 1998;",
+              "Nadeau & Bengio, Machine Learning 2003)."]
     (out_dir / f"inference_{scheme}.txt").write_text("\n".join(lines) + "\n")
     return table, effects, hsd_extr, hsd_models

@@ -2,32 +2,26 @@
 
 A run has two phases, and ``_run_tasks`` runs both: feature extraction,
 one task per ``EXTRACT_BLOCK`` rows of the corpus matrix and extractor,
-then the cells (scheme x plan x extractor x model). Under ``jobs=1`` the
-tasks run in order in this process; otherwise on workers forked from it,
-which inherit the samples and the features. Results are keyed by task,
-so output never depends on completion order. Every scheme's rows are a
-subset of the largest scheme's, so each extractor has one feature matrix
-of those rows, which every scheme's cells index. ``wfe`` is no extraction task: it is the
-samples themselves, whose Gram matrix this process computes once, just
-before the cells, for their split PCA. A run without ``wfe`` releases the
-samples before the cells run. A cell's result is its long rows (see
-:mod:`eegbench.reporting`); ``_write_bundle`` joins those of the sorted
-cell keys per plan for every report writer, writes the report into a
-temp dir and renames it into place; after a failure in the cells phase
-(a ``CellError``, or any other exception once a cell has finished) it
-writes ``<output>.partial`` the same way, with the manifest and cells
-CSVs of every completed cell.
+then one task per (scheme, plan, extractor, replication), which fits
+every model on each of its splits. Under ``jobs=1`` the tasks run in
+order here, else on workers forked from this process, which inherit the
+samples and features. Results are keyed by task, so output never depends
+on completion order. Each extractor has one matrix, of the largest
+scheme's rows, which every scheme indexes; ``wfe`` is the samples, whose
+Gram matrix is computed once before the cells (a run without ``wfe``
+releases the samples then). ``_write_bundle`` writes the long rows of
+the sorted cell keys into a temp dir renamed into place, or after a
+failure in the cells phase those of every complete cell, as
+``<output>.partial``.
 
-Of scipy, a run loads the package itself, for the manifest's version
-entry, and ``scipy.special`` only when the bundle's ANOVA and Tukey
-tables are written (more than one model and extractor, and more than
-one hold-out repeat): the report stage, after any pool has exited.
-Nothing a run reaches imports ``scipy.linalg``; the classifiers and PCA
-solve with numpy.
+Of scipy, a run loads the package, for the manifest, and ``scipy.special``
+only when it writes the ANOVA and Tukey tables, after any pool has
+exited; nothing it reaches imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -77,16 +71,19 @@ class _Chunk(NamedTuple):
 def extract_features(cfg: RunConfig, corpus, datasets: dict) -> dict:
     """extractor -> FeatureMatrix of the largest scheme's rows; extraction is per-row pure.
 
-    Those rows are the corpus matrix itself when they are all of it, and
-    a gathered copy otherwise. ``wfe`` is those samples, passed through
-    one ``extract_matrix`` call in this process, which does not copy
-    them. Every other extractor is one ``_Chunk`` task per
-    ``EXTRACT_BLOCK`` rows, the same tasks at any ``jobs``;
-    ``_run_tasks`` runs them, and the blocks are stacked in order.
+    Those rows are the corpus matrix when they are all of it, and else its
+    first rows, moved there in place (spending the corpus), not a copy.
+    ``wfe`` is those samples, through one ``extract_matrix`` call here,
+    which does not copy them. Every other extractor is one ``_Chunk`` task
+    per ``EXTRACT_BLOCK`` rows, the same tasks at any ``jobs``, and the
+    blocks are stacked in order.
     """
     largest = _largest(datasets)
     rows, labels = largest.rows, largest.labels
-    samples = corpus.samples if rows.size == len(corpus.samples) else corpus.samples[rows]
+    samples = corpus.samples
+    for i, row in enumerate(rows if rows.size < len(samples) else ()):
+        samples[i] = samples[row]   # rows are sorted: each is read before it is overwritten
+    samples = samples[:rows.size]
     chunks = [_Chunk(extractor, start) for extractor in cfg.extractors if extractor != "wfe"
               for start in range(0, rows.size, EXTRACT_BLOCK)]
     parts = _run_tasks(cfg, (samples, labels), chunks) if chunks else {}
@@ -112,31 +109,51 @@ def enumerate_cells(cfg: RunConfig):
 def execute_cells(cfg: RunConfig, datasets: dict, features: dict, progress=None):
     """Run every configured cell through ``_run_tasks``; returns {key: long rows} in cell order.
 
-    Each cell reads its extractor's matrix at its scheme's rows of it.
-    Each wide matrix (``wfe``) first gets its Gram matrix, once for every
-    scheme and before any worker is forked, so the workers inherit it.
-    Any exception, a failing cell's ``CellError`` or an interrupt, leaves
-    with the results of every cell that finished in ``completed``.
+    A task is ``run_cell`` of one (scheme, plan, extractor, replication).
+    A cell's rows are its replications', in order; ``progress(cell key,
+    done, total)`` fires as the last lands. A wide matrix (``wfe``) gets
+    its Gram matrix before any worker forks. Any exception leaves with the
+    rows of every cell whose replications all finished in ``completed``.
     """
     for fm in features.values():
         if fm.values.shape[0] < fm.values.shape[1]:
             fm.gram = fm.values @ fm.values.T
     extracted = _largest(datasets).rows
     rows = {scheme: np.searchsorted(extracted, ds.rows) for scheme, ds in datasets.items()}
-    return _run_tasks(cfg, (features, rows), list(enumerate_cells(cfg)), progress)
+    reps = {"kfold": range(cfg.kfold_plan.n_repeats), "holdout": range(cfg.holdout_plan.n_repeats)}
+    cells = list(enumerate_cells(cfg))
+    tasks = list(dict.fromkeys((*cell[:3], rep) for cell in cells for rep in reps[cell[1]]))
+    finished, landed = itertools.count(1), {}
+
+    def task_landed(task, *_):
+        landed[task[:3]] = landed.get(task[:3], 0) + 1
+        if progress and landed[task[:3]] == len(reps[task[1]]):
+            for model in cfg.models:
+                progress((*task[:3], model), next(finished), len(cells))
+
+    def by_cell(results):
+        return {cell: [results[(*cell[:3], rep)][cell[3]] for rep in reps[cell[1]]]
+                for cell in cells if all((*cell[:3], rep) in results for rep in reps[cell[1]])}
+
+    try:
+        results = _run_tasks(cfg, (features, rows), tasks, task_landed)
+    except BaseException as exc:
+        exc.completed = by_cell(exc.completed)
+        raise
+    return by_cell(results)
 
 
 def _run_task(cfg: RunConfig, inputs, task):
-    """One task's result: a ``_Chunk`` of the (samples, labels) ``inputs``,
-    or a cell key over the (features, rows by scheme) ``inputs``."""
+    """One task's result: a ``_Chunk`` of the (samples, labels) ``inputs``, or a
+    (scheme, plan, extractor, replication) over the (features, rows by scheme) ``inputs``."""
     if isinstance(task, _Chunk):
         samples, labels = inputs
         block = slice(task.start, task.start + EXTRACT_BLOCK)
         return extract_matrix(samples[block], labels[block], task.extractor)
-    scheme, plan_name, extractor, model = task
+    scheme, plan_name, extractor, rep = task
     features, rows = inputs
     plan = cfg.kfold_plan if plan_name == "kfold" else cfg.holdout_plan
-    return run_cell(scheme, extractor, model, plan, features=features[extractor],
+    return run_cell(scheme, extractor, cfg.models, plan, rep, features=features[extractor],
                     rows=rows[scheme], master_seed=cfg.master_seed)
 
 
@@ -211,16 +228,9 @@ def _manifest(cfg: RunConfig, completed, started: tuple) -> dict:
         "master_seed": cfg.master_seed,
         "completed_cells": ["/".join(key) for key in completed],
         "elapsed_seconds": round(time.time() - started[0], 3),
-        "resources": {
-            "peak_rss_mb": round(peak_rss_mb, 1),
-            "cpu_s": round(cpu_s - started[1], 3),
-        },
-        "versions": {
-            "eegbench": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": platform.python_version(),
-        },
+        "resources": {"peak_rss_mb": round(peak_rss_mb, 1), "cpu_s": round(cpu_s - started[1], 3)},
+        "versions": {"eegbench": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+                     "python": platform.python_version()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
@@ -230,16 +240,13 @@ def _write_bundle(cfg: RunConfig, datasets: dict, results: dict, started: tuple,
     """Write a report bundle into a temp dir beside its target, then rename it there.
 
     ``started`` is the run's (wall clock, ``_usage`` CPU seconds) at its
-    start; the manifest's ``resources`` block holds the peak RSS so far
-    (this process or a reaped worker, whichever is larger) and the CPU
-    seconds since then.
-
-    Without ``failure`` the target is ``output_dir`` and the bundle is the
-    full report; an earlier run's ``<output>.partial`` is removed once it
-    is written. After a failure the target is ``<output>.partial`` (any
-    earlier one is removed first), with the cells CSVs and the manifest of
-    the completed cells and a ``failure`` block; its scheme, extractor,
-    model and replication are null unless the failure is a ``CellError``.
+    start; the manifest's ``resources`` hold the peak RSS so far (this
+    process or a reaped worker) and the CPU seconds since then. Without
+    ``failure`` the target is ``output_dir``, and an earlier
+    ``<output>.partial`` goes once it is written. After a failure the
+    target is ``<output>.partial`` (any earlier one removed first): the
+    cells CSVs and manifest of the completed cells, with a ``failure``
+    block whose cell fields are null unless it is a ``CellError``.
     """
     partial = cfg.output_dir.with_name(cfg.output_dir.name + ".partial")
     target = cfg.output_dir if failure is None else partial

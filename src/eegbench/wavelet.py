@@ -63,9 +63,6 @@ _LOWPASS = {
     ),
 }
 
-# Number of vanishing moments of the analysis high-pass filter.
-VANISHING_MOMENTS = {"haar": 1, "db2": 2, "db4": 4, "coif1": 2}
-
 
 @dataclass(frozen=True)
 class WaveletFilter:

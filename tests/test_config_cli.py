@@ -242,6 +242,35 @@ class TestCli:
         assert cli.main(["run", str(minimal_config), "--jobs", jobs]) == 1
         assert capsys.readouterr().err == "config error: jobs must be at least 1\n"
 
+    def test_progress_lines_show_elapsed_time_and_eta(self, minimal_config, tmp_path, capsys,
+                                                      monkeypatch):
+        # the ETA extrapolates the time per finished cell to the cells left
+        from types import SimpleNamespace
+
+        from eegbench import runner
+
+        keys = [("balanced", "kfold", "db2", model) for model in ("lda", "knn", "nb", "svm")]
+        clock = iter([100.0, 110.0, 130.0, 190.0])
+
+        def run(cfg, progress):
+            for done, key in enumerate(keys[:3] if progress else (), start=1):
+                progress(key, done, len(keys))
+            return cfg.output_dir
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        monkeypatch.setattr(runner, "run_experiment", run)
+        out = tmp_path / "report"
+        assert cli.main(["run", str(minimal_config), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[  1/4] balanced/kfold/db2/lda  10 s elapsed, ETA 30 s",
+            "[  2/4] balanced/kfold/db2/knn  30 s elapsed, ETA 30 s",
+            "[  3/4] balanced/kfold/db2/nb  90 s elapsed, ETA 30 s",
+            f"report written to {out}",
+        ]
+        clock = iter([0.0])
+        assert cli.main(["run", str(minimal_config), "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"report written to {out}"]
+
     def test_stats_unanalysable_csv_is_data_error(self, tmp_path, corpus_root, capsys):
         # one k-fold repeat gives one replication per cell, too few for the ANOVA
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -46,20 +47,22 @@ class TestMakeSplits:
             assert y[test].sum() == 10  # exactly 10 positives per fold
 
     def test_kfold_repeats_cover_separately(self):
+        # a call draws one repetition, whatever n_repeats; each seed's covers every index
         y = np.array([0] * 20 + [1] * 20)
-        plan = ev.SplitPlan("kfold", k=4, n_repeats=3, seed=5)
-        splits = ev.make_splits(y, plan)
-        assert len(splits) == 12
-        for r in range(3):
-            tests = np.concatenate([splits[r * 4 + f][1] for f in range(4)])
+        draws = []
+        for seed in range(3):
+            splits = ev.make_splits(y, ev.SplitPlan("kfold", k=4, n_repeats=3, seed=seed))
+            assert len(splits) == 4
+            tests = np.concatenate([test for _, test in splits])
             assert sorted(tests) == list(range(40))
+            draws.append(tests.tobytes())
+        assert len(set(draws)) == 3
 
     def test_holdout_fraction_per_label(self):
         y = imbalanced_labels()
-        plan = ev.SplitPlan("holdout", test_fraction=0.2, n_repeats=5, seed=2)
-        splits = ev.make_splits(y, plan)
-        assert len(splits) == 5
-        for train, test in splits:
+        for seed in range(5):
+            plan = ev.SplitPlan("holdout", test_fraction=0.2, seed=seed)
+            [(train, test)] = ev.make_splits(y, plan)
             assert len(test) == 100
             assert y[test].sum() == 20
             assert y[train].sum() == 80
@@ -146,12 +149,24 @@ def separable_features(n=80, d=4, seed=0):
     return FeatureMatrix(X, [f"f{i}" for i in range(d)], y)
 
 
+def run_replications(features, models, plan, master_seed=0):
+    """{model: its long rows} over every replication of ``run_cell``, in order."""
+    cells = {model: [] for model in models}
+    for rep in range(plan.n_repeats):
+        rows = ev.run_cell("balanced", "wfe", models, plan, rep, features=features,
+                           master_seed=master_seed)
+        assert list(rows) == list(models)
+        for model, row in rows.items():
+            cells[model].append(row)
+    return cells
+
+
 class TestRunCell:
     @pytest.mark.parametrize("kind", ["lda", "knn", "svm", "rf", "gb", "nb", "qda"])
     def test_separable_dataset_perfect_accuracy(self, kind):
         fm = separable_features()
         plan = ev.SplitPlan("holdout", test_fraction=0.25, n_repeats=3)
-        rows = ev.run_cell("balanced", "wfe", kind, plan, features=fm)
+        rows = run_replications(fm, [kind], plan)[kind]
         assert [r[:4] for r in rows] == [("balanced", "wfe", kind, rep) for rep in range(3)]
         assert np.mean([r[4] for r in rows]) == 1.0
 
@@ -162,7 +177,7 @@ class TestRunCell:
         rng.shuffle(shuffled)
         fm2 = FeatureMatrix(fm.values, fm.feature_names, shuffled)
         plan = ev.SplitPlan("holdout", test_fraction=0.25, n_repeats=20)
-        rows = ev.run_cell("balanced", "wfe", "lda", plan, features=fm2)
+        rows = run_replications(fm2, ["lda"], plan)["lda"]
         acc = np.mean([r[4] for r in rows])
         # majority baseline is 0.5; 3 sigma for 20 reps of 30 test points
         sigma = math.sqrt(0.5 * 0.5 / (30 * 20))
@@ -171,20 +186,22 @@ class TestRunCell:
     def test_same_seed_identical_cell(self):
         fm = separable_features(n=60)
         plan = ev.SplitPlan("holdout", n_repeats=4)
-        a = ev.run_cell("balanced", "wfe", "rf", plan, features=fm, master_seed=5)
-        b = ev.run_cell("balanced", "wfe", "rf", plan, features=fm, master_seed=5)
+        a = run_replications(fm, ["rf"], plan, master_seed=5)
+        b = run_replications(fm, ["rf"], plan, master_seed=5)
         assert a == b
 
     def test_kfold_aggregates_folds_per_repeat(self):
+        # a replication's folds come from the (scheme, plan, replication)
+        # split seed; each fold's fit seed adds the extractor, model and fold
         fm = separable_features(n=60)
         plan = ev.SplitPlan("kfold", k=5, n_repeats=2)
-        rows = ev.run_cell("balanced", "wfe", "knn", plan, features=fm)
+        rows = run_replications(fm, ["knn"], plan)["knn"]
         assert [r[3] for r in rows] == [0, 1]
         # each rate is the mean of its repeat's five folds
-        splits = ev.make_splits(fm.labels, dataclasses.replace(plan, seed=ev.derive_seed(
-            0, "balanced", "kfold", "wfe", "knn", "split")))
         for rep, row in enumerate(rows):
-            folds = [ev.fit_split(fm.values, fm.labels, *splits[rep * 5 + s], "knn",
+            splits = ev.make_splits(fm.labels, dataclasses.replace(
+                plan, n_repeats=1, seed=ev.derive_seed(0, "balanced", "kfold", "split", rep)))
+            folds = [ev.fit_split(fm.values, fm.labels, *splits[s], "knn",
                                   ev.derive_seed(0, "balanced", "kfold", "wfe", "knn",
                                                  "fit", rep, s)) for s in range(5)]
             assert row[4:] == tuple(float(np.mean(col)) for col in zip(*folds))
@@ -199,11 +216,26 @@ class TestRunCell:
         fm = separable_features(n=40)
         plan = ev.SplitPlan("holdout", n_repeats=2)
         with pytest.raises(CellError) as err:
-            ev.run_cell("balanced", "wfe", "knn", plan, features=fm)
+            ev.run_cell("balanced", "wfe", ["lda", "knn"], plan, 1, features=fm)
         assert err.value.scheme == "balanced"
         assert err.value.model == "knn"
         assert err.value.extractor == "wfe"
-        assert err.value.replication == 0
+        assert err.value.replication == 1
+        assert str(err.value) == ("cell failed: scheme=balanced extractor=wfe model=knn "
+                                  "replication=1: fit failed")
+        # a pool worker's error reaches the parent pickled
+        again = pickle.loads(pickle.dumps(err.value))
+        assert (str(again), again.model, again.replication) == (str(err.value), "knn", 1)
+
+    def test_failed_projection_names_the_first_model(self, monkeypatch):
+        def fail(*args):
+            raise ValueError("projection failed")
+
+        monkeypatch.setattr(ev, "split_inputs", fail)
+        plan = ev.SplitPlan("holdout", n_repeats=2)
+        with pytest.raises(CellError, match="projection failed") as err:
+            ev.run_cell("balanced", "wfe", ["nb", "knn"], plan, 1, features=separable_features())
+        assert (err.value.model, err.value.replication) == ("nb", 1)
 
 
 def reference_fit_split(X, y, train_idx, test_idx, model_kind, seed=0):
@@ -284,6 +316,47 @@ class TestLeakage:
         assert test.tobytes() == pca_apply(direct, fm.values[test_idx]).tobytes()
 
 
+class TestSharedSplit:
+    """A task projects each split once, and standardizes it once, for all its
+    models: each model's inputs and rates must be a fresh ``fit_split``'s."""
+
+    @pytest.mark.parametrize("extractor", ["wfe", "db2"])
+    def test_task_equals_fresh_fit_split_bit_for_bit(self, corpus_root, monkeypatch,
+                                                     handed_to_model, extractor):
+        from eegbench.classifiers import MODEL_KINDS
+        from eegbench.corpus import build_dataset
+        from eegbench.features import extract_matrix
+
+        corpus = load_corpus(corpus_root)
+        labels = build_dataset(corpus, "imbalanced").labels
+        fm = extract_matrix(corpus.samples, labels, extractor)
+        wide = extractor == "wfe"
+        assert (fm.values.shape[0] < fm.values.shape[1]) == wide
+        if wide:
+            fm.gram = fm.values @ fm.values.T
+        fits, fit_split = [], ev.fit_split
+
+        def recording(X, y, train_idx, test_idx, model_kind, seed=0, gram=None, inputs=None):
+            fits.append((train_idx, test_idx, model_kind, seed))
+            return fit_split(X, y, train_idx, test_idx, model_kind, seed, gram, inputs)
+
+        monkeypatch.setattr(ev, "fit_split", recording)
+        rows = build_dataset(corpus, "balanced", seed=4).rows
+        plan = ev.SplitPlan("holdout", n_repeats=1)
+        task = ev.run_cell("balanced", extractor, MODEL_KINDS, plan, 0, features=fm, rows=rows,
+                           master_seed=3)
+        assert [fit[2] for fit in fits] == list(MODEL_KINDS)  # one split, every model
+        assert set(STANDARDIZED_KINDS) < set(MODEL_KINDS)
+        shared = list(handed_to_model)
+        handed_to_model.clear()
+        for train_idx, test_idx, kind, seed in fits:
+            assert np.isin(train_idx, rows).all() and np.isin(test_idx, rows).all()
+            fresh = fit_split(fm.values, fm.labels, train_idx, test_idx, kind, seed, fm.gram)
+            assert np.array_equal(task[kind][4:], fresh, equal_nan=True), kind
+        # every model's fit and predict inputs, in model order
+        assert [a.tobytes() for a in shared] == [a.tobytes() for a in handed_to_model]
+
+
 def factor_split(n_train, d):
     """A 500-row ``factor_matrix``, labels tied to its first column, and a random split."""
     rng = np.random.default_rng(d)
@@ -343,9 +416,12 @@ class TestInPlaceCentring:
 
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
-        a = ev.derive_seed(7, "balanced", "kfold", "db4", "svm", "split")
-        b = ev.derive_seed(7, "balanced", "kfold", "db4", "svm", "split")
-        c = ev.derive_seed(7, "balanced", "kfold", "db4", "rf", "split")
-        d = ev.derive_seed(8, "balanced", "kfold", "db4", "svm", "split")
+        # a split seed names no extractor or model: every one shares it
+        a = ev.derive_seed(7, "balanced", "kfold", "split", 0)
+        b = ev.derive_seed(7, "balanced", "kfold", "split", 0)
+        c = ev.derive_seed(7, "balanced", "kfold", "split", 1)
+        d = ev.derive_seed(8, "balanced", "kfold", "split", 0)
+        e = ev.derive_seed(7, "balanced", "holdout", "split", 0)
+        f = ev.derive_seed(7, "imbalanced", "kfold", "split", 0)
         assert a == b
-        assert len({a, c, d}) == 3
+        assert len({a, c, d, e, f}) == 5

@@ -77,7 +77,7 @@ tracing.install(tracer, trace_dir)
 runner.run_experiment(cfg)
 tracer.merge_worker_files(trace_dir)
 fits = sum(len(cfg.schemes) * len(cfg.extractors) * len(cfg.models)
-           * plan.splits_per_repeat * plan.n_repeats
+           * (plan.k if plan.kind == "kfold" else 1) * plan.n_repeats
            for plan in (cfg.kfold_plan, cfg.holdout_plan))
 checks = {key: tracer.counts[key] for key in ("check.svm_fits", "check.svm_kkt_failures")}
 print(json.dumps({"metrics": tracing.layer_metrics(tracer, cfg.jobs), "checks": checks,

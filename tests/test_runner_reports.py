@@ -16,6 +16,7 @@ import eegbench
 from eegbench import cli
 from eegbench.classifiers import MODEL_KINDS
 from eegbench.config import build_config
+from eegbench.corpus import load_corpus
 from eegbench.errors import CellError
 from eegbench.reporting import (five_number_summary, read_long_csv,
                                 write_long_csv)
@@ -230,6 +231,99 @@ def test_samples_are_released_before_the_cells_run(corpus_root, tmp_path, monkey
         assert len(lines) == 1 + (500 if scheme == "imbalanced" else 200)
 
 
+def test_every_model_and_extractor_fits_the_same_splits(corpus_root, tmp_path, monkeypatch):
+    # record the (train, test) rows each model fit sees in one run: every
+    # extractor and model of a (scheme, plan, replication) shares them,
+    # and no two fits share a fit seed
+    from eegbench import evaluation, runner
+
+    seen, task = [], []
+    run_cell, fit_split = runner.run_cell, evaluation.fit_split
+
+    def recording_task(scheme, extractor, models, plan, rep, **kwargs):
+        task[:] = [(scheme, plan.kind, rep), extractor]
+        return run_cell(scheme, extractor, models, plan, rep, **kwargs)
+
+    def recording_fit(X, y, train_idx, test_idx, model_kind, seed=0, gram=None, inputs=None):
+        seen.append((*task, model_kind, seed, (train_idx.tobytes(), test_idx.tobytes())))
+        return fit_split(X, y, train_idx, test_idx, model_kind, seed, gram, inputs)
+
+    monkeypatch.setattr(runner, "run_cell", recording_task)
+    monkeypatch.setattr(evaluation, "fit_split", recording_fit)
+    cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
+                       extractors=["db2", "mfcc"], models=["lda", "knn", "rf"],
+                       kfold={"k": 2}, holdout={"n_repeats": 2})
+    run_experiment(cfg)
+    splits = {}
+    for replication, extractor, model, _, split in seen:
+        splits.setdefault(replication, {}).setdefault((extractor, model), []).append(split)
+    # 2 schemes x (1 k-fold and 2 hold-out replications)
+    assert len(splits) == 2 * 3
+    for replication, fits in splits.items():
+        assert len(fits) == 2 * 3
+        assert len({tuple(s) for s in fits.values()}) == 1, replication
+        assert len(next(iter(fits.values()))) == (2 if replication[1] == "kfold" else 1)
+    for scheme in cfg.schemes:
+        assert (splits[scheme, "holdout", 0]["db2", "lda"]
+                != splits[scheme, "holdout", 1]["db2", "lda"])
+    # rf's fit seeds, one per (scheme, plan, extractor, replication, split),
+    # differ from each other and from every other model's
+    assert sum(model == "rf" for _, _, model, _, _ in seen) == 2 * 2 * (2 + 2)
+    assert len({seed for _, _, _, seed, _ in seen}) == len(seen)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_progress_fires_once_per_cell_after_its_last_replication(corpus_root, tmp_path,
+                                                                 monkeypatch, jobs):
+    from eegbench import runner
+
+    landed, calls = [], []
+    run_cell = runner.run_cell
+
+    def recording_task(scheme, extractor, models, plan, rep, **kwargs):
+        landed.append((scheme, plan.kind, extractor, rep))
+        return run_cell(scheme, extractor, models, plan, rep, **kwargs)
+
+    def progress(key, done, total):
+        # in-process, every replication of the cell has run by now
+        if jobs == 1:
+            n_reps = (cfg.kfold_plan if key[1] == "kfold" else cfg.holdout_plan).n_repeats
+            assert all((*key[:3], rep) in landed for rep in range(n_reps)), key
+        calls.append((key, done, total))
+
+    monkeypatch.setattr(runner, "run_cell", recording_task)
+    cfg = small_config(corpus_root, tmp_path / "report", jobs=jobs)
+    run_experiment(cfg, progress=progress)
+    cells = list(runner.enumerate_cells(cfg))
+    assert sorted(key for key, _, _ in calls) == sorted(cells)
+    assert [(done, total) for _, done, total in calls] == [
+        (i + 1, len(cells)) for i in range(len(cells))]
+
+
+def test_balanced_only_wfe_holds_one_copy_of_the_samples(corpus_root, tmp_path):
+    # the balanced rows are moved to the front of the corpus matrix, not
+    # gathered into a copy beside it: loading and extraction peaked at
+    # 16.8 MB when the corpus was read as per-set lists of recordings, and at
+    # 24.6 MB with the whole matrix and the copy. A first run fills the
+    # libraries' caches (numpy's text reader, pathlib), which are not the run's.
+    import tracemalloc
+
+    cfg = small_config(corpus_root, tmp_path / "report", extractors=["wfe"])
+    extract_features(cfg, *build_datasets(cfg))
+    tracemalloc.start()
+    try:
+        corpus, datasets = build_datasets(cfg)
+        features = extract_features(cfg, corpus, datasets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16.8e6, peak
+    rows = datasets["balanced"].rows
+    wfe = features["wfe"].values
+    assert np.shares_memory(wfe, corpus.samples) and wfe.flags.c_contiguous
+    assert wfe.tobytes() == load_corpus(corpus_root).samples[rows].tobytes()
+
+
 # scipy.stats alone adds tens of megabytes to a run's peak RSS, and
 # scipy.linalg with scipy.special about 33 MB: a run loads scipy.special only
 # to write inference tables, and scipy.linalg never
@@ -346,27 +440,27 @@ class TestDefaultCellBits:
     """
 
     EXPECTED = {
-        "anova_balanced.csv": "1e25e34822647de2c1cf25e37bbb1dd3c6b58057bf62e389a20ed2804cfd170f",
-        "boxplot_balanced.csv": "d359dbd3ba10db753df5c29e708c211e5636e3c309490db601a09e8288e86bfe",
+        "anova_balanced.csv": "25c46e014a039681b3c59aceb54bdd4c7f108b659dcb0855fcf805d837930760",
+        "boxplot_balanced.csv": "1563789d0a277031bf2fe2d4da359a18cf1f27d69ada0559f568517387519213",
         "boxplot_summary_balanced.csv":
-            "97d8d8e3aa2b42cb0a21095a82643bf1dc89d1560fd79febb43e4a350aa9fb77",
+            "d552971b8ae37d8a79c7b260d7b2a35ba1fb4320c8f9aa1f141d3a874bac9dcf",
         "dataset_balanced.csv": "a0610523976ad4a8ff4cdde72741dad4dae544f97d3e65d8731ef5b252d468ab",
         "hsd_balanced_feat_extr.csv":
-            "3b96bf52c1f38ec8b8314489565e1f976989a46708f32c9cff3ff9fd3b37dab2",
-        "hsd_balanced_models.csv": "5cc81816c66be6144e01721c931d73d22a2100439ac6086033482d14f5da4c0b",
-        "inference_balanced.txt": "f71012e509b9208c4a14f467012b757077bb76fca07d8698ace29886c1eea061",
+            "b67490b76023badce91e14d6d724c77e32ec6dd007e57df4ea0fb9d10954031f",
+        "hsd_balanced_models.csv": "c1974ba0d934c839de65919e8a7245d886a567c87d5c4e8bfa9012e3dc6220e4",
+        "inference_balanced.txt": "91a4a0b0a36b67927da4d8911379146fa2d37f5ec1c655f00962c7756c80c12c",
         "omega_squared_balanced.csv":
-            "bf33431fba909bdd286a29b2d5d334381bbed7691d0b4ea8f55928f231fa2290",
-        "performance_holdout.txt": "1009594257589d59418d14b310ba9232b6ea60669aa9921acff0f34a63f9c734",
+            "f0e056676546f44fbc4c0f78832b90c7756059ada583828f4cfa64a2a392773f",
+        "performance_holdout.txt": "6b086be23e8917046797ef66e22d6771930aabfdccfd761dc1cc0b57d60ccd35",
         "performance_holdout_balanced_db2.csv":
-            "5a3f423a3c5c3be2a9701f4407358cd4db58400d419808a72aaaa995d4880c15",
+            "54eda05c14e316353e0a5943825a1d82dbcfec99ac19e7fcb8aa4bf6f7a3118e",
         "performance_holdout_balanced_mfcc.csv":
-            "a9990313c57d0dea0339fb161d2a33de402c336621fedaf965d2304c6e149edf",
-        "performance_kfold.txt": "78f9a1578fc3ef9da6b64e8effcca4bfbfc8570cd8f974f4f1a4ca96476bfdee",
+            "ba4531fbbc49a1d83bbab471c6abc0edc77a6c9e53055e74a39ab6a8f40249df",
+        "performance_kfold.txt": "cbeced3ce837e2a7d45870fad06725c9c751f6b326f8999c9c22aa90c646d870",
         "performance_kfold_balanced_db2.csv":
-            "129e41bfb837bd38c5c81bb9efa958f34dfaec012db6d418234e96f7696a37ce",
+            "1fba7aeafcd9024b7326051ea6d3747fd9e1887dc85d3d851404149acaecc247",
         "performance_kfold_balanced_mfcc.csv":
-            "ef7b62a17fb1ea4adae2c7440d9aeb2e44a907cdace153032f48a2bb19c72900",
+            "e531b0ec644280b3f0bf59e1e0390b2f4b4789cb23b7006f250ee19a066be63b",
     }
 
     def test_cells_hash(self, corpus_root, tmp_path):
@@ -386,8 +480,9 @@ class TestWfeCellBits:
     The expected files under ``tests/pinned/wfe`` were recorded with the
     same numpy and OpenBLAS, at one thread and at two alike. The same run
     on both schemes is pinned under ``tests/pinned/wfe_schemes``, recorded
-    alike at one and two jobs, when each scheme still had its own copy of
-    the matrix and its own Gram matrix.
+    alike at one and two jobs. All three pinned sets were recorded when
+    every model and extractor of a (scheme, plan, replication) first shared
+    its splits.
     """
 
     def test_cells_match_pinned(self, corpus_root, tmp_path):
@@ -413,10 +508,16 @@ class TestFailurePath:
                                                   monkeypatch):
         from eegbench.classifiers import KnnClassifier
 
-        def fail(self, X, y):
-            raise ValueError("fit failed")
+        fits, fit = [], KnnClassifier.fit
 
-        monkeypatch.setattr(KnnClassifier, "fit", fail)
+        def fail_after_kfold(self, X, y):
+            # the k-fold task's ten knn fits pass; the first hold-out task fails
+            fits.append(len(y))
+            if len(fits) > 10:
+                raise ValueError("fit failed")
+            return fit(self, X, y)
+
+        monkeypatch.setattr(KnnClassifier, "fit", fail_after_kfold)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "corpus_root": str(corpus_root),
@@ -433,23 +534,35 @@ class TestFailurePath:
         assert partial.is_dir()
         manifest = json.loads((partial / "manifest.json").read_text())
         assert manifest["failure"]["model"] == "knn"
-        # the lda cell runs before the failing knn cell and is kept
-        assert "balanced/kfold/mfcc/lda" in manifest["completed_cells"]
+        assert manifest["failure"]["replication"] == 0
+        # the k-fold cells finish before the failing hold-out task and are
+        # kept; the lda hold-out cell shares the failed task and is not
+        assert manifest["completed_cells"] == ["balanced/kfold/mfcc/knn",
+                                               "balanced/kfold/mfcc/lda"]
         rows = read_long_csv(partial / "cells_kfold.csv")
-        assert [r[:4] for r in rows] == [("balanced", "mfcc", "lda", 0)]
+        assert [r[:4] for r in rows] == [("balanced", "mfcc", "knn", 0),
+                                         ("balanced", "mfcc", "lda", 0)]
+        assert read_long_csv(partial / "cells_holdout.csv") == []
         assert not (tmp_path / "report").exists()  # nothing half-written
 
 
     def test_pooled_failure_keeps_every_finished_cell(self, bundle, corpus_root, tmp_path,
                                                      monkeypatch):
+        from eegbench import runner
         from eegbench.classifiers import KnnClassifier
 
-        def fail(self, X, y):
+        flag, fit = tmp_path / "failed", KnnClassifier.fit
+
+        def fail_once(self, X, y):
+            try:
+                flag.touch(exist_ok=False)      # the run's first knn fit, in any process
+            except FileExistsError:
+                return fit(self, X, y)
             raise ValueError("fit failed")
 
-        # the first cell fails; the cells already handed to the workers
-        # still finish and must be kept
-        monkeypatch.setattr(KnnClassifier, "fit", fail)
+        # the first task to fit knn fails; the tasks already handed to the
+        # workers still finish, and every cell they complete must be kept
+        monkeypatch.setattr(KnnClassifier, "fit", fail_once)
         cfg = small_config(corpus_root, tmp_path / "report", models=["knn", "lda"], jobs=2)
         with pytest.raises(CellError):
             run_experiment(cfg)
@@ -457,8 +570,10 @@ class TestFailurePath:
         manifest = json.loads((partial / "manifest.json").read_text())
         assert manifest["failure"]["model"] == "knn"
         completed = manifest["completed_cells"]
-        assert completed
-        assert all(cell.endswith("/lda") for cell in completed)
+        assert 0 < len(completed) < len(list(runner.enumerate_cells(cfg)))
+        # a task fits both models, so a kept cell's twin is kept too
+        groups = [cell.rsplit("/", 1)[0] for cell in completed]
+        assert all(groups.count(group) == 2 for group in groups)
         _, report = bundle
         for plan in ("kfold", "holdout"):
             rows = read_long_csv(partial / f"cells_{plan}.csv")
@@ -546,7 +661,8 @@ class TestTaskRunner:
                            models=["lda"], jobs=8)
         run_experiment(cfg)
         assert len(pools) == 2  # extraction chunks, then the cells
-        assert pools[1] == {"workers": 2, "tasks": 2, "start": "fork"}
+        # one k-fold task and three hold-out ones, one per replication
+        assert pools[1] == {"workers": 4, "tasks": 4, "start": "fork"}
         # the workers inherit the samples and the features at fork
         assert all(pool["start"] == "fork" for pool in pools)
         assert all(pool["workers"] == min(8, pool["tasks"]) for pool in pools)
@@ -578,59 +694,70 @@ class TestTaskRunner:
         assert not (tmp_path / "report").exists()
 
     def test_failing_cell_cancels_queued_cells(self, corpus_root, tmp_path, monkeypatch):
-        # an error that is not a CellError: the cells that finished are kept
-        # in the partial bundle, under a failure block that names no cell
+        # an error that is not a CellError: the cells whose replications all
+        # finished are kept in the partial bundle, under a failure block that
+        # names no cell
         from eegbench import runner
 
         cfg = small_config(corpus_root, tmp_path / "report", jobs=2)
         cells = list(runner.enumerate_cells(cfg))
+        reps = {"kfold": cfg.kfold_plan.n_repeats, "holdout": cfg.holdout_plan.n_repeats}
+        tasks = sorted({(*cell[:3], rep) for cell in cells for rep in range(reps[cell[1]])})
         ran = tmp_path / "ran.txt"
         run_cell = runner.run_cell
 
-        def cell(scheme, extractor, model, plan, **kwargs):
-            if (scheme, plan.kind, extractor, model) == cells[0]:
-                raise RuntimeError("first cell failed")
+        def task(scheme, extractor, models, plan, rep, **kwargs):
+            if (scheme, plan.kind, extractor, rep) == (*cells[0][:3], 0):
+                raise RuntimeError("first task failed")
             time.sleep(0.5)
-            result = run_cell(scheme, extractor, model, plan, **kwargs)
+            result = run_cell(scheme, extractor, models, plan, rep, **kwargs)
             with open(ran, "a") as fh:
-                fh.write(f"{scheme}/{plan.kind}/{extractor}/{model}\n")
+                fh.write(f"{scheme}/{plan.kind}/{extractor}/{rep}\n")
             return result
 
-        monkeypatch.setattr(runner, "run_cell", cell)
-        with pytest.raises(RuntimeError, match="first cell failed"):
+        monkeypatch.setattr(runner, "run_cell", task)
+        with pytest.raises(RuntimeError, match="first task failed"):
             run_experiment(cfg)
-        finished = ran.read_text().splitlines()
-        assert 0 < len(finished) < len(cells) - 1
+        finished = set(ran.read_text().splitlines())
+        assert 0 < len(finished) < len(tasks) - 1
+        # the task that ran beside the failing one finishes a cell at least
+        done = {"/".join(cell) for cell in cells
+                if all(f"{cell[0]}/{cell[1]}/{cell[2]}/{rep}" in finished
+                       for rep in range(reps[cell[1]]))}
+        assert done
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ran.txt", "report.partial"]
         manifest = json.loads((tmp_path / "report.partial" / "manifest.json").read_text())
-        assert sorted(manifest["completed_cells"]) == sorted(finished)
-        assert manifest["failure"] == {"message": "RuntimeError: first cell failed",
+        assert sorted(manifest["completed_cells"]) == sorted(done)
+        assert manifest["failure"] == {"message": "RuntimeError: first task failed",
                                        "scheme": None, "extractor": None, "model": None,
                                        "replication": None}
         for plan in ("kfold", "holdout"):
             rows = read_long_csv(tmp_path / "report.partial" / f"cells_{plan}.csv")
             assert {f"{r[0]}/{plan}/{r[1]}/{r[2]}" for r in rows} == {
-                c for c in finished if f"/{plan}/" in c}
+                c for c in done if f"/{plan}/" in c}
 
     def test_interrupt_keeps_finished_cells(self, corpus_root, tmp_path, monkeypatch):
+        # the k-fold task finishes its cells; the hold-out cells, whose first
+        # replication finished before the interrupt, are not complete
         from eegbench import runner
 
         cfg = small_config(corpus_root, tmp_path / "report", extractors=["mfcc"])
         cells = list(runner.enumerate_cells(cfg))
         run_cell = runner.run_cell
 
-        def cell(scheme, extractor, model, plan, **kwargs):
-            if (scheme, plan.kind, extractor, model) == cells[2]:
+        def task(scheme, extractor, models, plan, rep, **kwargs):
+            if (plan.kind, rep) == ("holdout", 1):
                 raise KeyboardInterrupt
-            return run_cell(scheme, extractor, model, plan, **kwargs)
+            return run_cell(scheme, extractor, models, plan, rep, **kwargs)
 
-        monkeypatch.setattr(runner, "run_cell", cell)
+        monkeypatch.setattr(runner, "run_cell", task)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(cfg)
         manifest = json.loads((tmp_path / "report.partial" / "manifest.json").read_text())
         assert manifest["completed_cells"] == sorted("/".join(c) for c in cells[:2])
         assert manifest["failure"]["message"] == "KeyboardInterrupt: "
         assert manifest["failure"]["model"] is None
+        assert read_long_csv(tmp_path / "report.partial" / "cells_holdout.csv") == []
         assert not (tmp_path / "report").exists()
 
     def test_failure_before_any_cell_finishes_writes_nothing(self, corpus_root, tmp_path,

@@ -9,6 +9,8 @@ from eegbench import wavelet as wv
 
 
 ALL_FAMILIES = list(wv.SUPPORTED_FAMILIES)
+# vanishing moments of each family's analysis high-pass filter
+VANISHING_MOMENTS = {"haar": 1, "db2": 2, "db4": 4, "coif1": 2}
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -23,7 +25,7 @@ def test_filter_invariants(family):
     for i in range(L):
         assert hi[i] == pytest.approx((-1) ** i * lo[L - 1 - i], abs=0)
     # high-pass vanishing moments
-    for m in range(wv.VANISHING_MOMENTS[family]):
+    for m in range(VANISHING_MOMENTS[family]):
         assert abs(sum(i ** m * hi[i] for i in range(L))) < 1e-10
     # even-shift self orthogonality
     for s in range(1, L // 2):

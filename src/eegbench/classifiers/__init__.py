@@ -17,7 +17,7 @@ Gini trees drawing ceil(sqrt(d)) candidate features per node, and 100
 boosting stages of depth-3 regression trees at learning rate 0.1. The
 two tree models share ``tree``'s node lists and walk, not a grower: the
 forest grows all its Gini trees in one lockstep pass, and boosting grows
-each stage's regression tree from one presort of its training matrix.
+each stage's regression tree through one table of its matrix's split paths.
 """
 
 from .boosting import GradientBoostingClassifier

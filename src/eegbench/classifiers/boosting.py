@@ -4,26 +4,26 @@ Each stage fits a regression tree of depth ``MAX_DEPTH`` to the current
 negative gradient (label minus predicted probability) on every training
 row; each leaf's value is one Newton step sum(residual) / sum(p(1-p)),
 and the learning rate times that value is added to the scores of the
-leaf's rows. Every stage fits the same rows, so all the trees grow from
-one ``presort`` of the training matrix. No training loss is kept.
+leaf's rows. Every stage fits the same rows, so all the trees grow
+through one ``SplitPaths`` table of the training matrix. A node's entry
+is the same whether read from it or partitioned again, and every sum
+and score the same numpy operation on the same array, so the trees do
+not depend on what the table holds. No training loss is kept.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tree import DecisionTree, predict_trees, presort
+from .tree import DecisionTree, SplitPaths, predict_trees
 
 MAX_DEPTH = 3
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, from one exp."""
+    e = np.exp(-np.abs(z))                            # never overflows
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class GradientBoostingClassifier:
@@ -45,16 +45,19 @@ class GradientBoostingClassifier:
         p0 = float(y01.mean())                         # in [1/n, 1 - 1/n]
         self._f0 = float(np.log(p0 / (1.0 - p0)))
         scores = np.full(X.shape[0], self._f0)
-        root = presort(X)                              # shared by every stage's tree
+        paths = SplitPaths(X)                          # shared by every stage's tree
+        step = np.empty_like(scores)
+        add = np.add.reduce                            # ndarray.sum without its wrapper
         self.trees_ = []
         for _ in range(self.n_stages):
             prob = _sigmoid(scores)
             residual = y01 - prob
-            tree = DecisionTree(max_depth=MAX_DEPTH).grow(residual, root)
+            tree = DecisionTree(max_depth=MAX_DEPTH).grow(residual, paths)
             hess = prob * (1.0 - prob)
             for leaf, idx in tree.leaf_rows_:
-                tree.value[leaf] = float(residual[idx].sum() / (hess[idx].sum() + 1e-16))
-                scores[idx] += self.learning_rate * tree.value[leaf]
+                tree.value[leaf] = float(add(residual[idx]) / (add(hess[idx]) + 1e-16))
+                step[idx] = self.learning_rate * tree.value[leaf]
+            scores += step                             # every row is in one leaf
             self.trees_.append(tree)
         return self
 

@@ -27,10 +27,10 @@ from . import wavelet as wv
 
 EXTRACTORS = ("wfe", "db2", "db4", "coif1", "mfcc")
 
-# signals stacked per extraction call. In a 2-job db2/db4/coif1/mfcc run on
-# the 500-signal corpus, the largest pool worker's ru_maxrss through
-# extraction was 65 MB at 8, 73 MB at 32 and 82 MB at 64, against the
-# parent process's 84 MB peak, which sets the run's
+# signals stacked per extraction call. In a 2-job db2/db4/coif1/mfcc run on the
+# 500-signal corpus the largest pool worker's ru_maxrss through extraction was
+# 50 MB at 8, 57 at 32 and 67 at 64: at 32 it stays under the parent's 60.6 MB
+# peak, which the scipy.special import for the inference reports sets at the end.
 EXTRACT_BLOCK = 32
 
 

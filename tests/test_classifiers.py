@@ -585,6 +585,20 @@ class TestBoosting:
         m = GradientBoostingClassifier(n_stages=80).fit(X, y)
         assert (m.predict(X) == y).mean() > 0.95
 
+    def test_sigmoid_from_one_exp_equals_two_exp_form(self):
+        def two_exps(z):                               # the form _sigmoid replaced
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        z = np.concatenate([np.random.default_rng(9).normal(scale=8.0, size=2000),
+                            [0.0, -0.0, 5e-324, -5e-324, 36.0, -36.0, 710.0, -710.0,
+                             746.0, -746.0, 1e308, -1e308, np.inf, -np.inf]])
+        assert np.array_equal(_sigmoid(z).view(np.int64), two_exps(z).view(np.int64))
+
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
             GradientBoostingClassifier(learning_rate=1.5)
@@ -740,7 +754,8 @@ def _reference_apply(tree, X):
 
 
 def _reference_boosting(X, y, n_stages, learning_rate=0.1):
-    """Boosting's fit loop driven by ReferenceTree: its trees and final training scores."""
+    """Boosting's fit loop driven by ReferenceTree, which argsorts every node's rows
+    afresh and keeps no table: its trees and final training scores."""
     from eegbench.classifiers.boosting import MAX_DEPTH
 
     y01 = (y == np.unique(y)[1]).astype(float)
@@ -759,6 +774,51 @@ def _reference_boosting(X, y, n_stages, learning_rate=0.1):
         scores += learning_rate * np.asarray(tree.value)[leaf_of]
         trees.append(tree)
     return trees, scores
+
+
+def _boosting_case(case, rng):
+    """(X, y, stages) of one input shape boosting must grow the reference's trees on.
+
+    "d1" to "d3": rounded values, so columns tie, and a block of equal
+    rows, far out and labelled against the rule, which a node can hold
+    alone: a pure node. "wfe": 400 x 190 principal-axis scores, variance
+    falling along the columns, with one positive in five.
+    """
+    if case == "wfe":
+        X = rng.normal(size=(400, 190)) * np.geomspace(30.0, 0.3, 190)
+        y = (X[:, 0] / 30 + X[:, 1] / 25 + 0.5 * rng.normal(size=400) > 0.9).astype(int)
+        return X, y, 30
+    d = int(case[1:])
+    X = np.round(rng.normal(size=(150, d)), 1)
+    y = (X[:, 0] * X[:, -1] + 0.3 * rng.normal(size=150) > 0).astype(int)
+    X[:12], y[:12] = 9.0, 0                            # the pure block
+    return X, y, 100
+
+
+def _split_paths(tree):
+    """Each split node's path from the root: its ancestors' (feature,
+    threshold, side) steps, then its own (feature, threshold)."""
+    paths, stack = [], [(0, ())]
+    while stack:
+        node, path = stack.pop()
+        if tree.feature[node] == -1:
+            continue
+        cut = (tree.feature[node], tree.threshold[node])
+        paths.append(path + (cut,))
+        stack += [(tree.left[node], path + (cut + (0,),)), (tree.right[node], path + (cut + (1,),))]
+    return paths
+
+
+def _leaf_depths(tree):
+    """{leaf: depth} of one tree."""
+    depths, stack = {}, [(0, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if tree.feature[node] == -1:
+            depths[node] = depth
+        else:
+            stack += [(tree.left[node], depth + 1), (tree.right[node], depth + 1)]
+    return depths
 
 
 def _nodes(tree):
@@ -828,19 +888,86 @@ class TestPresortedGrowth:
         assert tree.n_nodes == 1
         assert _nodes(tree) == _nodes(ref)
 
-    def test_boosting_equals_reference_grower(self):
-        rng = np.random.default_rng(21)
-        X = np.round(rng.normal(size=(150, 3)), 1)
-        y = (X[:, 0] * X[:, 1] + 0.3 * rng.normal(size=150) > 0).astype(int)
-        m = GradientBoostingClassifier(n_stages=100).fit(X, y)
-        trees, train_scores = _reference_boosting(X, y, 100)
+    @staticmethod
+    def _assert_boosting_equals_reference(X, y, stages, rng):
+        """Boosting's trees equal the reference's node for node, and its scores bit for bit."""
+        m = GradientBoostingClassifier(n_stages=stages).fit(X, y)
+        trees, train_scores = _reference_boosting(X, y, stages)
         assert [_nodes(t) for t in m.trees_] == [_nodes(t) for t in trees]
         assert np.array_equal(m.decision_scores(X), train_scores)
-        q = rng.normal(size=(40, 3))
+        q = rng.normal(size=(40, X.shape[1]))
         scores = np.full(40, m._f0)
         for tree in trees:
             scores += m.learning_rate * np.asarray(tree.value)[_reference_apply(tree, q)]
         assert np.array_equal(m.decision_scores(q), scores)
+        return m
+
+    def test_boosting_equals_reference_grower(self):
+        rng = np.random.default_rng(21)
+        X = np.round(rng.normal(size=(150, 3)), 1)
+        y = (X[:, 0] * X[:, 1] + 0.3 * rng.normal(size=150) > 0).astype(int)
+        self._assert_boosting_equals_reference(X, y, 100, rng)
+
+    @pytest.mark.parametrize("case", ["d1", "d2", "d3", "wfe"])
+    def test_boosting_equals_reference_on_ties_pure_nodes_and_wide_scores(self, case):
+        from eegbench.classifiers.boosting import MAX_DEPTH
+
+        rng = np.random.default_rng(21)
+        X, y, stages = _boosting_case(case, rng)
+        m = self._assert_boosting_equals_reference(X, y, stages, rng)
+        if case != "wfe":
+            # some stage isolates the pure block above the depth cap
+            assert any(depth < MAX_DEPTH and set(rows.tolist()) <= set(range(12))
+                       for t in m.trees_ for leaf, depth in _leaf_depths(t).items()
+                       for node, rows in t.leaf_rows_ if node == leaf)
+
+    @pytest.mark.parametrize("budget", [None, 4096])
+    def test_stages_read_repeated_split_paths_from_the_table(self, monkeypatch, budget):
+        # every split partitions its node once, while the table has room;
+        # once it is full, the trees still equal the reference
+        import eegbench.classifiers.boosting as boosting_module
+        import eegbench.classifiers.tree as tree_module
+
+        calls, tables = [], []
+        partition = tree_module._partition
+        monkeypatch.setattr(tree_module, "_partition",
+                            lambda *args: calls.append(1) or partition(*args))
+
+        class KeptPaths(tree_module.SplitPaths):
+            def __init__(self, X):
+                super().__init__(X)
+                tables.append(self)
+
+        monkeypatch.setattr(boosting_module, "SplitPaths", KeptPaths)
+        if budget is not None:
+            monkeypatch.setattr(tree_module, "PATH_TABLE_BYTES", budget)
+        X, y, stages = _boosting_case("d2", np.random.default_rng(23))
+        m = GradientBoostingClassifier(n_stages=stages).fit(X, y)
+        trees, _ = _reference_boosting(X, y, stages)
+        assert [_nodes(t) for t in m.trees_] == [_nodes(t) for t in trees]
+        splits = [p for t in trees for p in _split_paths(t)]
+        distinct = len(set(splits))
+        assert tables[0].nbytes <= tree_module.PATH_TABLE_BYTES
+        if budget is None:
+            assert len(calls) == distinct < len(splits) / 2
+        else:
+            assert distinct < len(calls) < len(splits)
+
+    def test_boosting_table_memory_is_bounded(self):
+        from eegbench.classifiers.tree import PATH_TABLE_BYTES
+
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(400, 188)) * np.geomspace(30.0, 0.3, 188)
+        y = (X[:, 0] / 30 + 0.5 * rng.normal(size=400) > 0.9).astype(int)
+        tracemalloc.start()
+        try:
+            GradientBoostingClassifier().fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a fit that partitions every split afresh, keeping no table, peaks
+        # at 9.12 MB here; one with an unbounded table at about 30 MB
+        assert peak <= 9.2e6 + PATH_TABLE_BYTES
 
     def test_boosting_sorts_once_per_fit(self, monkeypatch):
         import eegbench.classifiers.tree as tree_module

@@ -4,7 +4,8 @@ Each stage fits a regression tree of depth ``MAX_DEPTH`` to the current
 negative gradient (label minus predicted probability) on every training
 row; each leaf's value is one Newton step sum(residual) / sum(p(1-p)),
 and the learning rate times that value is added to the scores of the
-leaf's rows. Every stage fits the same rows, so all the trees grow
+leaf's rows, which ``DecisionTree.grow`` returns and the fitted tree
+does not keep. Every stage fits the same rows, so all the trees grow
 through one ``SplitPaths`` table of the training matrix. A node's entry
 is the same whether read from it or partitioned again, and every sum
 and score the same numpy operation on the same array, so the trees do
@@ -52,9 +53,9 @@ class GradientBoostingClassifier:
         for _ in range(self.n_stages):
             prob = _sigmoid(scores)
             residual = y01 - prob
-            tree = DecisionTree(max_depth=MAX_DEPTH).grow(residual, paths)
+            tree = DecisionTree(max_depth=MAX_DEPTH)
             hess = prob * (1.0 - prob)
-            for leaf, idx in tree.leaf_rows_:
+            for leaf, idx in tree.grow(residual, paths):
                 tree.value[leaf] = float(add(residual[idx]) / (add(hess[idx]) + 1e-16))
                 step[idx] = self.learning_rate * tree.value[leaf]
             scores += step                             # every row is in one leaf

@@ -26,9 +26,9 @@ the first best cut in (position, column) order:
   in bootstrap order. A split is scored from class-1 counts, which are
   integer cumsums, so every score and tie-break is exact.
 
-``apply_trees`` and ``predict_trees`` walk any number of trees at once:
-their nodes are laid end to end in flat arrays, and each step moves every
-(tree, row) pair that has not reached a leaf down one level.
+``predict_trees`` walks any number of trees at once: their nodes are
+laid end to end in flat arrays, and each step moves every (tree, row)
+pair that has not reached a leaf down one level.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def _best_split(sorted_t, invalid, total, counts):
 
 
 class DecisionTree:
-    """One fitted tree over flat node lists; ``fit`` and ``grow`` grow a regression tree."""
+    """One fitted tree over flat node lists; ``grow`` grows a regression tree."""
 
     def __init__(self, max_depth=None):
         self.max_depth = max_depth
@@ -137,20 +137,12 @@ class DecisionTree:
         self.right: list = []
         self.value: list = []
 
-    def fit(self, X, targets):
-        """Grow depth first and set every leaf's value to its rows' mean target."""
-        t = np.asarray(targets).astype(float)
-        self.grow(t, SplitPaths(X))
-        for leaf, rows in self.leaf_rows_:
-            self.value[leaf] = float(t[rows].mean())
-        return self
-
-    def grow(self, t, paths):
-        """Grow the nodes on targets ``t`` through ``SplitPaths`` ``paths``, leaving leaf values 0;
-        ``leaf_rows_`` lists each leaf with its rows of the matrix, ascending."""
-        self.leaf_rows_ = []
-        self._grow(t, paths, (), paths.root, 0)
-        return self
+    def grow(self, t, paths) -> list:
+        """Grow the nodes on targets ``t`` through ``SplitPaths`` ``paths``, leaving leaf
+        values 0; returns each leaf with its rows of the matrix, ascending, in preorder."""
+        leaves = []
+        self._grow(t, paths, (), paths.root, 0, leaves)
+        return leaves
 
     def _new_node(self) -> int:
         self.feature.append(_LEAF)
@@ -160,26 +152,23 @@ class DecisionTree:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def _leaf(self, node, idx) -> int:
-        self.leaf_rows_.append((node, idx))
-        return node
-
-    def _grow(self, t, paths, key, entry, depth) -> int:
-        """Grow the subtree of node ``key`` of ``paths``, whose entry is ``entry``."""
+    def _grow(self, t, paths, key, entry, depth, leaves) -> int:
+        """Grow the subtree of node ``key`` of ``paths``, whose entry is ``entry``,
+        appending its leaves and their rows to ``leaves``."""
         node = self._new_node()
         idx = entry[0].astype(np.intp)                 # numpy gathers fastest by intp
-        if self.max_depth is not None and depth >= self.max_depth:
-            return self._leaf(node, idx)
-        n = idx.size
-        sub_t = t[idx]
-        total = np.add.reduce(sub_t)                   # sub_t.sum(), without its wrapper
-        dev = sub_t - total / n                        # sub_t.var(), term for term
-        if np.add.reduce(dev * dev) / n <= 1e-14:      # a one-row node is pure
-            return self._leaf(node, idx)
-        rows = entry[1].astype(np.intp)
-        split = _best_split(t[rows], entry[2], total, paths.counts)
+        split = None
+        if self.max_depth is None or depth < self.max_depth:
+            n = idx.size
+            sub_t = t[idx]
+            total = np.add.reduce(sub_t)               # sub_t.sum(), without its wrapper
+            dev = sub_t - total / n                    # sub_t.var(), term for term
+            if np.add.reduce(dev * dev) / n > 1e-14:   # a one-row node is pure
+                rows = entry[1].astype(np.intp)
+                split = _best_split(t[rows], entry[2], total, paths.counts)
         if split is None:
-            return self._leaf(node, idx)
+            leaves.append((node, idx))
+            return node
         pos, col = split
         lo, hi = paths.X[rows[pos, col], col], paths.X[rows[pos + 1, col], col]
         thr = lo + (hi - lo) / 2.0
@@ -189,8 +178,8 @@ class DecisionTree:
         kids = paths.split(key, entry, pos, col, depth + 1 == self.max_depth)
         self.feature[node] = int(col)
         self.threshold[node] = float(thr)
-        self.left[node] = self._grow(t, paths, (key, pos, col, 0), kids[:3], depth + 1)
-        self.right[node] = self._grow(t, paths, (key, pos, col, 1), kids[3:], depth + 1)
+        self.left[node] = self._grow(t, paths, (key, pos, col, 0), kids[:3], depth + 1, leaves)
+        self.right[node] = self._grow(t, paths, (key, pos, col, 1), kids[3:], depth + 1, leaves)
         return node
 
     @property
@@ -198,11 +187,8 @@ class DecisionTree:
         return len(self.feature)
 
 
-def _walk(trees, X):
-    """Leaf of every (tree, row) pair, numbered across the trees' nodes laid end to end.
-
-    Returns the (trees x rows) node numbers and each tree's first number.
-    """
+def predict_trees(trees, X) -> np.ndarray:
+    """(trees x rows) leaf values from one walk of every (tree, row) pair."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     sizes = [tree.n_nodes for tree in trees]
@@ -222,19 +208,7 @@ def _walk(trees, X):
         at = np.where(go_left, left[at], right[at])
         node[live] = at
         live = live[feature[at] != _LEAF]
-    return node.reshape(len(trees), n), first
-
-
-def apply_trees(trees, X) -> np.ndarray:
-    """(trees x rows) leaf ids, each numbered within its own tree, from one walk."""
-    node, first = _walk(trees, X)
-    return node - first[:, None]
-
-
-def predict_trees(trees, X) -> np.ndarray:
-    """(trees x rows) leaf values from one walk."""
-    node, _ = _walk(trees, X)
-    return np.concatenate([tree.value for tree in trees])[node]
+    return np.concatenate([tree.value for tree in trees])[node.reshape(len(trees), n)]
 
 
 def _dense_rank(X):

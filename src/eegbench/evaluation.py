@@ -14,11 +14,11 @@ matrix ``X Xᵀ``: each entry is the product of two rows alone, so the
 training block ``G[train, train]`` depends on the training rows only,
 and the test rows enter only through ``G[test, train]``, to be projected.
 
-Task: ``run_cell`` runs one replication of (scheme, plan, extractor),
-computing each split's inputs once for every model, and returns a long
-row per model, ``(scheme, extractor, model, replication, accuracy,
-sensitivity, specificity)``, the one format of the runner, the report
-writers and ``eegbench stats``.
+Task: ``run_cell`` runs one replication of (scheme, plan, extractor):
+it computes each split's inputs once (``split_inputs``), fits every model
+on them (``fit_split``), and returns a long row per model, ``(scheme,
+extractor, model, replication, accuracy, sensitivity, specificity)``, the
+one format of the runner, the report writers and ``eegbench stats``.
 """
 
 from __future__ import annotations
@@ -122,14 +122,13 @@ def split_inputs(X, train_idx, test_idx, gram=None) -> tuple:
     return (X_train, X_test), ((X_train - mu) / sd, (X_test - mu) / sd)
 
 
-def fit_split(X, y, train_idx, test_idx, model_kind, seed: int = 0, gram=None, inputs=None):
-    """Fit one model on one split; returns (acc, sen, spe). ``inputs`` is
-    the split's ``split_inputs``, computed here when not given."""
-    inputs = split_inputs(X, train_idx, test_idx, gram) if inputs is None else inputs
+def fit_split(inputs, y_train, y_test, model_kind, seed: int = 0):
+    """Fit one model on one split's ``split_inputs``, labelled ``y_train``;
+    returns its (acc, sen, spe) on the test rows, labelled ``y_test``."""
     X_train, X_test = inputs[model_kind in STANDARDIZED_KINDS]
     model = make_model(model_kind, seed=seed)
-    model.fit(X_train, y[train_idx])
-    return split_rates(y[test_idx], model.predict(X_test))
+    model.fit(X_train, y_train)
+    return split_rates(y_test, model.predict(X_test))
 
 
 def run_cell(scheme: str, extractor: str, models, plan: SplitPlan, replication: int,
@@ -154,8 +153,8 @@ def run_cell(scheme: str, extractor: str, models, plan: SplitPlan, replication: 
             for model in models:
                 fit_seed = derive_seed(master_seed, scheme, plan.kind, extractor, model, "fit",
                                        replication, s)
-                rates[model].append(fit_split(X, labels, train_idx, test_idx, model, fit_seed,
-                                              inputs=inputs))
+                rates[model].append(fit_split(inputs, labels[train_idx], labels[test_idx],
+                                              model, fit_seed))
         except Exception as exc:
             raise CellError(scheme, extractor, model, replication, exc) from exc
         del inputs          # one split's inputs at a time

@@ -8,10 +8,11 @@ The three feature routes mirror the benchmark's extractor menu:
 * ``wfe`` -- no extraction at all: the samples matrix itself, not copied.
 
 ``extract_matrix`` is the one entry: it alone dispatches on the extractor
-name, and it feeds ``mfcc`` and the wavelet families ``EXTRACT_BLOCK``
-rows of the samples at a time. Those work along the last axis: a
-``(..., n)`` stack of signals yields a ``(..., width)`` stack of feature
-rows, each row bit-for-bit the one its signal gives in a one-row stack.
+name, and it hands ``mfcc`` and the wavelet families the rows it is given
+as one stack (the runner sizes that stack). Those work along the last
+axis: a ``(..., n)`` stack of signals yields a ``(..., width)`` stack of
+feature rows, each row bit-for-bit the one its signal gives in a one-row
+stack.
 """
 
 from __future__ import annotations
@@ -26,12 +27,6 @@ from . import mfcc as mfcc_mod
 from . import wavelet as wv
 
 EXTRACTORS = ("wfe", "db2", "db4", "coif1", "mfcc")
-
-# signals stacked per extraction call. In a 2-job db2/db4/coif1/mfcc run on the
-# 500-signal corpus the largest pool worker's ru_maxrss through extraction was
-# 50 MB at 8, 57 at 32 and 67 at 64: at 32 it stays under the parent's 60.6 MB
-# peak, which the scipy.special import for the inference reports sets at the end.
-EXTRACT_BLOCK = 32
 
 
 def _entropy(weights):
@@ -170,8 +165,8 @@ def extract_matrix(samples, labels, extractor: str) -> FeatureMatrix:
     """One feature row per row of ``samples``, a (recordings, samples) matrix.
 
     ``wfe``'s values are ``samples`` itself, a float64 matrix without a
-    copy. ``mfcc`` and the wavelet families get its rows ``EXTRACT_BLOCK``
-    at a time, so their transients stay one block in size.
+    copy. ``mfcc`` and the wavelet families extract all its rows as one
+    stack, so their transients grow with the row count.
     """
     if extractor not in EXTRACTORS:
         raise ValueError(f"unknown extractor {extractor!r}; expected one of {EXTRACTORS}")
@@ -179,13 +174,9 @@ def extract_matrix(samples, labels, extractor: str) -> FeatureMatrix:
     if extractor == "wfe":
         values, names = x, [f"sample_{i:04d}" for i in range(x.shape[1])]
     elif extractor == "mfcc":
-        values = np.vstack([mfcc_mod.mfcc_features(x[start:start + EXTRACT_BLOCK])
-                            for start in range(0, len(x), EXTRACT_BLOCK)])
-        names = mfcc_mod.mfcc_feature_names()
+        values, names = mfcc_mod.mfcc_features(x), mfcc_mod.mfcc_feature_names()
     else:
-        blocks = [wavelet_band_features(x[start:start + EXTRACT_BLOCK], extractor)
-                  for start in range(0, len(x), EXTRACT_BLOCK)]
-        values, names = np.vstack([v for v, _ in blocks]), blocks[0][1]
+        values, names = wavelet_band_features(x, extractor)
     return FeatureMatrix(values, names, np.asarray(labels, dtype=int))
 
 

@@ -1,12 +1,13 @@
 """Experiment orchestration: corpus to finished report bundle.
 
-A run has two phases, and ``_run_tasks`` runs both: feature extraction,
-one task per ``EXTRACT_BLOCK`` rows of the corpus matrix and extractor,
-then one task per (scheme, plan, extractor, replication), which fits
-every model on each of its splits. Under ``jobs=1`` the tasks run in
-order here, else on workers forked from this process, which inherit the
-samples and features. Results are keyed by task, so output never depends
-on completion order. Each extractor has one matrix, of the largest
+A run has two phases, and ``_run_tasks`` runs both, each with its own
+task function: feature extraction, one task per ``EXTRACT_BLOCK`` rows
+of the corpus matrix and extractor, then one task per (scheme, plan,
+extractor, replication), which fits every model on each of its splits.
+Under ``jobs=1`` the tasks run in order here, else on workers forked
+from this process, which inherit the task function and so the samples
+and features it reads. Results are keyed by task, so output never
+depends on completion order. Each extractor has one matrix, of the largest
 scheme's rows, which every scheme indexes; ``wfe`` is the samples, whose
 Gram matrix is computed once before the cells (a run without ``wfe``
 releases the samples then). ``_write_bundle`` writes the long rows of
@@ -32,7 +33,6 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -42,11 +42,17 @@ from .config import RunConfig
 from .corpus import build_dataset, load_corpus, write_manifest
 from .errors import CellError
 from .evaluation import PLAN_KINDS, derive_seed, run_cell
-from .features import EXTRACT_BLOCK, FeatureMatrix, extract_matrix
+from .features import FeatureMatrix, extract_matrix
 from .reporting import (write_boxplot_data, write_inference_reports, write_long_csv,
                         write_performance_tables)
 
 BALANCED_SAMPLING_TAG = "balanced-dataset"
+
+# signals per extraction task. In a 2-job db2/db4/coif1/mfcc run on the
+# 500-signal corpus the largest pool worker's ru_maxrss through extraction was
+# 50 MB at 8, 57 at 32 and 67 at 64: at 32 it stays under the parent's 60.6 MB
+# peak, which the scipy.special import for the inference reports sets at the end.
+EXTRACT_BLOCK = 32
 
 
 def build_datasets(cfg: RunConfig) -> tuple:
@@ -61,22 +67,15 @@ def _largest(datasets: dict):
     return max(datasets.values(), key=lambda ds: ds.rows.size)
 
 
-class _Chunk(NamedTuple):
-    """One extraction task: ``extractor`` on the ``EXTRACT_BLOCK`` samples rows from ``start``."""
-
-    extractor: str
-    start: int
-
-
 def extract_features(cfg: RunConfig, corpus, datasets: dict) -> dict:
     """extractor -> FeatureMatrix of the largest scheme's rows; extraction is per-row pure.
 
     Those rows are the corpus matrix when they are all of it, and else its
     first rows, moved there in place (spending the corpus), not a copy.
     ``wfe`` is those samples, through one ``extract_matrix`` call here,
-    which does not copy them. Every other extractor is one ``_Chunk`` task
-    per ``EXTRACT_BLOCK`` rows, the same tasks at any ``jobs``, and the
-    blocks are stacked in order.
+    which does not copy them. Every other extractor is one (extractor,
+    first row) task per ``EXTRACT_BLOCK`` rows, the same tasks at any
+    ``jobs``, and the blocks are stacked in order.
     """
     largest = _largest(datasets)
     rows, labels = largest.rows, largest.labels
@@ -84,15 +83,21 @@ def extract_features(cfg: RunConfig, corpus, datasets: dict) -> dict:
     for i, row in enumerate(rows if rows.size < len(samples) else ()):
         samples[i] = samples[row]   # rows are sorted: each is read before it is overwritten
     samples = samples[:rows.size]
-    chunks = [_Chunk(extractor, start) for extractor in cfg.extractors if extractor != "wfe"
+
+    def extract_block(task):
+        extractor, start = task
+        block = slice(start, start + EXTRACT_BLOCK)
+        return extract_matrix(samples[block], labels[block], extractor)
+
+    chunks = [(extractor, start) for extractor in cfg.extractors if extractor != "wfe"
               for start in range(0, rows.size, EXTRACT_BLOCK)]
-    parts = _run_tasks(cfg, (samples, labels), chunks) if chunks else {}
+    parts = _run_tasks(cfg.jobs, extract_block, chunks) if chunks else {}
     features = {}
     for extractor in cfg.extractors:
         if extractor == "wfe":
             fm = extract_matrix(samples, labels, extractor)
         else:
-            fms = [part for chunk, part in parts.items() if chunk.extractor == extractor]
+            fms = [part for chunk, part in parts.items() if chunk[0] == extractor]
             fm = FeatureMatrix(np.vstack([p.values for p in fms]), fms[0].feature_names, labels)
         features[extractor] = fm
     return features
@@ -135,63 +140,54 @@ def execute_cells(cfg: RunConfig, datasets: dict, features: dict, progress=None)
         return {cell: [results[(*cell[:3], rep)][cell[3]] for rep in reps[cell[1]]]
                 for cell in cells if all((*cell[:3], rep) in results for rep in reps[cell[1]])}
 
+    def run_task(task):
+        scheme, plan_name, extractor, rep = task
+        plan = cfg.kfold_plan if plan_name == "kfold" else cfg.holdout_plan
+        return run_cell(scheme, extractor, cfg.models, plan, rep, features=features[extractor],
+                        rows=rows[scheme], master_seed=cfg.master_seed)
+
     try:
-        results = _run_tasks(cfg, (features, rows), tasks, task_landed)
+        results = _run_tasks(cfg.jobs, run_task, tasks, task_landed)
     except BaseException as exc:
         exc.completed = by_cell(exc.completed)
         raise
     return by_cell(results)
 
 
-def _run_task(cfg: RunConfig, inputs, task):
-    """One task's result: a ``_Chunk`` of the (samples, labels) ``inputs``, or a
-    (scheme, plan, extractor, replication) over the (features, rows by scheme) ``inputs``."""
-    if isinstance(task, _Chunk):
-        samples, labels = inputs
-        block = slice(task.start, task.start + EXTRACT_BLOCK)
-        return extract_matrix(samples[block], labels[block], task.extractor)
-    scheme, plan_name, extractor, rep = task
-    features, rows = inputs
-    plan = cfg.kfold_plan if plan_name == "kfold" else cfg.holdout_plan
-    return run_cell(scheme, extractor, cfg.models, plan, rep, features=features[extractor],
-                    rows=rows[scheme], master_seed=cfg.master_seed)
-
-
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(cfg, inputs):
-    _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["inputs"] = inputs
+def _init_worker(work):
+    _WORKER_STATE["work"] = work
 
 
 def _run_one(task):
-    """A pool worker's only entry: one task on its inputs; returns (task, result)."""
-    return task, _run_task(_WORKER_STATE["cfg"], _WORKER_STATE["inputs"], task)
+    """A pool worker's only entry: its task function on one task; returns (task, result)."""
+    return task, _WORKER_STATE["work"](task)
 
 
-def _run_tasks(cfg: RunConfig, inputs, tasks: list, progress=None) -> dict:
-    """{task: result} for every task, in task order.
+def _run_tasks(jobs: int, work, tasks: list, progress=None) -> dict:
+    """{task: ``work(task)``} for every task, in task order.
 
     Under ``jobs=1`` the tasks run in order in this process. Otherwise
     they run on ``min(jobs, len(tasks))`` workers forked from this
     process, whatever the platform's default start method, so they
-    inherit ``inputs`` at fork rather than unpickle a copy each. Any
-    exception cancels the tasks not yet started and lets the running ones
-    finish; it leaves with the result of every finished task in
-    ``completed``.
+    inherit ``work``, and whatever it reads, at fork rather than unpickle
+    a copy each; only the tasks and results are pickled. Any exception
+    cancels the tasks not yet started and lets the running ones finish;
+    it leaves with the result of every finished task in ``completed``.
     """
     results = {}
     try:
-        if cfg.jobs <= 1:
+        if jobs <= 1:
             for task in tasks:
-                results[task] = _run_task(cfg, inputs, task)
+                results[task] = work(task)
                 if progress:
                     progress(task, len(results), len(tasks))
         else:
-            with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks)),
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                      mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_init_worker, initargs=(cfg, inputs)) as pool:
+                                     initializer=_init_worker, initargs=(work,)) as pool:
                 futures = [pool.submit(_run_one, task) for task in tasks]
                 try:
                     for future in as_completed(futures):

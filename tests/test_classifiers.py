@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,7 @@ from eegbench.classifiers import (
     make_model,
 )
 from eegbench.classifiers.boosting import _sigmoid
-from eegbench.classifiers.tree import DecisionTree, apply_trees, grow_forest, predict_trees
+from eegbench.classifiers.tree import DecisionTree, SplitPaths, grow_forest, predict_trees
 
 
 def two_blobs(rng, n=60, d=3, sep=10.0):
@@ -605,14 +607,37 @@ class TestBoosting:
         with pytest.raises(ValueError):
             GradientBoostingClassifier(n_stages=0)
 
+    def test_fitted_boosting_keeps_no_rows(self):
+        # the trees hold their nodes only: with every leaf's training rows
+        # a 400 x 2 fit pickled to 383 KiB, without them to 44 KiB
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(400, 2))
+        y = (X[:, 0] + 0.5 * rng.normal(size=400) > 0).astype(int)
+        m = GradientBoostingClassifier().fit(X, y)
+        assert len(pickle.dumps(m)) < 100 * 1024
+
+
+def _grown(X, t, max_depth=None):
+    """A regression tree that ``grow`` grows on all rows of ``X``, and the leaves it returns."""
+    tree = DecisionTree(max_depth=max_depth)
+    return tree, tree.grow(np.asarray(t, dtype=float), SplitPaths(X))
+
+
+def _grown_nodes(tree, leaves):
+    """A tree's node structure and its leaves' rows, values aside: ``grow`` leaves them 0."""
+    return (tree.feature, tree.threshold, tree.left, tree.right,
+            [(leaf, rows.tolist()) for leaf, rows in leaves])
+
+
+def _leaf_ids(trees, X):
+    """(trees x rows) leaf ids, from ``predict_trees`` on copies whose values are their node ids."""
+    copies = [copy.copy(tree) for tree in trees]
+    for tree in copies:
+        tree.value = list(range(tree.n_nodes))
+    return predict_trees(copies, X)
+
 
 class TestDecisionTreeDirect:
-    def test_regression_tree_recovers_step_function(self):
-        X = np.linspace(0, 1, 50).reshape(-1, 1)
-        y = np.where(X[:, 0] < 0.43, 2.0, 5.0)
-        t = DecisionTree(max_depth=2).fit(X, y)
-        assert np.abs(predict_trees([t], X)[0] - y).max() < 1e-12
-
     @pytest.mark.parametrize("criterion", ["gini", "mse"])
     def test_leaf_rows_are_the_rows_each_leaf_receives(self, criterion):
         rng = np.random.default_rng(7)
@@ -622,16 +647,17 @@ class TestDecisionTreeDirect:
             # vote of the training rows that reach it, class 0 on a tie
             t = (X[:, 0] + 0.5 * rng.normal(size=70) > 0.2).astype(int)
             tree = _one_tree(X, t)
-            leaf_of = apply_trees([tree], X)[0]
+            leaf_of = _leaf_ids([tree], X)[0]
+            assert np.array_equal(leaf_of, _reference_apply(tree, X))
             assert len(set(leaf_of.tolist())) > 3
             for leaf in set(leaf_of.tolist()):
                 votes = t[leaf_of == leaf]
                 assert tree.value[leaf] == float(2 * votes.sum() > votes.size)
             return
-        tree = DecisionTree(max_depth=4).fit(X, X[:, 1] ** 2)
-        leaf_of = apply_trees([tree], X)[0]
-        assert sorted(leaf for leaf, _ in tree.leaf_rows_) == sorted(set(leaf_of.tolist()))
-        for leaf, rows in tree.leaf_rows_:
+        tree, leaves = _grown(X, X[:, 1] ** 2, 4)
+        leaf_of = _leaf_ids([tree], X)[0]
+        assert sorted(leaf for leaf, _ in leaves) == sorted(set(leaf_of.tolist()))
+        for leaf, rows in leaves:
             assert np.array_equal(rows, np.flatnonzero(leaf_of == leaf))
 
 
@@ -821,12 +847,6 @@ def _leaf_depths(tree):
     return depths
 
 
-def _nodes(tree):
-    """Every node field and each leaf's rows, for node-for-node comparison."""
-    return (tree.feature, tree.threshold, tree.left, tree.right, tree.value,
-            [(leaf, rows.tolist()) for leaf, rows in tree.leaf_rows_])
-
-
 def _tree_case(case, rng):
     """(X, max_depth) of one shape of input the growers must agree on."""
     if case == "depth_cap":
@@ -862,8 +882,8 @@ class TestPresortedGrowth:
             # forest trees grow fully: no depth cap
             assert _splits(_one_tree(X, t)) == _splits(ReferenceTree("gini").fit(X, t))
             return
-        tree = DecisionTree(max_depth=depth).fit(X, t)
-        assert _nodes(tree) == _nodes(ReferenceTree("mse", max_depth=depth).fit(X, t))
+        ref = ReferenceTree("mse", max_depth=depth).fit(X, t)
+        assert _grown_nodes(*_grown(X, t, depth)) == _grown_nodes(ref, ref.leaf_rows_)
 
     @pytest.mark.parametrize("criterion", ["gini"])
     def test_feature_drawing_trees_keep_per_node_sort(self, criterion):
@@ -884,23 +904,24 @@ class TestPresortedGrowth:
             tree = _one_tree(X, t)
             assert tree.n_nodes == 1 and _splits(tree) == _splits(ref)
             return
-        tree = DecisionTree().fit(X, t)
+        tree, leaves = _grown(X, t)
         assert tree.n_nodes == 1
-        assert _nodes(tree) == _nodes(ref)
+        assert _grown_nodes(tree, leaves) == _grown_nodes(ref, ref.leaf_rows_)
 
     @staticmethod
     def _assert_boosting_equals_reference(X, y, stages, rng):
-        """Boosting's trees equal the reference's node for node, and its scores bit for bit."""
+        """Boosting's trees equal the reference's node for node, and its scores bit for bit;
+        returns the reference's trees, which keep their leaves' rows."""
         m = GradientBoostingClassifier(n_stages=stages).fit(X, y)
         trees, train_scores = _reference_boosting(X, y, stages)
-        assert [_nodes(t) for t in m.trees_] == [_nodes(t) for t in trees]
+        assert [_splits(t) for t in m.trees_] == [_splits(t) for t in trees]
         assert np.array_equal(m.decision_scores(X), train_scores)
         q = rng.normal(size=(40, X.shape[1]))
         scores = np.full(40, m._f0)
         for tree in trees:
             scores += m.learning_rate * np.asarray(tree.value)[_reference_apply(tree, q)]
         assert np.array_equal(m.decision_scores(q), scores)
-        return m
+        return trees
 
     def test_boosting_equals_reference_grower(self):
         rng = np.random.default_rng(21)
@@ -914,11 +935,11 @@ class TestPresortedGrowth:
 
         rng = np.random.default_rng(21)
         X, y, stages = _boosting_case(case, rng)
-        m = self._assert_boosting_equals_reference(X, y, stages, rng)
+        trees = self._assert_boosting_equals_reference(X, y, stages, rng)
         if case != "wfe":
             # some stage isolates the pure block above the depth cap
             assert any(depth < MAX_DEPTH and set(rows.tolist()) <= set(range(12))
-                       for t in m.trees_ for leaf, depth in _leaf_depths(t).items()
+                       for t in trees for leaf, depth in _leaf_depths(t).items()
                        for node, rows in t.leaf_rows_ if node == leaf)
 
     @pytest.mark.parametrize("budget", [None, 4096])
@@ -944,7 +965,7 @@ class TestPresortedGrowth:
         X, y, stages = _boosting_case("d2", np.random.default_rng(23))
         m = GradientBoostingClassifier(n_stages=stages).fit(X, y)
         trees, _ = _reference_boosting(X, y, stages)
-        assert [_nodes(t) for t in m.trees_] == [_nodes(t) for t in trees]
+        assert [_splits(t) for t in m.trees_] == [_splits(t) for t in trees]
         splits = [p for t in trees for p in _split_paths(t)]
         distinct = len(set(splits))
         assert tables[0].nbytes <= tree_module.PATH_TABLE_BYTES
@@ -990,9 +1011,11 @@ class TestFlatWalk:
         thresholds = np.unique(np.concatenate([t.threshold for t in trees]))[:25]
         q = np.vstack([q, np.repeat(thresholds[:, None], q.shape[1], axis=1)])
         expected = np.array([_reference_apply(t, q) for t in trees]).reshape(len(trees), -1)
-        assert np.array_equal(apply_trees(trees, q), expected)
+        assert np.array_equal(_leaf_ids(trees, q), expected)
         for tree, leaves in zip(trees, expected):
-            assert np.array_equal(apply_trees([tree], q)[0], leaves)
+            assert np.array_equal(_leaf_ids([tree], q)[0], leaves)
+            values = np.asarray(tree.value)[leaves]
+            assert np.array_equal(predict_trees([tree], q)[0], values)
 
     @pytest.mark.parametrize("d", [2, 3], ids=["level_wise", "feature_draws"])
     def test_forest_leaves_and_votes(self, d):
@@ -1018,11 +1041,12 @@ class TestFlatWalk:
         rng = np.random.default_rng(26)
         X = rng.normal(size=(20, 2))
         lone = _one_tree(X, np.ones(20, dtype=int))
-        deep = DecisionTree().fit(X, rng.normal(size=20))
+        deep, _ = _grown(X, rng.normal(size=20))
         assert lone.n_nodes == 1
         self._assert_walk_equals_reference([lone, deep], rng.normal(size=(15, 2)))
         self._assert_walk_equals_reference([lone, deep], np.zeros((0, 2)))
-        assert apply_trees([lone, deep], np.zeros((0, 2))).shape == (2, 0)
+        assert _leaf_ids([lone, deep], np.zeros((0, 2))).shape == (2, 0)
+        assert predict_trees([lone, deep], np.zeros((0, 2))).shape == (2, 0)
 
 
 class TestUniformContract:

@@ -201,9 +201,9 @@ class TestRunCell:
         for rep, row in enumerate(rows):
             splits = ev.make_splits(fm.labels, dataclasses.replace(
                 plan, n_repeats=1, seed=ev.derive_seed(0, "balanced", "kfold", "split", rep)))
-            folds = [ev.fit_split(fm.values, fm.labels, *splits[s], "knn",
-                                  ev.derive_seed(0, "balanced", "kfold", "wfe", "knn",
-                                                 "fit", rep, s)) for s in range(5)]
+            folds = [fit_one_split(fm.values, fm.labels, *splits[s], "knn",
+                                   ev.derive_seed(0, "balanced", "kfold", "wfe", "knn",
+                                                  "fit", rep, s)) for s in range(5)]
             assert row[4:] == tuple(float(np.mean(col)) for col in zip(*folds))
 
     def test_failure_carries_cell_context(self, monkeypatch):
@@ -236,6 +236,12 @@ class TestRunCell:
         with pytest.raises(CellError, match="projection failed") as err:
             ev.run_cell("balanced", "wfe", ["nb", "knn"], plan, 1, features=separable_features())
         assert (err.value.model, err.value.replication) == ("nb", 1)
+
+
+def fit_one_split(X, y, train_idx, test_idx, model_kind, seed=0, gram=None):
+    """``fit_split`` on the ``split_inputs`` of one split of ``X``."""
+    inputs = ev.split_inputs(X, train_idx, test_idx, gram)
+    return ev.fit_split(inputs, y[train_idx], y[test_idx], model_kind, seed)
 
 
 def reference_fit_split(X, y, train_idx, test_idx, model_kind, seed=0):
@@ -283,10 +289,10 @@ class TestLeakage:
     def train_side_with_garbage_test_rows(handed_to_model, X, y, kind):
         """What the model is fitted on, with the test rows as they are and as 1e6-scale noise."""
         train_idx, test_idx = ev.make_splits(y, ev.SplitPlan("holdout", seed=1))[0]
-        ev.fit_split(X, y, train_idx, test_idx, kind)
+        fit_one_split(X, y, train_idx, test_idx, kind)
         garbage = X.copy()
         garbage[test_idx] = 1e6 * np.random.default_rng(0).normal(size=(len(test_idx), X.shape[1]))
-        ev.fit_split(garbage, y, train_idx, test_idx, kind)
+        fit_one_split(garbage, y, train_idx, test_idx, kind)
         clean, _, dirty, _ = handed_to_model
         return clean, dirty
 
@@ -309,7 +315,7 @@ class TestLeakage:
         fm = separable_features(n=50, d=5, seed=4)
         splits = ev.make_splits(fm.labels, ev.SplitPlan("holdout", seed=2))
         train_idx, test_idx = splits[0]
-        ev.fit_split(fm.values, fm.labels, train_idx, test_idx, "nb")
+        fit_one_split(fm.values, fm.labels, train_idx, test_idx, "nb")
         direct = pca_fit(fm.values[train_idx], ev.PCA_VARIANCE_TARGET)
         train, test = handed_to_model
         assert train.tobytes() == pca_apply(direct, fm.values[train_idx]).tobytes()
@@ -334,24 +340,31 @@ class TestSharedSplit:
         assert (fm.values.shape[0] < fm.values.shape[1]) == wide
         if wide:
             fm.gram = fm.values @ fm.values.T
-        fits, fit_split = [], ev.fit_split
+        splits, fits, split_inputs, fit_split = [], [], ev.split_inputs, ev.fit_split
 
-        def recording(X, y, train_idx, test_idx, model_kind, seed=0, gram=None, inputs=None):
-            fits.append((train_idx, test_idx, model_kind, seed))
-            return fit_split(X, y, train_idx, test_idx, model_kind, seed, gram, inputs)
+        def recording_inputs(X, train_idx, test_idx, gram=None):
+            splits.append((train_idx, test_idx))
+            return split_inputs(X, train_idx, test_idx, gram)
 
+        def recording(inputs, y_train, y_test, model_kind, seed=0):
+            fits.append((*splits[-1], model_kind, seed))
+            return fit_split(inputs, y_train, y_test, model_kind, seed)
+
+        monkeypatch.setattr(ev, "split_inputs", recording_inputs)
         monkeypatch.setattr(ev, "fit_split", recording)
         rows = build_dataset(corpus, "balanced", seed=4).rows
         plan = ev.SplitPlan("holdout", n_repeats=1)
         task = ev.run_cell("balanced", extractor, MODEL_KINDS, plan, 0, features=fm, rows=rows,
                            master_seed=3)
-        assert [fit[2] for fit in fits] == list(MODEL_KINDS)  # one split, every model
+        assert len(splits) == 1                               # one split's inputs,
+        assert [fit[2] for fit in fits] == list(MODEL_KINDS)  # for every model
         assert set(STANDARDIZED_KINDS) < set(MODEL_KINDS)
         shared = list(handed_to_model)
         handed_to_model.clear()
         for train_idx, test_idx, kind, seed in fits:
             assert np.isin(train_idx, rows).all() and np.isin(test_idx, rows).all()
-            fresh = fit_split(fm.values, fm.labels, train_idx, test_idx, kind, seed, fm.gram)
+            inputs = split_inputs(fm.values, train_idx, test_idx, fm.gram)
+            fresh = fit_split(inputs, fm.labels[train_idx], fm.labels[test_idx], kind, seed)
             assert np.array_equal(task[kind][4:], fresh, equal_nan=True), kind
         # every model's fit and predict inputs, in model order
         assert [a.tobytes() for a in shared] == [a.tobytes() for a in handed_to_model]
@@ -380,7 +393,7 @@ class TestInPlaceCentring:
         wide split projects from the Gram matrix, within ``WIDE_RTOL``."""
         X, y, train_idx, test_idx = factor_split(n_train, d)
         before = X.copy()
-        rates = ev.fit_split(X, y, train_idx, test_idx, kind, seed=3)
+        rates = fit_one_split(X, y, train_idx, test_idx, kind, seed=3)
         assert X.tobytes() == before.tobytes()
         ref_rates = reference_fit_split(X, y, train_idx, test_idx, kind, seed=3)
         assert np.array_equal(rates, ref_rates, equal_nan=True)
@@ -407,7 +420,7 @@ class TestInPlaceCentring:
         gram = X @ X.T
         tracemalloc.start()
         try:
-            ev.fit_split(X, y, train_idx, test_idx, "lda", gram=gram)
+            fit_one_split(X, y, train_idx, test_idx, "lda", gram=gram)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

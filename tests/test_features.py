@@ -8,6 +8,7 @@ import pytest
 from eegbench import features as ft
 from eegbench import wavelet as wv
 from eegbench.corpus import SET_TAGS, load_signal
+from eegbench.runner import EXTRACT_BLOCK
 from eegbench.synthetic import synthesize_signal
 
 
@@ -129,9 +130,9 @@ class TestAssemble:
 
 @pytest.fixture(scope="module")
 def signals(corpus_root):
-    """Recordings from three sets, two whole blocks and three signals more,
-    as the float64 rows of one matrix, the way the corpus holds them."""
-    count = 2 * ft.EXTRACT_BLOCK + 3
+    """Recordings from three sets, two whole runner tasks and three signals
+    more, as the float64 rows of one matrix, the way the corpus holds them."""
+    count = 2 * EXTRACT_BLOCK + 3
     paths = [p for tag in ("Z", "F", "S")
              for p in sorted((corpus_root / tag).iterdir())[:-(-count // 3)]]
     return np.array([load_signal(p) for p in paths[:count]], dtype=float)
@@ -163,19 +164,20 @@ def rows_one_at_a_time(signals, extractor):
 class TestBatchedExtraction:
     @pytest.mark.parametrize("extractor", ["wfe", "db2", "db4", "coif1", "mfcc"])
     def test_blocks_equal_one_row_calls(self, signals, extractor):
-        assert len(signals) > 2 * ft.EXTRACT_BLOCK
-        assert len(signals) % ft.EXTRACT_BLOCK
+        # one 67-row stack, longer than any runner task, row for row
+        assert len(signals) == 67
         fm = ft.extract_matrix(signals, [0] * len(signals), extractor)
         assert fm.values.tobytes() == rows_one_at_a_time(signals, extractor).tobytes()
 
     def test_block_memory_is_bounded(self, signals):
-        # 8.7 MB measured at a block of 32; a synthesis that builds every
-        # tap's values and a flat index for one bincount took it to 12.3 MB
-        assert len(signals) == 2 * ft.EXTRACT_BLOCK + 3
-        assert {x.size for x in signals} == {4097}
+        # one runner task: 8.7 MB measured at a block of 32; a synthesis that
+        # builds every tap's values and a flat index for one bincount took
+        # it to 12.3 MB
+        block = signals[:EXTRACT_BLOCK]
+        assert {x.size for x in block} == {4097}
         tracemalloc.start()
         try:
-            ft.extract_matrix(signals, [0] * len(signals), "db4")
+            ft.extract_matrix(block, [0] * EXTRACT_BLOCK, "db4")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -139,9 +139,9 @@ def test_extraction_independent_of_jobs(corpus_root, tmp_path, monkeypatch):
     tasks = {}
     run_tasks = runner._run_tasks
 
-    def recording(cfg, inputs, task_list, progress=None):
-        tasks[cfg.jobs] = list(task_list)
-        return run_tasks(cfg, inputs, task_list, progress)
+    def recording(jobs, work, task_list, progress=None):
+        tasks[jobs] = list(task_list)
+        return run_tasks(jobs, work, task_list, progress)
 
     monkeypatch.setattr(runner, "_run_tasks", recording)
     features = {}
@@ -173,9 +173,9 @@ def test_wfe_is_the_corpus_matrix(corpus_root, tmp_path, monkeypatch):
     tasks = []
     run_tasks = runner._run_tasks
 
-    def recording(cfg, inputs, task_list, progress=None):
+    def recording(jobs, work, task_list, progress=None):
         tasks.extend(task_list)
-        return run_tasks(cfg, inputs, task_list, progress)
+        return run_tasks(jobs, work, task_list, progress)
 
     monkeypatch.setattr(runner, "_run_tasks", recording)
     cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
@@ -196,7 +196,7 @@ def test_wfe_is_the_corpus_matrix(corpus_root, tmp_path, monkeypatch):
     cfg.extractors = ["wfe", "mfcc"]
     cfg.jobs = 2
     features = extract_features(cfg, corpus, datasets)
-    assert tasks and {task.extractor for task in tasks} == {"mfcc"}
+    assert tasks and {extractor for extractor, _ in tasks} == {"mfcc"}
     assert np.shares_memory(features["wfe"].values, corpus.samples)
 
 
@@ -237,18 +237,23 @@ def test_every_model_and_extractor_fits_the_same_splits(corpus_root, tmp_path, m
     # and no two fits share a fit seed
     from eegbench import evaluation, runner
 
-    seen, task = [], []
-    run_cell, fit_split = runner.run_cell, evaluation.fit_split
+    seen, task, split = [], [], []
+    run_cell, split_inputs, fit_split = runner.run_cell, evaluation.split_inputs, evaluation.fit_split
 
     def recording_task(scheme, extractor, models, plan, rep, **kwargs):
         task[:] = [(scheme, plan.kind, rep), extractor]
         return run_cell(scheme, extractor, models, plan, rep, **kwargs)
 
-    def recording_fit(X, y, train_idx, test_idx, model_kind, seed=0, gram=None, inputs=None):
-        seen.append((*task, model_kind, seed, (train_idx.tobytes(), test_idx.tobytes())))
-        return fit_split(X, y, train_idx, test_idx, model_kind, seed, gram, inputs)
+    def recording_inputs(X, train_idx, test_idx, gram=None):
+        split[:] = [(train_idx.tobytes(), test_idx.tobytes())]
+        return split_inputs(X, train_idx, test_idx, gram)
+
+    def recording_fit(inputs, y_train, y_test, model_kind, seed=0):
+        seen.append((*task, model_kind, seed, split[0]))
+        return fit_split(inputs, y_train, y_test, model_kind, seed)
 
     monkeypatch.setattr(runner, "run_cell", recording_task)
+    monkeypatch.setattr(evaluation, "split_inputs", recording_inputs)
     monkeypatch.setattr(evaluation, "fit_split", recording_fit)
     cfg = small_config(corpus_root, tmp_path / "report", schemes=["imbalanced", "balanced"],
                        extractors=["db2", "mfcc"], models=["lda", "knn", "rf"],
@@ -666,6 +671,26 @@ class TestTaskRunner:
         # the workers inherit the samples and the features at fork
         assert all(pool["start"] == "fork" for pool in pools)
         assert all(pool["workers"] == min(8, pool["tasks"]) for pool in pools)
+
+    def test_workers_inherit_the_task_function(self):
+        # workers fork with the task function and what it reads: only the
+        # tasks and results cross a pipe, so an unpicklable input still runs
+        import pickle
+
+        from eegbench import runner
+
+        class Unpicklable:
+            scale = 10
+
+            def __reduce__(self):
+                raise TypeError("inputs must not be pickled")
+
+        held = Unpicklable()
+        with pytest.raises(TypeError, match="must not be pickled"):
+            pickle.dumps(held)
+        tasks = [5, 3, 0, 4, 1, 2]
+        results = runner._run_tasks(2, lambda task: (task, task * held.scale), tasks)
+        assert list(results.items()) == [(task, (task, task * 10)) for task in tasks]
 
     def test_failing_chunk_cancels_queued_chunks(self, corpus_root, tmp_path, monkeypatch):
         from eegbench import runner

@@ -105,12 +105,11 @@ def split_rates(y_true, y_pred):
 def split_inputs(X, train_idx, test_idx, gram=None) -> tuple:
     """One split's model inputs, indexed by ``model in STANDARDIZED_KINDS``:
     (training, test) rows of ``X`` on its training rows' principal axes
-    (for a wide ``X`` by ``gram_pca_split`` from ``gram = X @ X.T``, made
-    here if not given; for a tall one by ``pca_fit`` and ``pca_apply``),
-    then those standardized by the training moments (a constant column by
-    1). ``X`` is left alone."""
+    (for a wide ``X`` by ``gram_pca_split`` from the caller's
+    ``gram = X @ X.T``; for a tall one, which needs no ``gram``, by
+    ``pca_fit`` and ``pca_apply``), then those standardized by the training
+    moments (a constant column by 1). ``X`` is left alone."""
     if X.shape[0] < X.shape[1]:
-        gram = X @ X.T if gram is None else gram
         X_train, X_test = gram_pca_split(X, gram, train_idx, test_idx, PCA_VARIANCE_TARGET)
     else:
         X_train = X[train_idx]

@@ -30,22 +30,13 @@ EXTRACTORS = ("wfe", "db2", "db4", "coif1", "mfcc")
 
 
 def _entropy(weights):
-    # -sum(p log p) of p = weights / sum(weights) along the last axis; a zero
-    # row has entropy 0. Rows without a zero term are summed as one stack;
-    # a row with zeros sums its nonzero terms only, alone, because the zeros
-    # would change numpy's pairwise summation order.
+    # -sum(p log p) of p = weights / sum(weights) along the last axis, every
+    # row in one stacked sum: a zero term adds exactly 0, so a zero row has
+    # entropy 0
     w = np.asarray(weights, dtype=float)
     total = w.sum(axis=-1, keepdims=True)
     p = np.divide(w, total, out=np.zeros_like(w), where=total > 0)
-    rows = p.reshape(-1, p.shape[-1])
-    full = np.all(rows > 0, axis=-1)
-    out = np.zeros(rows.shape[0])
-    q = rows[full]
-    out[full] = -np.sum(q * np.log(q), axis=-1)
-    for i in np.flatnonzero(~full):
-        q = rows[i][rows[i] > 0]
-        out[i] = -np.sum(q * np.log(q)) if q.size else 0.0
-    return out.reshape(p.shape[:-1])[()]
+    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1)
 
 
 def shannon_entropy(coeffs):
@@ -73,16 +64,20 @@ def band_statistics(coeffs, psd=None) -> dict:
     Each value is a float for a 1-D band and an array over the leading
     axes for a stack of bands. ``psd`` is the band's ``_psd_positive_bins``
     when the caller has it already.
+
+    Variance and kurtosis come from plain products of the deviations d,
+    ``mean(d·d)`` and ``mean((d·d)·(d·d)) / (var·var)``, so their bits do
+    not depend on the host's SIMD ``pow``; a constant band has kurtosis 0.
+    The entropy goes through numpy's ``log``, whose bits still may.
     """
     x = np.asarray(coeffs, dtype=float)
     if x.shape[-1] < 4:
         raise ValueError("need at least four coefficients")
     mu = x.mean(axis=-1)
     dev = x - mu[..., None]
-    var = np.mean(dev ** 2, axis=-1)
-    # squared as Python floats (C pow): np.square rounds some rows differently
-    var_sq = np.array([v ** 2 for v in np.ravel(var).tolist()]).reshape(np.shape(var))
-    kurt = np.divide(np.mean(dev ** 4, axis=-1), var_sq,
+    sq = dev * dev
+    var = np.mean(sq, axis=-1)
+    kurt = np.divide(np.mean(sq * sq, axis=-1), var * var,
                      out=np.zeros(np.shape(var)), where=var > 0)
     psd = _psd_positive_bins(x) if psd is None else psd
     ordered = np.sort(x, axis=-1)

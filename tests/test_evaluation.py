@@ -289,10 +289,10 @@ class TestLeakage:
     def train_side_with_garbage_test_rows(handed_to_model, X, y, kind):
         """What the model is fitted on, with the test rows as they are and as 1e6-scale noise."""
         train_idx, test_idx = ev.make_splits(y, ev.SplitPlan("holdout", seed=1))[0]
-        fit_one_split(X, y, train_idx, test_idx, kind)
+        fit_one_split(X, y, train_idx, test_idx, kind, gram=X @ X.T)
         garbage = X.copy()
         garbage[test_idx] = 1e6 * np.random.default_rng(0).normal(size=(len(test_idx), X.shape[1]))
-        fit_one_split(garbage, y, train_idx, test_idx, kind)
+        fit_one_split(garbage, y, train_idx, test_idx, kind, gram=garbage @ garbage.T)
         clean, _, dirty, _ = handed_to_model
         return clean, dirty
 
@@ -393,7 +393,7 @@ class TestInPlaceCentring:
         wide split projects from the Gram matrix, within ``WIDE_RTOL``."""
         X, y, train_idx, test_idx = factor_split(n_train, d)
         before = X.copy()
-        rates = fit_one_split(X, y, train_idx, test_idx, kind, seed=3)
+        rates = fit_one_split(X, y, train_idx, test_idx, kind, seed=3, gram=X @ X.T)
         assert X.tobytes() == before.tobytes()
         ref_rates = reference_fit_split(X, y, train_idx, test_idx, kind, seed=3)
         assert np.array_equal(rates, ref_rates, equal_nan=True)

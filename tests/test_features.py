@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,20 +143,21 @@ def signals(corpus_root):
 
 
 def reference_band_statistics(x):
-    """One band at a time, in Python-float arithmetic where the rounding matters."""
+    """One band at a time, each formula written out for that row alone."""
     mu = x.mean()
     dev = x - mu
-    var = float(np.mean(dev ** 2))
-    sq = x * x
-    p = sq / sq.sum()
+    sq = dev * dev
+    var = float(np.mean(sq))
+    energy = x * x
+    p = energy / energy.sum()
     psd = (np.abs(np.fft.rfft(x)) ** 2 / x.size)[1:]
     q1, q3 = np.percentile(x, [25.0, 75.0])
     return {
         "mean": float(mu), "median": float(np.median(x)), "std": float(np.sqrt(var)),
         "variance": var, "energy": float(np.mean(x ** 2)),
         "psd_max": float(psd.max()), "psd_min": float(psd.min()),
-        "shannon_entropy": float(-np.sum(p[p > 0] * np.log(p[p > 0]))),
-        "iqr": float(q3 - q1), "kurtosis": float(np.mean(dev ** 4) / var ** 2),
+        "shannon_entropy": float(-np.sum(p * np.log(np.where(p > 0, p, 1.0)))),
+        "iqr": float(q3 - q1), "kurtosis": float(np.mean(sq * sq)) / (var * var),
         "total_variation": float(np.sum(np.abs(np.diff(x)))),
     }
 
@@ -183,23 +188,87 @@ class TestBatchedExtraction:
             tracemalloc.stop()
         assert peak < 10e6
 
-    def test_kurtosis_divides_by_python_float_square(self):
-        # C pow and np.square round var² differently in about 1 of 700 rows here
+    def test_kurtosis_is_mean_fourth_power_over_variance_product(self):
+        # kurtosis = mean((d*d)*(d*d)) / (var*var), var = mean(d*d): plain
+        # products, not numpy's SIMD pow (dev ** 4) or C pow (var ** 2), which
+        # round differently in most of these rows
         X = np.random.default_rng(1).normal(size=(2000, 16))
-        kurt = ft.band_statistics(X)["kurtosis"]
-        for value, x in zip(kurt, X):
+        stats = ft.band_statistics(X)
+        for value, variance, x in zip(stats["kurtosis"], stats["variance"], X):
             dev = x - x.mean()
-            var = float(np.mean(dev ** 2))
-            assert value == float(np.mean(dev ** 4) / var ** 2)
+            sq = dev * dev
+            var = float(np.mean(sq))
+            assert variance == var
+            assert value == float(np.mean(sq * sq)) / (var * var)
 
     def test_band_statistics_equal_scalar_reference(self, signals):
-        # denoised bands hold exact zeros, which the entropy must skip
+        # denoised bands hold exact zeros, which add 0 to the stacked entropy
         filt = wv.filter_for("db4")
         bands = wv.wavedec(wv.denoise(np.stack(signals), filt), filt).bands
         for band in bands:
             stats = ft.band_statistics(band)
             for i, row in enumerate(band):
                 assert {k: v[i] for k, v in stats.items()} == reference_band_statistics(row)
+
+    def test_denoised_db4_statistics_match_scipy(self, signals):
+        # an oracle the code does not share: scipy's moments and its entr sum
+        import scipy.stats
+        filt = wv.filter_for("db4")
+        sb = wv.wavedec(wv.denoise(signals, filt), filt)
+        fm = ft.extract_matrix(signals, [0] * len(signals), "db4")
+        column = {name: fm.values[:, j] for j, name in enumerate(fm.feature_names)}
+        zero_terms = 0
+        for band, name in zip(sb.bands, sb.names):
+            zero_terms += np.sum(np.any(band == 0.0, axis=-1))
+            psd = ft._psd_positive_bins(band)
+            expected = {
+                "kurtosis": scipy.stats.kurtosis(band, axis=-1, fisher=False),
+                "shannon_entropy": scipy.stats.entropy(band * band, axis=-1),
+                "spectral_entropy": scipy.stats.entropy(psd, axis=-1),
+            }
+            for key, want in expected.items():
+                got = column[f"{name}_{key}"]
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (name, key)
+        assert zero_terms > len(signals)
+
+    def test_constant_and_zero_rows(self):
+        # a constant row has kurtosis 0, an all-zero row entropy 0, and
+        # neither touches its neighbours
+        X = np.random.default_rng(4).normal(size=(4, 64))
+        X[1] = 2.5
+        X[2] = 0.0
+        stats = ft.band_statistics(X)
+        assert stats["kurtosis"][1] == stats["kurtosis"][2] == 0.0
+        assert stats["shannon_entropy"][2] == 0.0
+        assert ft._entropy(ft._psd_positive_bins(X))[1:3].tolist() == [0.0, 0.0]
+        for i in (0, 3):
+            one = ft.band_statistics(X[i])
+            assert {k: float(v[i]) for k, v in stats.items()} == one
+
+
+HOST_BITS = """
+import hashlib
+import numpy as np
+from eegbench.features import band_statistics
+stats = band_statistics(np.random.default_rng(11).normal(size=(300, 257)))
+for key in ("variance", "kurtosis"):
+    print(key, hashlib.sha256(stats[key].tobytes()).hexdigest())
+"""
+
+
+def test_variance_and_kurtosis_bits_do_not_depend_on_simd_dispatch():
+    """``variance`` and ``kurtosis`` bytes equal with and without numpy's
+    AVX-512 kernels, in two fresh interpreters (the variable is read when
+    numpy loads). The entropies are left out on purpose: they go through
+    numpy's ``log``, whose AVX-512 and libm kernels round differently."""
+    src = str(Path(ft.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    capped = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    default, without_avx512 = (
+        subprocess.run([sys.executable, "-c", HOST_BITS], capture_output=True, text=True,
+                       check=True, env=e).stdout for e in (env, capped))
+    assert "kurtosis" in default
+    assert default == without_avx512
 
 
 class TestFeatureMatrix:
@@ -468,13 +537,20 @@ class TestDefaultExtractionBits:
     sha256 over the matrix bytes, then the feature names joined by newlines,
     of ten synthetic recordings (two per set, seed 3), recorded with numpy
     2.4.6 and its bundled OpenBLAS 0.3.31 on x86-64; another BLAS
-    build or CPU may round the filter products differently.
+    build may round the filter products differently. Two kinds of column
+    still depend on the CPU through numpy's ``log``, which runs its own
+    kernel on AVX-512 hosts and libm's elsewhere: ``mfcc``'s log filterbank
+    energies (its pin moves with AVX-512 disabled) and the wavelet
+    families' Shannon and spectral entropies (these ten recordings keep
+    their bits; of the seed-7 corpus's 37 500 values per family, 5 ``db4``
+    and 4 ``coif1`` entropies do not). Kurtosis and variance come from
+    plain products, which round the same on every IEEE host.
     """
 
     EXPECTED = {
-        "db2": "ddf1ad8caaa7a3953def0034f6511524a5ae52ab695a04b8ce1026fba2ff953b",
-        "db4": "e027fa612e562fd5d95eb26f04a2d99c3e4d2c4c39d1c88cbcfcd56d3d0253ec",
-        "coif1": "78ca73a808b398e4250dbbde6db3f7d8629a4f53a504595868899b1d6367287b",
+        "db2": "b5fa466d4c9473784c50e0e0c31d3597a4a24c9df8359f2d2735c96ab873c501",
+        "db4": "983b33adf4478138d20f36bd643fa1d9a2b4951883177fb964c1cbd84af08f7e",
+        "coif1": "34d7e65bb6cf7fd4f074323be22cdd821423a45ddd0acc1ed989d971d183fd61",
         "mfcc": "083278f8d11ab0c7f80013b6fc65d9561792ce0127b9dff0fc55f984dd8cf3df",
     }
 
